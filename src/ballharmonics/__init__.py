@@ -81,7 +81,6 @@ _EXPORTS = {
     "pohozaev_residual": "identities",
     "green_residual": "identities",
     "minimiser_bound_check": "identities",
-    "c1_bound_report": "identities",
     "VolumeDecayRow": "identities",
     "VolumeDecayTable": "identities",
     "volume_decay_chain": "identities",
@@ -98,7 +97,6 @@ _EXPORTS = {
     "mean_value_convergence": "mollifier",
     "GradientRatioReport": "mollifier",
     "gradient_estimate_report": "mollifier",
-    "gradient_estimate_ratio": "mollifier",
     "GradientScalingFit": "mollifier",
     "mollifier_gradient_scaling": "mollifier",
     "YoungReport": "mollifier",

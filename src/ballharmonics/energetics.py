@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import PiRational, as_fraction
+from .exactmath import as_fraction
 from .harmonics import HarmonicMap
 from .integration import (
     EXACT,
@@ -91,17 +91,7 @@ def normal_energy_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralResult
     _check_radius(r)
     body = map_body(u)
     raw = integrate_poly_sphere(_pairing_sq_sum_of(body), r, spec)
-    inv_r_sq = as_fraction(r) ** -2
-    if raw.exact is not None:
-        return IntegralResult.from_exact(raw.exact.scaled(inv_r_sq))
-    scale = float(inv_r_sq)
-    return IntegralResult(
-        value=raw.value * scale,
-        log_abs_value=raw.log_abs_value + math.log(scale),
-        standard_error=raw.standard_error * scale,
-        method=raw.method,
-        samples=raw.samples,
-    )
+    return raw.scaled(as_fraction(r) ** -2)
 
 
 def normal_energy(u, r=1, spec: QuadratureSpec = EXACT) -> float:
@@ -114,8 +104,11 @@ def surface_dirichlet_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralRe
     normal = normal_energy_result(u, r, spec)
     if total.exact is not None and normal.exact is not None:
         exact = total.exact - normal.exact
-        # total - normal is the tangential part, non-negative pointwise
-        assert exact.coeff >= 0
+        if exact.coeff < 0:
+            raise ArithmeticError(
+                f"tangential surface energy came out negative ({exact!r}); "
+                f"total - normal is non-negative pointwise"
+            )
         return IntegralResult.from_exact(exact)
     value = total.value - normal.value
     if value < -1e-12 * max(abs(total.value), 1.0):
@@ -211,8 +204,12 @@ def energy_profile(u, radii, spec: QuadratureSpec = EXACT) -> EnergyProfile:
 
 
 def fit_decay_exponent(profile: EnergyProfile) -> DecayFit:
-    """Fit the decay exponent from the profile's positive-energy samples."""
-    pts = [(math.log(r), log_e) for r, e, log_e in profile.samples if e > 0.0]
+    """Fit the decay exponent from the profile's positive-energy samples.
+
+    Samples are kept on their log E, which comes from the exact value and
+    stays finite where the float E underflows to 0.
+    """
+    pts = [(math.log(r), log_e) for r, _, log_e in profile.samples if log_e > -math.inf]
     dropped = len(profile.samples) - len(pts)
     if dropped:
         warnings.warn(

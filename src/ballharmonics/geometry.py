@@ -77,7 +77,8 @@ def unit_ball_volume_exact(n: int) -> PiRational:
     # V_n = pi^{n/2} / Gamma(n/2 + 1); the gamma eats one sqrt(pi) iff n is
     # odd, so the net power is the integer n // 2 for both parities
     rat, halfpi = gamma_half(n + 2)
-    assert halfpi == n % 2
+    if halfpi != n % 2:
+        raise ArithmeticError("the half-powers of pi in Gamma(n/2 + 1) must match n's parity")
     return PiRational(Fraction(1) / rat, n // 2)
 
 

@@ -41,7 +41,6 @@ from .polynomials import MultiPoly, VectorPoly, radial_pairing
 POHOZAEV = "pohozaev"
 GREEN = "green"
 MINIMISER_BOUND = "minimiser_bound"
-C1_BOUND = "c1_bound"
 
 
 @dataclass(frozen=True)
@@ -106,20 +105,12 @@ def pohozaev_residual(
     total = surface_energy_total_result(u, r, spec)
     normal = normal_energy_result(u, r, spec)
     rf = float(r)
-    if energy.exact is not None and total.exact is not None and normal.exact is not None:
+    lhs = energy.scaled(n - 2)
+    if total.exact is not None and normal.exact is not None:
         r_exact = as_fraction(r)
-        lhs_e = energy.exact.scaled(n - 2)
         rhs_e = total.exact.scaled(r_exact) - normal.exact.scaled(2 * r_exact)
-        lhs = IntegralResult.from_exact(lhs_e)
         rhs = IntegralResult.from_exact(rhs_e)
     else:
-        lhs = IntegralResult(
-            value=(n - 2) * energy.value,
-            log_abs_value=energy.log_abs_value + (math.log(n - 2) if n > 2 else -math.inf),
-            standard_error=(n - 2) * energy.standard_error,
-            method=energy.method,
-            samples=energy.samples,
-        )
         rhs_value = rf * total.value - 2.0 * rf * normal.value
         rhs = IntegralResult(
             value=rhs_value,
@@ -149,22 +140,12 @@ def green_residual(
     n = u.dimension
     lhs = dirichlet_energy_result(u, r, spec)
     raw = integrate_poly_sphere(_flux_poly_of(u.body), r, spec)
-    rf = float(r)
-    if raw.exact is not None:
-        rhs = IntegralResult.from_exact(raw.exact.scaled(1 / as_fraction(r)))
-    else:
-        rhs = IntegralResult(
-            value=raw.value / rf,
-            log_abs_value=raw.log_abs_value - math.log(rf),
-            standard_error=raw.standard_error / rf,
-            method=raw.method,
-            samples=raw.samples,
-        )
+    rhs = raw.scaled(1 / as_fraction(r))
     residual, normalized = _normalized(lhs, rhs, lhs)
     return ResidualReport(
         identity_name=GREEN,
         dimension=n,
-        radius=rf,
+        radius=float(r),
         lhs=lhs.value,
         rhs=rhs.value,
         residual=residual,
@@ -173,63 +154,43 @@ def green_residual(
     )
 
 
-def _bound_report(u: HarmonicMap, spec: QuadratureSpec, name: str) -> ResidualReport:
+def minimiser_bound_check(u: HarmonicMap, spec: QuadratureSpec = EXACT) -> ResidualReport:
+    """Check E(1) < c1 H(1) with c1 = 2/(n-2) for a non-constant certified map, n >= 3.
+
+    ``margin_ratio`` is rhs / lhs and must exceed 1; the caller asserts the
+    strictness.  For homogeneous degree-k maps the ratio is exactly
+    2 (n + k - 2) / (n - 2).  The report carries c1 in ``constant``: c1 n
+    tends to 2 as n grows, the O(1/n) sharpening that makes high-dimensional
+    energy decay fast.
+    """
     _require_certified(u)
     n = u.dimension
     if n < 3:
         raise ValueError(f"the energy bound needs dimension >= 3, got n = {n}")
     energy = dirichlet_energy_result(u, 1, spec)
-    tangential = surface_dirichlet_result(u, 1, spec)
     c1 = Fraction(2, n - 2)
-    if energy.exact is not None and tangential.exact is not None:
+    rhs = surface_dirichlet_result(u, 1, spec).scaled(c1)
+    if energy.exact is not None and rhs.exact is not None:
         if energy.exact.is_zero:
             raise ValueError("constant map: the bound compares two zero energies")
-        rhs_e = tangential.exact.scaled(c1)
-        margin = float(rhs_e.ratio(energy.exact))
-        lhs_v, rhs_v = energy.value, float(rhs_e)
-        residual, normalized = _normalized(
-            energy, IntegralResult.from_exact(rhs_e), energy
-        )
+        margin = float(rhs.exact.ratio(energy.exact))
     else:
         if energy.value <= 0.0:
             raise ValueError("constant map: the bound compares two zero energies")
-        rhs_v = float(c1) * tangential.value
-        lhs_v = energy.value
-        margin = rhs_v / lhs_v
-        residual = lhs_v - rhs_v
-        normalized = abs(residual) / max(abs(lhs_v), abs(rhs_v))
+        margin = rhs.value / energy.value
+    residual, normalized = _normalized(energy, rhs, energy)
     return ResidualReport(
-        identity_name=name,
+        identity_name=MINIMISER_BOUND,
         dimension=n,
         radius=1.0,
-        lhs=lhs_v,
-        rhs=rhs_v,
+        lhs=energy.value,
+        rhs=rhs.value,
         residual=residual,
         normalized_residual=normalized,
         margin_ratio=margin,
         constant=float(c1),
         map_label=u.label,
     )
-
-
-def minimiser_bound_check(u: HarmonicMap, spec: QuadratureSpec = EXACT) -> ResidualReport:
-    """Check E(1) < 2/(n-2) * H(1) for a non-constant certified map, n >= 3.
-
-    ``margin_ratio`` is rhs / lhs and must exceed 1; the caller asserts the
-    strictness.  For homogeneous degree-k maps the ratio is exactly
-    2 (n + k - 2) / (n - 2).
-    """
-    return _bound_report(u, spec, MINIMISER_BOUND)
-
-
-def c1_bound_report(u: HarmonicMap, spec: QuadratureSpec = EXACT) -> ResidualReport:
-    """Same inequality viewed as E(1) <= c1 H(1) with c1 = 2/(n-2) reported.
-
-    c1 * n tends to 2 as n grows, which is the O(1/n) sharpening that makes
-    high-dimensional energy decay fast; the report carries c1 in
-    ``constant`` so callers can track that rate.
-    """
-    return _bound_report(u, spec, C1_BOUND)
 
 
 # -- dimension scan of the identity-map quantities ------------------------------

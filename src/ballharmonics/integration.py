@@ -44,7 +44,6 @@ class QuadratureSpec:
     method: str = EXACT_METHOD
     samples: int = 0
     seed: int = 0
-    tolerance: float = 1e-12
     workers: int = 1
 
     def __post_init__(self):
@@ -56,8 +55,6 @@ class QuadratureSpec:
             raise ValueError(f"samples must be a non-negative integer, got {self.samples!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
         if not isinstance(self.workers, int) or self.workers < 1:
             raise ValueError(f"workers must be a positive integer, got {self.workers!r}")
 
@@ -90,6 +87,19 @@ class IntegralResult:
             exact=exact,
         )
 
+    def scaled(self, factor) -> "IntegralResult":
+        """This integral times an exact rational constant, on either route."""
+        if self.exact is not None:
+            return IntegralResult.from_exact(self.exact.scaled(factor))
+        f = float(factor)
+        return IntegralResult(
+            value=self.value * f,
+            log_abs_value=self.log_abs_value + math.log(abs(f)) if f else -math.inf,
+            standard_error=self.standard_error * abs(f),
+            method=self.method,
+            samples=self.samples,
+        )
+
 
 def _check_alpha(n: int, alpha: Sequence[int]) -> tuple[int, ...]:
     a = tuple(alpha)
@@ -111,7 +121,8 @@ def _sphere_monomial_rational(n: int, alpha: tuple[int, ...]) -> Fraction:
         half_powers += k
     den_rat, den_k = gamma_half(n + sum(alpha))  # Gamma((n + |alpha|)/2)
     half_powers -= den_k
-    assert half_powers == 2 * (n // 2), "pi half-powers must collapse to an integer power"
+    if half_powers != 2 * (n // 2):
+        raise ArithmeticError("pi half-powers must collapse to an integer power")
     return num / den_rat
 
 

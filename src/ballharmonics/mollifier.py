@@ -60,32 +60,30 @@ def _bump_radial_slope(t: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
-def _bump_normalization(n: int) -> float:
-    """c_n with integral of c_n exp(-1/(1-|x|^2)) over R^n equal to 1."""
+def _radial_bump_integral(power: int) -> float:
+    """Integral of t^power exp(-1/(1-t^2)) over [0, 1], to within 1e-10."""
     radial, err = quad(
-        lambda t: t ** (n - 1) * math.exp(-1.0 / (1.0 - t * t)),
+        lambda t: t**power * math.exp(-1.0 / (1.0 - t * t)),
         0.0,
         1.0,
         epsabs=1e-13,
         epsrel=1e-13,
     )
-    assert err < 1e-10
-    return 1.0 / (sphere_area(n, 1.0).area * radial)
+    if not err < 1e-10:
+        raise ArithmeticError(f"radial quadrature error {err!r} exceeds 1e-10")
+    return radial
+
+
+@lru_cache(maxsize=8)
+def _bump_normalization(n: int) -> float:
+    """c_n with integral of c_n exp(-1/(1-|x|^2)) over R^n equal to 1."""
+    return 1.0 / (sphere_area(n, 1.0).area * _radial_bump_integral(n - 1))
 
 
 @lru_cache(maxsize=8)
 def _bump_second_moment(n: int) -> float:
     """Integral of |y|^2 J(y) dy over the unit profile (scale by delta^2)."""
-    radial, err = quad(
-        lambda t: t ** (n + 1) * math.exp(-1.0 / (1.0 - t * t)),
-        0.0,
-        1.0,
-        epsabs=1e-13,
-        epsrel=1e-13,
-    )
-    assert err < 1e-10
-    return _bump_normalization(n) * sphere_area(n, 1.0).area * radial
+    return _bump_normalization(n) * sphere_area(n, 1.0).area * _radial_bump_integral(n + 1)
 
 
 @dataclass(frozen=True)
@@ -508,11 +506,6 @@ def gradient_estimate_report(
         denominator=denominator,
         error_estimate=abs(fine - coarse) / denominator,
     )
-
-
-def gradient_estimate_ratio(u, p: float = 4, spacing: float = 1 / 128) -> float:
-    """The ratio alone; see :func:`gradient_estimate_report`."""
-    return gradient_estimate_report(u, p, spacing).ratio
 
 
 # -- kernel gradient scaling ----------------------------------------------------

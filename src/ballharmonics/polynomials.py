@@ -71,6 +71,8 @@ class MultiPoly:
             if any((not isinstance(e, int)) or e < 0 for e in exps):
                 raise ValueError(f"exponents must be non-negative integers, got {exps}")
             if isinstance(coeff, float):
+                if not math.isfinite(coeff):
+                    raise ValueError(f"coefficient of {exps} is not finite: {coeff!r}")
                 c: Coeff = coeff
             elif isinstance(coeff, (int, Fraction)):
                 c = Fraction(coeff)
@@ -296,18 +298,6 @@ class MultiPoly:
             return lap.is_zero
         bound = 1e-12 if tol is None else tol
         return all(_abs_float(c) <= bound for _, c in lap.terms())
-
-    def euler_degree_check(self) -> bool:
-        """True iff <x, grad p> == deg(p) * p (homogeneous polys only)."""
-        if not self.is_homogeneous():
-            return False
-        k = self.total_degree()
-        radial = MultiPoly(self._dimension)
-        for axis in range(self._dimension):
-            radial = radial + MultiPoly.variable(self._dimension, axis) * (
-                self.partial_derivative(axis)
-            )
-        return radial == self * k
 
     # -- evaluation -------------------------------------------------------
 

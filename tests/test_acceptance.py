@@ -1,41 +1,32 @@
 """Acceptance gate: thirteen numbered criteria, one test and verdict line each.
 
 Every test prints ``criterion NN (name): PASS`` / ``... FAIL`` so the verbose
-log carries a single line per criterion; tolerances and runtime budgets are
-asserted inside the tests themselves.
+log carries a single line per criterion.  Each criterion is defined once, by
+its ``check_*`` in ``ballharmonics.suite``; a test calls that check, asserts
+on its verdict and headline details, and asserts the runtime budget.
 """
 
-import math
 import pathlib
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 import pytest
 
-from ballharmonics.energetics import (
-    concentration_fraction,
-    dirichlet_energy,
-    energy_profile,
-    fit_decay_exponent,
-    half_radius_theta,
-    verify_decay_bound,
-)
-from ballharmonics.geometry import unit_ball_volume
-from ballharmonics.harmonics import identity_map, zonal_solid_harmonic
-from ballharmonics.identities import (
-    c1_bound_report,
-    green_residual,
-    minimiser_bound_check,
-    pohozaev_residual,
-)
 from ballharmonics.suite import (
+    check_c1_rate,
+    check_concentration,
+    check_decay_fit,
+    check_dyadic_contraction,
+    check_green,
+    check_identity_energy,
     check_mc_oracle,
     check_mean_value,
+    check_minimiser_bound,
     check_mollifier_scaling,
+    check_pohozaev,
     check_scope_notes,
-    standard_maps,
+    check_volume_peak,
 )
 
 SEED = 7
@@ -59,8 +50,19 @@ def verdict(number, name):
     return wrap
 
 
+def timed(check, *args, **kwargs):
+    start = time.perf_counter()
+    result = check(*args, **kwargs)
+    return result, time.perf_counter() - start
+
+
 @verdict(1, "volume peak")
 def test_criterion_01_volume_peak():
+    result = check_volume_peak()
+    assert result.passed, result.details
+    assert result.details["argmax"] == 5
+    assert result.details["rel_err"] < 1e-12
+    # the CLI table renders the same numbers, within the runtime budget
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "ballharmonics.cli", "volumes", "--n-max", "200"],
@@ -70,150 +72,95 @@ def test_criterion_01_volume_peak():
     )
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0
-    assert "# volume_argmax: 5" in proc.stdout
-    row5 = next(
-        line for line in proc.stdout.splitlines() if line.startswith("5,")
-    )
-    v5 = float(row5.split(",")[1])
-    reference = float(8 * math.pi**2 / 15)
-    assert abs(v5 - reference) / reference < 1e-12
+    assert f"# volume_argmax: {result.details['argmax']}" in proc.stdout
+    row5 = next(line for line in proc.stdout.splitlines() if line.startswith("5,"))
+    assert float(row5.split(",")[1]) == result.details["v5"]
     assert elapsed < 1.0, f"volumes took {elapsed:.2f}s"
 
 
 @verdict(2, "identity-map energy")
 def test_criterion_02_identity_energy():
-    start = time.perf_counter()
-    for n in range(1, 51):
-        expected_unit = n * unit_ball_volume(n).volume
-        for r in (0.3, 0.7, 1.0):
-            got = dirichlet_energy(identity_map(n), r)
-            expected = expected_unit * r**n
-            assert abs(got - expected) / expected < 1e-12, (n, r)
-    elapsed = time.perf_counter() - start
+    result, elapsed = timed(check_identity_energy)
+    assert result.passed, result.details
+    assert result.details["worst_rel_err"] < 1e-12
     assert elapsed < 1.0, f"energy scan took {elapsed:.2f}s"
-
-
-def _identity_suite_scan(residual_fn):
-    worst = 0.0
-    for n in range(2, 11):
-        for u in standard_maps(n, SEED):
-            for r in (0.3, 0.7, 1.0):
-                worst = max(worst, residual_fn(u, r).normalized_residual)
-    return worst
 
 
 @verdict(3, "inner variation identity")
 def test_criterion_03_pohozaev():
-    start = time.perf_counter()
-    worst = _identity_suite_scan(pohozaev_residual)
-    elapsed = time.perf_counter() - start
-    assert worst < 1e-10
+    result, elapsed = timed(check_pohozaev, SEED)
+    assert result.passed, result.details
+    assert result.details["worst_normalized_residual"] < 1e-10
+    # dimensions 2..10, identity + zonal 0..5 + random 1..4 (n >= 2), three radii
+    assert result.details["checks"] == 9 * 11 * 3
     assert elapsed < 30.0, f"scan took {elapsed:.2f}s"
 
 
 @verdict(4, "boundary flux identity")
 def test_criterion_04_green():
-    start = time.perf_counter()
-    worst = _identity_suite_scan(green_residual)
-    elapsed = time.perf_counter() - start
-    assert worst < 1e-10
+    result, elapsed = timed(check_green, SEED)
+    assert result.passed, result.details
+    assert result.details["worst_normalized_residual"] < 1e-10
+    assert result.details["checks"] == 9 * 11 * 3
     assert elapsed < 30.0, f"scan took {elapsed:.2f}s"
-
-
-RADII = (0.0625, 0.125, 0.25, 0.5, 1.0)
 
 
 @verdict(5, "energy decay law")
 def test_criterion_05_decay_law():
-    for n in range(2, 7):
-        for k in range(1, 5):
-            u = zonal_solid_harmonic(n, k)
-            fit = fit_decay_exponent(energy_profile(u, RADII))
-            assert abs(fit.exponent - (n + 2 * k - 2)) < 1e-9, (n, k)
-    # the bound with C = 1 holds for every beta <= n - 0.1: margins increase
-    # with beta, so the largest beta is the binding one; a few smaller betas
-    # are spot-checked to witness that monotonicity
-    for n in range(2, 7):
-        for u in standard_maps(n, SEED):
-            if u.degree is None or u.degree < 1:
-                continue
-            betas = (n - 0.1, n - 0.5, n / 2, 0.5)
-            margins = [
-                verify_decay_bound(u, beta, 1.0, RADII) for beta in betas
-            ]
-            assert all(rep.holds for rep in margins), (n, u.label)
-            assert all(
-                a.worst_margin >= b.worst_margin
-                for a, b in zip(margins, margins[1:])
-            ), (n, u.label)
+    result = check_decay_fit(SEED)
+    assert result.passed, result.details
+    assert result.details["worst_fit_error"] < 1e-9
+    assert result.details["decay_bounds_hold"]
+    assert result.details["margins_monotone_in_beta"]
+    # dimensions 2..6: identity, zonal 1..5 and random 1..4 of standard_maps
+    assert result.details["bound_maps_checked"] == 5 * 10
 
 
 @verdict(6, "dyadic contraction")
 def test_criterion_06_dyadic_contraction():
-    for n in range(2, 7):
-        for u in standard_maps(n, SEED):
-            if u.degree == 0:
-                continue
-            theta = half_radius_theta(u, 1.0)
-            assert theta < 1.0, (n, u.label)
-            if u.degree is not None:
-                expected = 2.0 ** -(n + 2 * u.degree - 2)
-                assert abs(theta - expected) / expected < 1e-12, (n, u.label)
+    result = check_dyadic_contraction(SEED)
+    assert result.passed, result.details
+    assert result.details["all_below_one"]
+    assert result.details["worst_rel_err"] < 1e-12
+    # dimensions 2..6: the ten non-constant standard maps, a mixed and a random map
+    assert result.details["maps_checked"] == 5 * 12
 
 
 @verdict(7, "boundary concentration")
 def test_criterion_07_concentration():
-    previous = -math.inf
-    for n in range(2, 201):
-        got = concentration_fraction(identity_map(n), 0.9)
-        assert abs(got - (1 - 0.9**n)) < 1e-12, n
-        assert got > previous, n
-        previous = got
-        if n >= 88:
-            assert got > 1 - 1e-4, n
-    # n = 88 is where 0.9^n first drops below 1e-4
-    assert 0.9**87 > 1e-4 > 0.9**88
+    result = check_concentration()
+    assert result.passed, result.details
+    assert result.details["worst_abs_err"] < 1e-12
+    assert result.details["worst_abs_err_vs_power"] < 1e-12
+    assert result.details["strictly_increasing"]
+    assert result.details["above_threshold_from_n88"]
+    assert result.details["fraction_n87"] <= 1 - 1e-4 < result.details["fraction_n88"]
 
 
 @verdict(8, "minimiser bound")
 def test_criterion_08_minimiser_bound():
-    for n in range(3, 51):
-        rep = minimiser_bound_check(identity_map(n))
-        expected = 2 * (n - 1) / (n - 2)
-        assert abs(rep.margin_ratio - expected) / expected < 1e-12, n
-    for n in range(3, 11):
-        for u in standard_maps(n, SEED):
-            if u.degree == 0:
-                continue  # constant maps carry no energy to compare
-            assert minimiser_bound_check(u).margin_ratio > 1.0, (n, u.label)
+    result = check_minimiser_bound(SEED)
+    assert result.passed, result.details
+    assert result.details["worst_identity_rel_err"] < 1e-12
+    assert result.details["all_margins_above_one"]
+    assert result.details["smallest_margin"] > 1.0
 
 
 @verdict(9, "O(1/n) constant")
 def test_criterion_09_c1_rate():
-    previous = math.inf
-    for n in range(3, 201):
-        scaled = float(Fraction(2, n - 2) * n)
-        assert scaled < previous, n
-        previous = scaled
-    # |c1 n - 2| = 4/(n - 2) crosses the 0.2 threshold exactly at n = 22
-    # (4/20 = 1/5), so the tail test reads "<= 0.2 from 22, < 0.2 after"
-    for n in range(22, 201):
-        gap = abs(Fraction(2, n - 2) * n - 2)
-        assert gap <= Fraction(1, 5), n
-        if n >= 23:
-            assert gap < Fraction(1, 5), n
-    # pipeline agreement on a spot-check range
-    for n in (3, 10, 22, 40):
-        rep = c1_bound_report(identity_map(n))
-        assert rep.constant == pytest.approx(2 / (n - 2), rel=1e-15)
-        assert rep.margin_ratio > 1.0
+    result = check_c1_rate()
+    assert result.passed, result.details
+    assert result.details["monotone_decreasing"]
+    assert result.details["tail_below_one_fifth"]
+    assert result.details["pipeline_spot_check"]
+    assert result.details["float_worst_err"] < 1e-12
+    # |c1 n - 2| = 4/(n - 2) reaches the 0.2 threshold exactly at n = 22
+    assert result.details["gap_at_n22"] == 0.2
 
 
 @verdict(10, "mean-value property")
 def test_criterion_10_mean_value():
-    start = time.perf_counter()
-    result = check_mean_value(SEED)
-    elapsed = time.perf_counter() - start
+    result, elapsed = timed(check_mean_value, SEED)
     assert result.details["sup_error"] < 1e-4
     assert result.details["convergence_order"] >= 1.8
     assert all(d > 1e-3 for d in result.details["control_defects"])
@@ -223,12 +170,11 @@ def test_criterion_10_mean_value():
 
 @verdict(11, "Monte Carlo oracle")
 def test_criterion_11_mc_oracle():
-    start = time.perf_counter()
-    result = check_mc_oracle(SEED, workers=1)
-    elapsed = time.perf_counter() - start
+    result, elapsed = timed(check_mc_oracle, SEED, workers=1)
     assert result.details["samples"] == 1_000_000
-    for n in (2, 5, 10):
-        assert result.details[f"hits_of_10_n{n}"] >= 9, n
+    assert result.details["hits_of_10_n2"] >= 9
+    assert result.details["hits_of_10_n5"] >= 9
+    assert result.details["hits_of_10_n10"] >= 9
     assert result.passed
     assert elapsed < 60.0, f"oracle took {elapsed:.2f}s"
 

@@ -145,6 +145,14 @@ class TestIntegrate:
         b = run_cli(*args, "--workers", "4")
         assert json.loads(a.stdout)["value"] == json.loads(b.stdout)["value"]
 
+    def test_non_finite_coefficient_is_usage_error(self):
+        # 1e400 parses to inf; it used to drop every term and print 0
+        proc = run_cli("integrate", "--poly", "1e400*x1^2", "--dimension", "2")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_poly_required(self):
         proc = run_cli("integrate", "--dimension", "2")
         assert proc.returncode == 2

@@ -107,6 +107,15 @@ class TestDecayFit:
         fit = fit_decay_exponent(profile)
         assert 3 < fit.exponent < 7  # between n+2k-2 for k = 1 and k = 3
 
+    def test_fits_on_logs_where_energies_underflow(self):
+        # E(1e-200) and E(1e-100) are 0.0 as floats, but their exact logs are finite
+        u = zonal_solid_harmonic(3, 2)
+        profile = energy_profile(u, (1e-200, 1e-100, 1))
+        assert profile.energies[:2] == (0.0, 0.0)
+        fit = fit_decay_exponent(profile)
+        assert fit.points_used == 3
+        assert fit.exponent == pytest.approx(5, abs=1e-9)
+
     def test_needs_two_radii(self):
         u = identity_map(2)
         with pytest.raises(ValueError):

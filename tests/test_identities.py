@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from ballharmonics.energetics import dirichlet_energy, surface_dirichlet_result
+from ballharmonics.energetics import (
+    dirichlet_energy,
+    dirichlet_energy_result,
+    normal_energy_result,
+    surface_dirichlet_result,
+    surface_energy_total_result,
+)
 from ballharmonics.harmonics import (
     harmonic_sum,
     identity_map,
@@ -14,12 +20,13 @@ from ballharmonics.harmonics import (
     zonal_solid_harmonic,
 )
 from ballharmonics.identities import (
-    c1_bound_report,
+    _flux_poly_of,
     green_residual,
     minimiser_bound_check,
     pohozaev_residual,
     volume_decay_chain,
 )
+from ballharmonics.integration import QuadratureSpec, integrate_poly_sphere
 from ballharmonics.polynomials import MultiPoly, VectorPoly
 
 
@@ -132,12 +139,14 @@ class TestMinimiserBound:
 class TestC1Report:
     @pytest.mark.parametrize("n", [3, 4, 10, 22, 40])
     def test_constant_value(self, n):
-        rep = c1_bound_report(identity_map(n))
+        rep = minimiser_bound_check(identity_map(n))
         assert rep.constant == pytest.approx(2 / (n - 2), rel=1e-15)
         assert rep.margin_ratio > 1.0
 
     def test_scaled_constant_approaches_two(self):
-        gaps = [abs(c1_bound_report(identity_map(n)).constant * n - 2) for n in (5, 10, 20, 40)]
+        gaps = [
+            abs(minimiser_bound_check(identity_map(n)).constant * n - 2) for n in (5, 10, 20, 40)
+        ]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         # |c1 n - 2| = 4 / (n - 2) exactly; at n = 22 that is 1/5
         assert gaps[0] == pytest.approx(4 / 3, rel=1e-12)
@@ -166,3 +175,75 @@ class TestVolumeDecayChain:
     def test_short_range_not_interior(self):
         table = volume_decay_chain(3, 9)
         assert not table.argmax_is_interior
+
+
+class TestMonteCarloRoute:
+    """The float route of the identities agrees with the exact route.
+
+    Every side is compared with its exact value to within four standard
+    errors; the errors come from the same seeded components, which the
+    Monte Carlo engine reproduces bit for bit.
+    """
+
+    SPEC = QuadratureSpec(method="monte_carlo", samples=200_000, seed=11)
+    R = 0.7
+
+    @staticmethod
+    def close(got, want, stderr):
+        assert stderr > 0.0
+        assert abs(got - want) <= 4.0 * stderr, (got, want, stderr)
+
+    def parts(self, u, r):
+        return (
+            dirichlet_energy_result(u, r, self.SPEC),
+            surface_energy_total_result(u, r, self.SPEC),
+            normal_energy_result(u, r, self.SPEC),
+        )
+
+    def test_normal_energy(self):
+        u = zonal_solid_harmonic(3, 2)
+        mc = normal_energy_result(u, self.R, self.SPEC)
+        exact = normal_energy_result(u, self.R)
+        self.close(mc.value, exact.value, mc.standard_error)
+        assert mc.log_abs_value == pytest.approx(math.log(mc.value), rel=1e-12)
+        assert mc.method == "monte_carlo" and mc.samples == 200_000
+
+    def test_pohozaev(self):
+        u = zonal_solid_harmonic(3, 2)
+        energy, total, normal = self.parts(u, self.R)
+        mc = pohozaev_residual(u, self.R, self.SPEC)
+        exact = pohozaev_residual(u, self.R)
+        self.close(mc.lhs, exact.lhs, energy.standard_error)
+        rhs_se = self.R * math.hypot(total.standard_error, 2.0 * normal.standard_error)
+        self.close(mc.rhs, exact.rhs, rhs_se)
+
+    def test_pohozaev_in_the_plane(self):
+        # n = 2: the lhs factor n - 2 is zero, so the lhs is exactly zero
+        u = zonal_solid_harmonic(2, 2)
+        _, total, normal = self.parts(u, self.R)
+        mc = pohozaev_residual(u, self.R, self.SPEC)
+        assert mc.lhs == 0.0
+        assert pohozaev_residual(u, self.R).rhs == 0.0
+        rhs_se = self.R * math.hypot(total.standard_error, 2.0 * normal.standard_error)
+        self.close(mc.rhs, 0.0, rhs_se)
+
+    def test_green(self):
+        u = zonal_solid_harmonic(3, 2)
+        energy = dirichlet_energy_result(u, self.R, self.SPEC)
+        flux = integrate_poly_sphere(_flux_poly_of(u.body), self.R, self.SPEC)
+        mc = green_residual(u, self.R, self.SPEC)
+        exact = green_residual(u, self.R)
+        self.close(mc.lhs, exact.lhs, energy.standard_error)
+        self.close(mc.rhs, exact.rhs, flux.standard_error / self.R)
+
+    def test_minimiser_bound(self):
+        u = zonal_solid_harmonic(3, 2)
+        energy = dirichlet_energy_result(u, 1, self.SPEC)
+        tangential = surface_dirichlet_result(u, 1, self.SPEC)
+        mc = minimiser_bound_check(u, self.SPEC)
+        exact = minimiser_bound_check(u)
+        # degree k = 2 in n = 3: margin 2 (n + k - 2) / (n - 2) = 6
+        assert exact.margin_ratio == 6.0
+        self.close(mc.lhs, exact.lhs, energy.standard_error)
+        self.close(mc.rhs, exact.rhs, 2.0 * tangential.standard_error)
+        assert mc.margin_ratio > 1.0

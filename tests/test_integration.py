@@ -1,5 +1,6 @@
 """Exact and Monte Carlo quadrature over spheres and balls."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from ballharmonics.geometry import unit_ball_volume
 from ballharmonics.integration import (
     EXACT,
     HIT_OR_MISS_MAX_DIM,
+    IntegralResult,
     QuadratureSpec,
     ball_monomial_integral,
     integrate_poly_ball,
@@ -92,6 +94,36 @@ def test_exact_route_takes_floats_at_their_binary_value():
     assert integrate_poly_ball(p, 1).exact == PiRational(Fraction(1, 8), 1)
 
 
+class TestScaled:
+    def test_exact_route_stays_exact(self):
+        base = sphere_monomial_integral(3, (2, 0, 0), Fraction(7, 10))
+        scaled = base.scaled(Fraction(3, 2))
+        assert scaled.exact == base.exact.scaled(Fraction(3, 2))
+        assert scaled.value == float(scaled.exact)
+        assert scaled.standard_error == 0.0
+
+    def test_float_route(self):
+        base = IntegralResult(
+            value=2.0, log_abs_value=math.log(2.0), standard_error=0.25,
+            method="monte_carlo", samples=100,
+        )
+        scaled = base.scaled(-3)
+        assert scaled.value == -6.0
+        assert scaled.log_abs_value == pytest.approx(math.log(6.0), rel=1e-15)
+        assert scaled.standard_error == 0.75
+        assert (scaled.method, scaled.samples) == ("monte_carlo", 100)
+
+    def test_zero_factor(self):
+        base = IntegralResult(
+            value=2.0, log_abs_value=math.log(2.0), standard_error=0.25,
+            method="monte_carlo", samples=100,
+        )
+        zero = base.scaled(0)
+        assert zero.value == 0.0
+        assert zero.log_abs_value == -math.inf
+        assert zero.standard_error == 0.0
+
+
 class TestMonteCarlo:
     def spec(self, samples=200_000, seed=21, workers=1):
         return QuadratureSpec(
@@ -134,6 +166,12 @@ class TestMonteCarlo:
         spec = QuadratureSpec(method="monte_carlo", samples=0)
         with pytest.raises(ValueError):
             integrate_poly_ball(MultiPoly(2, {(2, 0): 1}), 1, spec)
+
+    def test_spec_fields(self):
+        # no option that nothing reads
+        assert [f.name for f in dataclasses.fields(QuadratureSpec)] == [
+            "method", "samples", "seed", "workers",
+        ]
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

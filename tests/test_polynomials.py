@@ -44,6 +44,15 @@ class TestConstruction:
         with pytest.raises(DimensionError):
             P(2, {(1, 0, 0): 1})
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_rejected(self, bad):
+        # an infinite coefficient would make the relative prune cutoff
+        # infinite and silently drop every float term
+        with pytest.raises(ValueError, match="not finite"):
+            P(2, {(2, 0): bad, (0, 2): 1.0})
+        with pytest.raises(ValueError, match="not finite"):
+            parse_poly("1e400*x1^2", dimension=2)
+
     def test_hashable_and_equal(self):
         a = P(2, {(1, 1): Fraction(1, 2)})
         b = P(2, {(1, 1): Fraction(1, 2)})
