@@ -224,7 +224,10 @@ def _parse_axis(text: str | None, n: int):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise UsageError(f"axis needs {n} comma-separated entries, got {text!r}")
-    return [Fraction(p) for p in parts]
+    try:
+        return [Fraction(p) for p in parts]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"axis entries must be rationals, got {text!r}") from exc
 
 
 def _build_map(spec_text: str, n: int, seed: int, axis_text: str | None):
@@ -399,6 +402,8 @@ def _cmd_identities(options: dict[str, Any]) -> int:
     if lo < 2:
         raise UsageError("identity checks need dimension >= 2")
     tolerance = options["tolerance"]
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise UsageError(f"--tolerance must be finite and non-negative, got {tolerance!r}")
     reports = []
     margins_ok = True
     worst = 0.0

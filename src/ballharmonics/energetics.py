@@ -7,9 +7,30 @@ For a map u: R^n -> R^m the quantities are
     normal(r)   integral of |du/dnu|^2 over that sphere,
     H(r)        total(r) - normal(r), the tangential surface energy.
 
-|du/dnu|^2 on the sphere of radius r equals sum_i <x, grad u^i>^2 / r^2, a
-polynomial divided by an exact constant, so every quantity here reduces to
-polynomial quadrature and inherits the exact route of :mod:`integration`.
+Two exact routes compute E, total and normal:
+
+  * Fischer route, for a certified HarmonicMap with exact coefficients and
+    the exact spec.  For harmonic p of degree d the integral of p^2 over
+    S^(n-1) is |S^(n-1)| [p, p] / (n (n+2) ... (n+2d-2)), with the Fischer
+    product [p, p] = sum_alpha alpha! p_alpha^2 (Axler, Bourdon and Ramey,
+    Harmonic Function Theory, ch. 5).  Parts of different degree are
+    orthogonal on spheres and <x, grad u_d> = d u_d, so with S_d the
+    unit-sphere integral of |u_d|^2:
+
+        E(r)      = sum_d d S_d r^(n + 2d - 2),
+        total(r)  = sum_d d (n + 2d - 2) S_d r^(n + 2d - 3),
+        normal(r) = sum_d d^2 S_d r^(n + 2d - 3),
+
+    costing O(terms) once per map and O(#degrees) per radius.
+  * Quadrature route, for everything else (bare polynomials, float
+    coefficients, uncertified maps, Monte Carlo specs): |grad u|^2 and
+    sum_i <x, grad u^i>^2 are formed as polynomials (the normal derivative on
+    the sphere of radius r is <x, grad u^i> / r) and integrated by
+    :mod:`integration`, term by term.
+
+The route follows from the input alone.  The Pohozaev and Green identities
+in :mod:`identities` pass the bare body, so they stay on quadrature: with the
+Fischer route on both sides their residuals would vanish by construction.
 Energies scale quadratically in the map and decay like r^(n + 2k - 2) per
 homogeneous degree-k component; the fitting helpers below measure that decay
 from log-log samples.
@@ -19,17 +40,18 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import as_fraction
+from .exactmath import PiRational, as_fraction
 from .harmonics import HarmonicMap
 from .integration import (
     EXACT,
     EXACT_METHOD,
     IntegralResult,
     QuadratureSpec,
+    _sphere_monomial_rational,
     integrate_poly_ball,
     integrate_poly_sphere,
 )
@@ -60,6 +82,61 @@ def _pairing_sq_sum_of(body: VectorPoly) -> MultiPoly:
     return MultiPoly(body.dimension, acc)
 
 
+@lru_cache(maxsize=512)
+def _fischer_profile(body: VectorPoly) -> tuple[tuple[int, Fraction], ...]:
+    """(d, S_d) for each degree d >= 1 of a harmonic body with exact coefficients.
+
+    S_d is the rational part of the unit-sphere integral of sum_i |u^i_d|^2,
+    from the Fischer norm [p, p] = sum_alpha alpha! p_alpha^2 of the
+    degree-d parts: the integral of p^2 is |S^(n-1)| [p, p] / (n (n+2) ...
+    (n+2d-2)) for harmonic p.  Degree 0 carries no energy and is skipped.
+    """
+    n = body.dimension
+    norms: dict[int, Fraction] = {}
+    for comp in body:
+        for exps, c in comp.terms():
+            d = sum(exps)
+            if d:
+                weight = math.prod(math.factorial(e) for e in exps)
+                norms[d] = norms.get(d, 0) + weight * c * c
+    area = _sphere_monomial_rational(n, (0,) * n)
+    return tuple(
+        (d, area * norm / math.prod(range(n, n + 2 * d - 1, 2)))
+        for d, norm in sorted(norms.items())
+    )
+
+
+def _fischer_route(u, spec: QuadratureSpec) -> bool:
+    """True when u's energies may be read off its Fischer profile.
+
+    That needs harmonic components (certified), exact coefficients and an
+    exact spec; every other input goes through polynomial quadrature.
+    """
+    return (
+        spec.method == EXACT_METHOD
+        and isinstance(u, HarmonicMap)
+        and u.certified
+        and all(comp.is_exact for comp in u.body)
+    )
+
+
+def _fischer_energy(u: HarmonicMap, r, weight, lift: int) -> IntegralResult:
+    """sum_d weight(n, d) S_d r^(n + 2d - 3 + lift), exactly.
+
+    With |u_d|^2 integrating to S_d r^(n - 1 + 2d) over the sphere of radius
+    r, Euler's identity <x, grad u_d> = d u_d and the orthogonality of
+    different degrees give E (weight d, lift 1), total = dE/dr (weight
+    d (n + 2d - 2)) and normal (weight d^2).
+    """
+    n = u.dimension
+    rq = as_fraction(r)
+    coeff = sum(
+        (weight(n, d) * s * rq ** (n + 2 * d - 3 + lift) for d, s in _fischer_profile(u.body)),
+        Fraction(0),
+    )
+    return IntegralResult.from_exact(PiRational(coeff, n // 2))
+
+
 def _check_radius(r, upper: float = 1.0) -> float:
     rf = float(r)
     if not 0.0 < rf <= upper:
@@ -69,6 +146,8 @@ def _check_radius(r, upper: float = 1.0) -> float:
 
 def dirichlet_energy_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralResult:
     _check_radius(r)
+    if _fischer_route(u, spec):
+        return _fischer_energy(u, r, lambda n, d: d, 1)
     return integrate_poly_ball(_grad_norm_sq_of(map_body(u)), r, spec)
 
 
@@ -79,6 +158,8 @@ def dirichlet_energy(u, r=1, spec: QuadratureSpec = EXACT) -> float:
 
 def surface_energy_total_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralResult:
     _check_radius(r)
+    if _fischer_route(u, spec):
+        return _fischer_energy(u, r, lambda n, d: d * (n + 2 * d - 2), 0)
     return integrate_poly_sphere(_grad_norm_sq_of(map_body(u)), r, spec)
 
 
@@ -89,8 +170,9 @@ def surface_energy_total(u, r=1, spec: QuadratureSpec = EXACT) -> float:
 
 def normal_energy_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralResult:
     _check_radius(r)
-    body = map_body(u)
-    raw = integrate_poly_sphere(_pairing_sq_sum_of(body), r, spec)
+    if _fischer_route(u, spec):
+        return _fischer_energy(u, r, lambda n, d: d * d, 0)
+    raw = integrate_poly_sphere(_pairing_sq_sum_of(map_body(u)), r, spec)
     return raw.scaled(as_fraction(r) ** -2)
 
 
@@ -101,30 +183,22 @@ def normal_energy(u, r=1, spec: QuadratureSpec = EXACT) -> float:
 
 def surface_dirichlet_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralResult:
     total = surface_energy_total_result(u, r, spec)
-    normal = normal_energy_result(u, r, spec)
-    if total.exact is not None and normal.exact is not None:
-        exact = total.exact - normal.exact
-        if exact.coeff < 0:
+    tangential = total.minus(normal_energy_result(u, r, spec))
+    if tangential.exact is not None:
+        if tangential.exact.coeff < 0:
             raise ArithmeticError(
-                f"tangential surface energy came out negative ({exact!r}); "
+                f"tangential surface energy came out negative ({tangential.exact!r}); "
                 f"total - normal is non-negative pointwise"
             )
-        return IntegralResult.from_exact(exact)
-    value = total.value - normal.value
-    if value < -1e-12 * max(abs(total.value), 1.0):
+        return tangential
+    if tangential.value < -1e-12 * max(abs(total.value), 1.0):
         raise ArithmeticError(
-            f"tangential surface energy came out negative ({value!r}); "
+            f"tangential surface energy came out negative ({tangential.value!r}); "
             f"Monte Carlo error exceeded the sanity floor"
         )
-    value = max(value, 0.0)
-    stderr = math.hypot(total.standard_error, normal.standard_error)
-    return IntegralResult(
-        value=value,
-        log_abs_value=math.log(value) if value > 0 else -math.inf,
-        standard_error=stderr,
-        method=total.method,
-        samples=total.samples,
-    )
+    if tangential.value < 0.0:
+        return replace(tangential, value=0.0, log_abs_value=-math.inf)
+    return tangential
 
 
 def surface_dirichlet(u, r=1, spec: QuadratureSpec = EXACT) -> float:
@@ -189,15 +263,14 @@ def _check_radii(radii) -> tuple[float, ...]:
 def energy_profile(u, radii, spec: QuadratureSpec = EXACT) -> EnergyProfile:
     """Sample the Dirichlet energy of u on the given radius grid."""
     rs = _check_radii(radii)
-    body = map_body(u)
     label = u.label if isinstance(u, HarmonicMap) else ""
     samples = []
     for r in rs:
-        res = dirichlet_energy_result(body, r, spec)
+        res = dirichlet_energy_result(u, r, spec)
         samples.append((r, res.value, res.log_abs_value))
     return EnergyProfile(
         map_label=label,
-        dimension=body.dimension,
+        dimension=map_body(u).dimension,
         samples=tuple(samples),
         method=spec,
     )
@@ -245,14 +318,17 @@ def verify_decay_bound(
     The margin of a pair is E(r) / (constant (r/R)^beta E(R)); the bound
     holds when every margin is <= 1 up to 1e-12 relative slack.  Pairs with
     E(R) = 0 hold vacuously iff E(r) = 0 too (energy is monotone in r).
+    Where the float denominator underflows to 0 or overflows, the margin is
+    formed from the logs of the energies instead, which stay finite.
     """
-    if not constant > 0:
-        raise ValueError(f"constant must be positive, got {constant!r}")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta!r}")
+    if not (math.isfinite(constant) and constant > 0):
+        raise ValueError(f"constant must be positive and finite, got {constant!r}")
     rs = _check_radii(radii)
     if len(rs) < 2:
         raise ValueError("need at least two radii to compare")
-    body = map_body(u)
-    energies = [dirichlet_energy(body, r, spec) for r in rs]
+    energies = [dirichlet_energy_result(u, r, spec) for r in rs]
     worst_margin = 0.0
     worst_pair = (rs[0], rs[-1])
     pairs = 0
@@ -260,11 +336,7 @@ def verify_decay_bound(
         for j in range(i + 1, len(rs)):
             pairs += 1
             r_small, r_big = rs[i], rs[j]
-            e_small, e_big = energies[i], energies[j]
-            if e_big <= 0.0:
-                margin = 0.0 if e_small <= 0.0 else math.inf
-            else:
-                margin = e_small / (constant * (r_small / r_big) ** beta * e_big)
+            margin = _decay_margin(energies[i], energies[j], r_small, r_big, beta, constant)
             if margin > worst_margin:
                 worst_margin = margin
                 worst_pair = (r_small, r_big)
@@ -278,6 +350,35 @@ def verify_decay_bound(
     )
 
 
+def _decay_margin(
+    small: IntegralResult,
+    big: IntegralResult,
+    r_small: float,
+    r_big: float,
+    beta: float,
+    constant: float,
+) -> float:
+    """E(r) / (constant (r/R)^beta E(R)) for one pair r < R."""
+    if big.log_abs_value == -math.inf:
+        return 0.0 if small.log_abs_value == -math.inf else math.inf
+    try:
+        denom = constant * (r_small / r_big) ** beta * big.value
+    except OverflowError:
+        denom = math.inf
+    if 0.0 < denom < math.inf:
+        return small.value / denom
+    log_margin = (
+        small.log_abs_value
+        - math.log(constant)
+        - beta * (math.log(r_small) - math.log(r_big))
+        - big.log_abs_value
+    )
+    try:
+        return math.exp(log_margin)
+    except OverflowError:
+        return math.inf
+
+
 # -- scalar summaries -----------------------------------------------------------
 
 
@@ -286,15 +387,14 @@ def concentration_fraction(u, r, spec: QuadratureSpec = EXACT) -> float:
     rf = float(r)
     if not 0.0 < rf < 1.0:
         raise ValueError(f"inner radius must lie strictly in (0, 1), got {r!r}")
-    body = map_body(u)
     if spec.method == EXACT_METHOD:
-        inner = dirichlet_energy_result(body, r, spec).exact
-        outer = dirichlet_energy_result(body, 1, spec).exact
+        inner = dirichlet_energy_result(u, r, spec).exact
+        outer = dirichlet_energy_result(u, 1, spec).exact
         if outer.is_zero:
             raise ValueError("map has zero Dirichlet energy; fraction undefined")
         return float(Fraction(1) - inner.ratio(outer))
-    inner_v = dirichlet_energy(body, rf, spec)
-    outer_v = dirichlet_energy(body, 1.0, spec)
+    inner_v = dirichlet_energy(u, rf, spec)
+    outer_v = dirichlet_energy(u, 1.0, spec)
     if outer_v <= 0.0:
         raise ValueError("map has zero Dirichlet energy; fraction undefined")
     return 1.0 - inner_v / outer_v
@@ -303,15 +403,14 @@ def concentration_fraction(u, r, spec: QuadratureSpec = EXACT) -> float:
 def half_radius_theta(u, big_radius=1, spec: QuadratureSpec = EXACT) -> float:
     """The contraction factor E(R/2) / E(R) at R = big_radius."""
     rf = _check_radius(big_radius)
-    body = map_body(u)
     if spec.method == EXACT_METHOD:
-        half = dirichlet_energy_result(body, as_fraction(big_radius) / 2, spec).exact
-        full = dirichlet_energy_result(body, big_radius, spec).exact
+        half = dirichlet_energy_result(u, as_fraction(big_radius) / 2, spec).exact
+        full = dirichlet_energy_result(u, big_radius, spec).exact
         if full.is_zero:
             raise ValueError("map has zero Dirichlet energy; contraction undefined")
         return float(half.ratio(full))
-    half_v = dirichlet_energy(body, rf / 2.0, spec)
-    full_v = dirichlet_energy(body, rf, spec)
+    half_v = dirichlet_energy(u, rf / 2.0, spec)
+    full_v = dirichlet_energy(u, rf, spec)
     if full_v <= 0.0:
         raise ValueError("map has zero Dirichlet energy; contraction undefined")
     return half_v / full_v

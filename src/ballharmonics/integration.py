@@ -12,7 +12,8 @@ one more power of r.  Polynomials integrate term by term, exactly.
 
 Monte Carlo route: a counter-based Philox generator split into one substream
 per 32768-sample block (``Philox(key=seed).jumped(block)``), with per-block
-partial sums reduced in block order via ``math.fsum``.  Results are a pure
+partial sums reduced in block order via ``math.fsum`` and per-block centred
+sums of squares merged in block order for the variance.  Results are a pure
 function of (seed, samples); the worker count changes wall time only.
 """
 
@@ -100,6 +101,19 @@ class IntegralResult:
             samples=self.samples,
         )
 
+    def minus(self, other: "IntegralResult") -> "IntegralResult":
+        """This integral minus another; exact when both are, else errors add in quadrature."""
+        if self.exact is not None and other.exact is not None:
+            return IntegralResult.from_exact(self.exact - other.exact)
+        value = self.value - other.value
+        return IntegralResult(
+            value=value,
+            log_abs_value=math.log(abs(value)) if value else -math.inf,
+            standard_error=math.hypot(self.standard_error, other.standard_error),
+            method=self.method,
+            samples=self.samples,
+        )
+
 
 def _check_alpha(n: int, alpha: Sequence[int]) -> tuple[int, ...]:
     a = tuple(alpha)
@@ -181,28 +195,37 @@ def _mc_blocks(
     workers: int,
     block_values: Callable[[np.random.Generator, int], np.ndarray],
 ) -> tuple[float, float]:
-    """Mean and standard error of block_values over ``samples`` draws."""
+    """Mean and standard error of block_values over ``samples`` draws.
+
+    Each block returns its sum and its sum of squares about its own mean;
+    the centred sums are merged in block order (Chan, Golub and LeVeque), so
+    the variance never comes from the cancelling difference s2 - N mean^2.
+    """
     nblocks = (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
 
-    def one(block: int) -> tuple[float, float]:
+    def one(block: int) -> tuple[int, float, float]:
         count = min(BLOCK_SIZE, samples - block * BLOCK_SIZE)
         v = block_values(_substream(seed, block), count)
-        return float(np.sum(v)), float(np.dot(v, v))
+        total = float(np.sum(v))
+        centred = v - total / count
+        # np.sum, not a BLAS dot, whose summation order follows the BLAS thread count
+        return count, total, float(np.sum(centred * centred))
 
     if workers > 1 and nblocks > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(one, range(nblocks)))
     else:
         partials = [one(b) for b in range(nblocks)]
-    s1 = math.fsum(p[0] for p in partials)
-    s2 = math.fsum(p[1] for p in partials)
-    mean = s1 / samples
-    if samples > 1:
-        var = max(0.0, (s2 - samples * mean * mean) / (samples - 1))
-        stderr = math.sqrt(var / samples)
-    else:
-        stderr = 0.0
-    return mean, stderr
+    mean = math.fsum(p[1] for p in partials) / samples
+    if samples < 2:
+        return mean, 0.0
+    count, total, m2 = partials[0]
+    for b_count, b_total, b_m2 in partials[1:]:
+        delta = b_total / b_count - total / count
+        m2 += b_m2 + delta * delta * count * b_count / (count + b_count)
+        count += b_count
+        total += b_total
+    return mean, math.sqrt(m2 / (samples - 1) / samples)
 
 
 def _float_terms(p: MultiPoly) -> list[tuple[tuple[int, ...], float]]:
@@ -272,8 +295,8 @@ def integrate_poly_sphere(
 ) -> IntegralResult:
     """Integral of p over the sphere {|x| = radius} in R^(p.dimension)."""
     r = float(radius)
-    if not r > 0:
-        raise ValueError(f"radius must be positive, got {radius!r}")
+    if not 0 < r < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
     if spec.method == EXACT_METHOD:
         return _exact_poly_integral(p, radius, sphere_monomial_integral)
     return _mc_poly_integral(p, r, spec, "sphere")
@@ -284,8 +307,8 @@ def integrate_poly_ball(
 ) -> IntegralResult:
     """Integral of p over the solid ball {|x| <= radius} in R^(p.dimension)."""
     r = float(radius)
-    if not r > 0:
-        raise ValueError(f"radius must be positive, got {radius!r}")
+    if not 0 < r < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
     if spec.method == EXACT_METHOD:
         return _exact_poly_integral(p, radius, ball_monomial_integral)
     return _mc_poly_integral(p, r, spec, "ball")

@@ -576,7 +576,10 @@ def parse_poly(text: str, dimension: int | None = None) -> MultiPoly:
 
     def parse_number(tok: str) -> Coeff:
         if "/" in tok:
-            return Fraction(tok)
+            try:
+                return Fraction(tok)
+            except ZeroDivisionError as exc:
+                raise ValueError(f"zero denominator in coefficient {tok!r}") from exc
         if "." in tok or "e" in tok or "E" in tok:
             return float(tok)
         return Fraction(int(tok))

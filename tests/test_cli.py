@@ -1,11 +1,17 @@
 """End-to-end command-line behaviour: outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from ballharmonics.cli import main
 
 CLI = [sys.executable, "-m", "ballharmonics.cli"]
 
@@ -89,6 +95,34 @@ class TestDecay:
         csv_lines = (tmp_path / "decay.csv").read_text().splitlines()
         assert any(line.startswith("r,") for line in csv_lines)
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--beta", "nan"), ("--beta", "inf"), ("--constant", "inf"), ("--constant", "nan")],
+    )
+    def test_non_finite_beta_or_constant_is_usage_error(self, flags, tmp_path):
+        # these used to print "holds": true, or die in a float division
+        proc = run_cli("decay", "--map", "zonal:2", *flags, "--out", str(tmp_path / "d.csv"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "flags,code",
+        [(("--beta", "1e9"), 1), (("--radii", "1e-320,1"), 0)],
+    )
+    def test_underflowing_bound_is_decided_from_the_logs(self, flags, code, tmp_path):
+        proc = run_cli("decay", "--map", "zonal:2", *flags, "--out", str(tmp_path / "d.csv"))
+        assert proc.returncode == code, proc.stderr
+        assert json.loads(proc.stdout)["holds"] is (code == 0)
+
+    def test_zero_denominator_in_axis_is_usage_error(self, tmp_path):
+        proc = run_cli(
+            "decay", "--map", "zonal:1", "--axis", "1,0/0,0", "--out", str(tmp_path / "d.csv")
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
     def test_failing_bound_exits_one(self, tmp_path):
         # beta far above the true decay exponent cannot hold
         proc = run_cli(
@@ -121,6 +155,13 @@ class TestIdentities:
         b = run_cli("identities", "--suite", "quick", "--dims", "2:3")
         assert a.stdout == b.stdout
 
+    @pytest.mark.parametrize("tolerance", ["inf", "nan", "-1"])
+    def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
+        # an infinite tolerance passed every residual and exited 0
+        proc = run_cli("identities", "--suite", "quick", "--dims", "2", "--tolerance", tolerance)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+
     def test_bad_suite_name(self):
         proc = run_cli("identities", "--suite", "nope")
         assert proc.returncode == 2
@@ -152,6 +193,12 @@ class TestIntegrate:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    def test_zero_denominator_is_usage_error(self):
+        proc = run_cli("integrate", "--poly", "1/0*x1")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
     def test_poly_required(self):
         proc = run_cli("integrate", "--dimension", "2")
@@ -219,3 +266,112 @@ class TestUsage:
         proc = run_cli("--version")
         assert proc.returncode == 0
         assert proc.stdout.startswith("ballharmonics ")
+
+
+# -- exit-code contract under arbitrary flag values ---------------------------
+
+NASTY = ("nan", "inf", "-inf", "1e-320", "1e400", "1/0", "0/0", "", "garbage", "-1", "0")
+# values the code reads as numbers but that would ask for a huge grid
+GRID_SIZED = {"1e-320", "-1", "0"}
+
+# per command: flag -> valid values; every small example stays well under a
+# second and two threads
+VALID = {
+    "volumes": {"n-max": ("5", "12", "60"), "radius": ("0.9", "1/2"), "mass": ("0.5", "0.99")},
+    "concentration": {
+        "n-max": ("2", "20", "60"), "radius": ("0.9", "1/3"), "mass": ("0.5", "1e-9"),
+    },
+    "decay": {
+        "dimension": ("1", "2", "3", "4"),
+        "map": ("identity", "zonal:0", "zonal:2", "random:3", "poly:x1^2 - x2^2", "file:/nonexistent"),
+        "axis": ("1,0,0", "3/5,4/5", "0,1"),
+        "seed": ("0", "11"),
+        "radii": ("0.0625,0.125,0.25,0.5,1", "0.5,1", "1/3,1", "0.5"),
+        "beta": ("2.5", "9", "-3", "1e9"),
+        "constant": ("1", "1e-300", "1e300"),
+    },
+    "identities": {
+        "suite": ("quick",),
+        "dims": ("2:3", "2", "3", "3:2"),
+        "radii": ("0.3,0.7,1", "1/3", "1e-320,1"),
+        "tolerance": ("1e-10", "0"),
+        "seed": ("0", "11"),
+    },
+    "integrate": {
+        "poly": ("x1^2", "x1^2 * x2^4 + 3/4", "1e8 + x1^2/1000", "x3"),
+        "dimension": ("1", "2", "3"),
+        "domain": ("ball", "sphere"),
+        "radius": ("1", "0.5", "1/3"),
+        "method": ("exact", "monte-carlo"),
+        "samples": ("1", "2", "20000"),
+        "seed": ("0", "4"),
+        "workers": ("1", "2"),
+    },
+    "make-harmonic": {
+        "kind": ("identity", "zonal", "random", "spline"),
+        "dimension": ("1", "2", "3", "4"),
+        "degree": ("0", "1", "4"),
+        "axis": ("1,0,0", "3/5,4/5"),
+        "seed": ("0", "5"),
+    },
+    "mollify": {
+        "delta": ("0.25", "0.5", "1/8"),
+        "spacing": ("1/64", "1/32", "0.25", "0.3"),
+        "map": ("zonal:2", "random:3", "poly:x1^2 + x2^2", "identity"),
+        "axis": ("1,0", "3/5,4/5"),
+        "seed": ("0", "11"),
+        "points": ("/nonexistent.csv",),
+    },
+}
+# defaults that would make an example slow; a drawn flag comes later and wins
+FIXED = {
+    "volumes": ["--n-max", "60"],
+    "concentration": ["--n-max", "60"],
+    "identities": ["--suite", "quick", "--dims", "2:3"],
+    "mollify": ["--dimension", "2", "--spacing", "1/64"],
+}
+
+
+def flag_value(command, flag):
+    nasty = NASTY
+    if command == "mollify" and flag == "spacing":
+        nasty = tuple(v for v in NASTY if v not in GRID_SIZED)
+    return st.sampled_from(VALID[command][flag] + nasty)
+
+
+@st.composite
+def invocations(draw):
+    command = draw(st.sampled_from(sorted(VALID)))
+    argv = [command] + FIXED.get(command, [])
+    flags = draw(st.lists(st.sampled_from(sorted(VALID[command])), unique=True, max_size=4))
+    for flag in flags:
+        argv += [f"--{flag}", draw(flag_value(command, flag))]
+    return argv
+
+
+def exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@given(argv=invocations(), to_file=st.booleans())
+@example(argv=["integrate", "--poly", "1/0*x1"], to_file=False)
+@example(argv=["decay", "--map", "zonal:1", "--axis", "1,0/0,0"], to_file=False)
+@example(argv=["decay", "--map", "zonal:2", "--beta", "inf"], to_file=False)
+@example(argv=["decay", "--map", "zonal:2", "--beta", "1e9"], to_file=False)
+@example(argv=["decay", "--map", "zonal:2", "--radii", "1e-320,1"], to_file=False)
+@example(argv=["suite", "--seed", "garbage"], to_file=False)
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_property_exit_code_contract(argv, to_file, tmp_path):
+    # --out goes to stdout or a file under tmp_path, never into the tree
+    out = str(tmp_path / "report.out") if to_file else "-"
+    code = exit_code(argv + ["--out", out])
+    assert code in (0, 1, 2), (argv, code)

@@ -4,8 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ballharmonics import energetics
 from ballharmonics.energetics import (
+    _fischer_route,
     concentration_fraction,
     dirichlet_energy,
     dirichlet_energy_result,
@@ -13,18 +17,24 @@ from ballharmonics.energetics import (
     fit_decay_exponent,
     half_radius_theta,
     normal_energy,
+    normal_energy_result,
     surface_dirichlet_result,
     surface_energy_total,
+    surface_energy_total_result,
     verify_decay_bound,
 )
 from ballharmonics.geometry import unit_ball_volume
 from ballharmonics.harmonics import (
+    HarmonicMap,
+    harmonic_projection,
     harmonic_sum,
     identity_map,
+    make_harmonic_map,
     scale_map,
     zonal_solid_harmonic,
 )
-from ballharmonics.polynomials import MultiPoly
+from ballharmonics.integration import EXACT, QuadratureSpec
+from ballharmonics.polynomials import MultiPoly, VectorPoly
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
@@ -178,3 +188,121 @@ class TestContraction:
         zero = MultiPoly(2)
         with pytest.raises(ValueError):
             concentration_fraction(zero, 0.5)
+
+
+class TestDecayBoundEdges:
+    def test_rejects_non_finite_beta_and_constant(self):
+        u = zonal_solid_harmonic(3, 2)
+        radii = (0.5, 1.0)
+        for beta in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="beta"):
+                verify_decay_bound(u, beta, 1.0, radii)
+        for constant in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="constant"):
+                verify_decay_bound(u, 2.5, constant, radii)
+
+    def test_huge_beta_fails_from_the_logs(self):
+        # (1/2)^1e9 underflows to 0; the margin is E(1/2)/E(1) * 2^1e9, far above 1
+        report = verify_decay_bound(zonal_solid_harmonic(3, 2), 1e9, 1.0, (0.5, 1.0))
+        assert not report.holds
+        assert report.worst_margin == math.inf
+
+    def test_huge_negative_beta_holds_from_the_logs(self):
+        # (1/2)^-1e9 overflows; the margin underflows to 0
+        report = verify_decay_bound(zonal_solid_harmonic(3, 2), -1e9, 1.0, (0.5, 1.0))
+        assert report.holds
+        assert report.worst_margin == 0.0
+
+    def test_subnormal_radius_margin_from_the_logs(self):
+        # E(r) and r^2.5 are 0.0 as floats at the subnormal r = 1e-320; the
+        # exact logs give margin r^(3 - 2.5) for E(r) = c r^3
+        r = 1e-320
+        report = verify_decay_bound(identity_map(3), 2.5, 1.0, (r, 1.0))
+        assert report.holds
+        assert report.worst_margin == pytest.approx(math.sqrt(r), rel=1e-9, abs=0.0)
+
+    def test_float_formula_kept_where_finite(self):
+        u = zonal_solid_harmonic(3, 2)
+        radii = (0.25, 0.5, 1.0)
+        report = verify_decay_bound(u, 2.5, 1.0, radii)
+        e = [dirichlet_energy(u, r) for r in radii]
+        want = max(
+            e[i] / ((radii[i] / radii[j]) ** 2.5 * e[j])
+            for i in range(3)
+            for j in range(i + 1, 3)
+        )
+        assert report.worst_margin == want
+
+
+# -- the Fischer route ---------------------------------------------------------
+
+QUANTITIES = (dirichlet_energy_result, surface_energy_total_result, normal_energy_result)
+
+
+@st.composite
+def compositions(draw, n, d):
+    """An exponent tuple of total degree d in n variables."""
+    cuts = sorted(draw(st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1)))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, d]))
+
+
+@st.composite
+def harmonic_parts(draw, n):
+    """A homogeneous harmonic polynomial: the projection of a few monomials."""
+    d = draw(st.integers(0, 1 if n == 1 else 4))
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
+    terms = draw(st.dictionaries(compositions(n, d), coeffs, min_size=1, max_size=3))
+    return harmonic_projection(MultiPoly(n, terms))
+
+
+@st.composite
+def certified_exact_maps(draw):
+    """Exact certified maps: mixed-degree sums, scalar or vector valued."""
+    n = draw(st.integers(1, 8))
+    components = []
+    for _ in range(draw(st.integers(1, 3))):
+        comp = MultiPoly(n)
+        for part in draw(st.lists(harmonic_parts(n), min_size=1, max_size=3)):
+            comp = comp + part
+        components.append(comp)
+    return make_harmonic_map(VectorPoly(components), label="drawn")
+
+
+radii = st.one_of(
+    st.fractions(min_value=Fraction(1, 64), max_value=1, max_denominator=64).filter(bool),
+    st.floats(min_value=1e-3, max_value=1.0),
+)
+
+
+@given(certified_exact_maps(), radii)
+@settings(max_examples=80, deadline=None)
+def test_property_fischer_route_equals_quadrature(u, r):
+    assert u.certified and _fischer_route(u, EXACT)
+    for quantity in QUANTITIES:
+        fischer = quantity(u, r).exact
+        quadrature = quantity(u.body, r).exact
+        assert fischer == quadrature, (quantity.__name__, u.body, r)
+
+
+def test_fischer_route_only_for_exact_certified_maps_and_exact_spec(monkeypatch):
+    def refuse(body):
+        raise AssertionError("the Fischer profile was consulted")
+
+    u = zonal_solid_harmonic(3, 2)
+    mc = QuadratureSpec(method="monte_carlo", samples=1000, seed=3)
+    uncertified = HarmonicMap(body=u.body, degree=2, certified=False)
+    lowered = make_harmonic_map(u.body[0].lowered())
+    monkeypatch.setattr(energetics, "_fischer_profile", refuse)
+    for quantity in QUANTITIES:
+        for args in ((u.body, 1), (u.body[0], 1), (uncertified, 1), (lowered, 1), (u, 1, mc)):
+            quantity(*args)
+    assert lowered.certified and not _fischer_route(lowered, EXACT)
+
+
+def test_fischer_profile_of_a_mixed_map():
+    # u = x1 + (x1^2 - x2^2) in the plane: [x1, x1] = 1 and
+    # [x1^2 - x2^2, x1^2 - x2^2] = 4, so S_1 = 2 pi / 2 = pi and S_2 = 2 pi * 4 / (2 * 4) = pi
+    u = make_harmonic_map(MultiPoly(2, {(1, 0): 1, (2, 0): 1, (0, 2): -1}))
+    assert energetics._fischer_profile(u.body) == ((1, Fraction(1)), (2, Fraction(1)))
+    # E(1) = 1 * S_1 + 2 * S_2 = 3 pi
+    assert dirichlet_energy_result(u, 1).exact.coeff == 3

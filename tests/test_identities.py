@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ballharmonics import energetics
 from ballharmonics.energetics import (
     dirichlet_energy,
     dirichlet_energy_result,
@@ -54,6 +55,22 @@ def test_green_exactly_zero_on_rational_maps(n, r):
         report = green_residual(u, r)
         assert report.residual == 0.0
         assert report.normalized_residual == 0.0
+
+
+def test_identities_stay_off_the_fischer_route(monkeypatch):
+    # both identities compare quadrature of the squared integrands with the
+    # flux or energy; the Fischer profile would make the two sides one formula
+    def refuse(body):
+        raise AssertionError("the Fischer profile was consulted")
+
+    monkeypatch.setattr(energetics, "_fischer_profile", refuse)
+    for n in (2, 3, 5):
+        for u in rational_maps(n):
+            for r in (Fraction(3, 10), 0.7, 1):
+                assert pohozaev_residual(u, r).normalized_residual == 0.0
+                assert green_residual(u, r).normalized_residual == 0.0
+    with pytest.raises(AssertionError, match="Fischer"):
+        minimiser_bound_check(identity_map(3))
 
 
 def test_pohozaev_sides_by_hand_in_the_plane():

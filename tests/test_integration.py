@@ -2,19 +2,25 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ballharmonics.exactmath import PiRational
 from ballharmonics.geometry import unit_ball_volume
 from ballharmonics.integration import (
+    BLOCK_SIZE,
     EXACT,
     HIT_OR_MISS_MAX_DIM,
     IntegralResult,
     QuadratureSpec,
     ball_monomial_integral,
     integrate_poly_ball,
+    _mc_blocks,
     integrate_poly_sphere,
     mc_ball_volume,
     sphere_monomial_integral,
@@ -124,6 +130,32 @@ class TestScaled:
         assert zero.standard_error == 0.0
 
 
+class TestMinus:
+    def test_exact_route_stays_exact(self):
+        a = sphere_monomial_integral(3, (2, 0, 0), 1)
+        b = sphere_monomial_integral(3, (2, 2, 0), 1)
+        diff = a.minus(b)
+        assert diff.exact == a.exact - b.exact
+        assert diff.value == float(diff.exact)
+        assert diff.standard_error == 0.0
+
+    def test_float_route_adds_errors_in_quadrature(self):
+        a = IntegralResult(
+            value=5.0, log_abs_value=math.log(5.0), standard_error=0.3,
+            method="monte_carlo", samples=100,
+        )
+        b = IntegralResult(
+            value=7.0, log_abs_value=math.log(7.0), standard_error=0.4,
+            method="monte_carlo", samples=100,
+        )
+        diff = a.minus(b)
+        assert diff.value == -2.0
+        assert diff.log_abs_value == math.log(2.0)
+        assert diff.standard_error == pytest.approx(0.5, rel=1e-15)
+        assert (diff.method, diff.samples) == ("monte_carlo", 100)
+        assert a.minus(a).log_abs_value == -math.inf
+
+
 class TestMonteCarlo:
     def spec(self, samples=200_000, seed=21, workers=1):
         return QuadratureSpec(
@@ -160,6 +192,58 @@ class TestMonteCarlo:
         a = integrate_poly_sphere(p, 1, self.spec())
         b = integrate_poly_sphere(p, 1, self.spec())
         assert a.value == b.value
+
+    def test_standard_error_survives_a_large_offset(self):
+        # 1e8 + x1^2/1000: s2 - N mean^2 cancels to 0, the centred block sums do not
+        p = MultiPoly(3, {(0, 0, 0): Fraction(10**8), (2, 0, 0): Fraction(1, 1000)})
+        exact = integrate_poly_ball(p, 1).value
+        result = integrate_poly_ball(p, 1.0, self.spec(seed=3))
+        assert 1e-6 < result.standard_error < 4e-6
+        assert abs(result.value - exact) <= 4 * result.standard_error
+
+    def test_block_merge_matches_two_pass_variance(self):
+        samples = 3 * BLOCK_SIZE + 123
+
+        def block_values(gen, count):
+            return 1e6 + gen.random(count)
+
+        mean, stderr = _mc_blocks(samples, 4, 1, block_values)
+        blocks = [
+            block_values(np.random.Generator(np.random.Philox(key=4).jumped(b)), count)
+            for b, count in enumerate((BLOCK_SIZE,) * 3 + (123,))
+        ]
+        values = np.concatenate(blocks)
+        assert mean == math.fsum(float(np.sum(v)) for v in blocks) / samples
+        want = math.sqrt(np.var(values, ddof=1) / samples)
+        assert stderr == pytest.approx(want, rel=1e-9)
+
+    def test_standard_error_ignores_the_blas_thread_count(self):
+        # a BLAS dot sums in an order that follows its thread count; the
+        # error bar must be a function of (seed, samples) alone
+        script = (
+            "from ballharmonics.integration import QuadratureSpec, integrate_poly_ball\n"
+            "from ballharmonics.polynomials import MultiPoly\n"
+            "p = MultiPoly(5, {(2, 2, 0, 0, 4): 1})\n"
+            "spec = QuadratureSpec('monte_carlo', 200_000, 5, 1)\n"
+            "print(integrate_poly_ball(p, 1.0, spec).standard_error.hex())\n"
+        )
+        errors = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            errors.add(proc.stdout)
+        assert len(errors) == 1
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        # an infinite radius used to sample inf/nan points and report value inf
+        p = MultiPoly(2, {(2, 0): 1})
+        for integrate in (integrate_poly_ball, integrate_poly_sphere):
+            with pytest.raises(ValueError, match="radius"):
+                integrate(p, radius, self.spec(samples=1000))
 
     def test_requires_samples(self):
         # constructing with samples=0 is legal; quadrature use is the error
