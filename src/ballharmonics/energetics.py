@@ -7,7 +7,9 @@ For a map u: R^n -> R^m the quantities are
     normal(r)   integral of |du/dnu|^2 over that sphere,
     H(r)        total(r) - normal(r), the tangential surface energy.
 
-Two exact routes compute E, total and normal:
+The normal derivative on the sphere of radius r is <x, grad u^i> / r, so
+normal(r) is r^-2 times the sphere integral of sum_i <x, grad u^i>^2.  Three
+routes compute E, total and normal; the route follows from the input alone:
 
   * Fischer route, for a certified HarmonicMap with exact coefficients and
     the exact spec.  For harmonic p of degree d the integral of p^2 over
@@ -22,18 +24,26 @@ Two exact routes compute E, total and normal:
         normal(r) = sum_d d^2 S_d r^(n + 2d - 3),
 
     costing O(terms) once per map and O(#degrees) per radius.
-  * Quadrature route, for everything else (bare polynomials, float
-    coefficients, uncertified maps, Monte Carlo specs): |grad u|^2 and
-    sum_i <x, grad u^i>^2 are formed as polynomials (the normal derivative on
-    the sphere of radius r is <x, grad u^i> / r) and integrated by
-    :mod:`integration`, term by term.
+  * Pairwise quadrature route, for every other exact-coefficient input on
+    the exact spec (bare polynomials, uncertified maps).  The monomial
+    quadrature of :mod:`integration` (Folland) is applied to the bilinear
+    forms pair by pair: for terms p_a x^a and p_b x^b of one component,
+    |grad u|^2 gets p_a p_b sum_k a_k b_k I(a + b - 2 e_k), sum_i <x, grad
+    u^i>^2 gets |a| |b| p_a p_b I(a + b) and the flux sum_i u^i <x, grad u^i>
+    gets (|a| + |b|)/2 p_a p_b I(a + b), with I the unit-sphere monomial
+    integral.  Only pairs with a = b mod 2 in every coordinate are visited,
+    since every other pair integrates to zero.  The sums are kept per
+    integrand degree, so each radius again costs O(#degrees).  Nothing here
+    uses that u is harmonic: it is plain quadrature of the stated integrands.
+  * Materialised route, for Monte Carlo specs and float coefficients:
+    |grad u|^2 and sum_i <x, grad u^i>^2 are formed as polynomials and
+    integrated by :mod:`integration`, term by term or by sampling.
 
-The route follows from the input alone.  The Pohozaev and Green identities
-in :mod:`identities` pass the bare body, so they stay on quadrature: with the
-Fischer route on both sides their residuals would vanish by construction.
-Energies scale quadratically in the map and decay like r^(n + 2k - 2) per
-homogeneous degree-k component; the fitting helpers below measure that decay
-from log-log samples.
+The Pohozaev and Green identities in :mod:`identities` pass the bare body,
+so they stay on quadrature: with the Fischer route on both sides their
+residuals would vanish by construction.  Energies scale quadratically in the
+map and decay like r^(n + 2k - 2) per homogeneous degree-k component; the
+fitting helpers below measure that decay from log-log samples.
 """
 
 from __future__ import annotations
@@ -66,8 +76,8 @@ def map_body(u) -> VectorPoly:
 
 
 # Energies of one map get queried at several radii and by several identities;
-# the squared-gradient and squared-pairing polynomials dominate that cost, so
-# they are cached per (hashable) body.
+# on the materialised route the squared-gradient and squared-pairing
+# polynomials dominate that cost, so they are cached per (hashable) body.
 @lru_cache(maxsize=512)
 def _grad_norm_sq_of(body: VectorPoly) -> MultiPoly:
     return grad_norm_sq(body)
@@ -82,8 +92,27 @@ def _pairing_sq_sum_of(body: VectorPoly) -> MultiPoly:
     return MultiPoly(body.dimension, acc)
 
 
+_Profile = tuple[tuple[int, Fraction], ...]
+
+
+@dataclass(frozen=True)
+class _RadialProfile:
+    """Exact unit-sphere integrals of a map's energy densities, per integrand degree.
+
+    Each field holds (d, c_d) pairs: the degree-d part of the integrand
+    integrates to c_d r^(n - 1 + d) pi^(n // 2) over the sphere of radius r
+    (see :func:`_radial_integral`).  ``grad`` is |grad u|^2, ``pairing`` is
+    sum_i <x, grad u^i>^2 and ``flux`` is sum_i u^i <x, grad u^i>.
+    """
+
+    dimension: int
+    grad: _Profile
+    pairing: _Profile
+    flux: _Profile
+
+
 @lru_cache(maxsize=512)
-def _fischer_profile(body: VectorPoly) -> tuple[tuple[int, Fraction], ...]:
+def _fischer_profile(body: VectorPoly) -> _Profile:
     """(d, S_d) for each degree d >= 1 of a harmonic body with exact coefficients.
 
     S_d is the rational part of the unit-sphere integral of sum_i |u^i_d|^2,
@@ -106,11 +135,76 @@ def _fischer_profile(body: VectorPoly) -> tuple[tuple[int, Fraction], ...]:
     )
 
 
+def _fischer_radial(body: VectorPoly) -> _RadialProfile:
+    """The radial profile of a harmonic body, read off its Fischer profile.
+
+    Euler's identity <x, grad u_d> = d u_d and the orthogonality of different
+    degrees give the unit-sphere integrals d (n + 2d - 2) S_d of |grad u_d|^2
+    at integrand degree 2d - 2 (the r-derivative of E), and d^2 S_d of the
+    pairing square and d S_d of the flux at degree 2d.
+    """
+    n = body.dimension
+    profile = _fischer_profile(body)
+    return _RadialProfile(
+        dimension=n,
+        grad=tuple((2 * d - 2, d * (n + 2 * d - 2) * s) for d, s in profile),
+        pairing=tuple((2 * d, d * d * s) for d, s in profile),
+        flux=tuple((2 * d, d * s) for d, s in profile),
+    )
+
+
+@lru_cache(maxsize=512)
+def _pairwise_profile(body: VectorPoly) -> _RadialProfile:
+    """The radial profile of any exact-coefficient body, by pairwise quadrature.
+
+    One pass over the term pairs (a, b) of each component, visiting only
+    pairs with a = b mod 2 in every coordinate (all others integrate to zero
+    over spheres).  Coefficients are brought to a common denominator, so the
+    pair weights are integers, summed per monomial before each monomial is
+    integrated once.
+    """
+    n = body.dimension
+    den = math.lcm(*(c.denominator for comp in body for _, c in comp.terms()))
+    grad: dict[tuple, int] = {}
+    pairing: dict[tuple, int] = {}
+    flux: dict[tuple, int] = {}
+    for comp in body:
+        classes: dict[tuple, list] = {}
+        for exps, c in comp.terms():
+            support = tuple(k for k, e in enumerate(exps) if e)
+            term = (exps, c.numerator * (den // c.denominator), sum(exps), support)
+            classes.setdefault(tuple(e & 1 for e in exps), []).append(term)
+        for members in classes.values():
+            for i, (a, ca, da, support) in enumerate(members):
+                for j in range(i, len(members)):
+                    b, cb, db, _ = members[j]
+                    # the pair (a, b) stands for (b, a) too off the diagonal
+                    w = ca * cb if i == j else 2 * ca * cb
+                    key = tuple(x + y for x, y in zip(a, b))
+                    pairing[key] = pairing.get(key, 0) + da * db * w
+                    # exact halving: da + db = 2 da on the diagonal, w is even off it
+                    flux[key] = flux.get(key, 0) + (da + db) * w // 2
+                    for k in support:
+                        if b[k]:
+                            g = key[:k] + (key[k] - 2,) + key[k + 1 :]
+                            grad[g] = grad.get(g, 0) + a[k] * b[k] * w
+
+    def by_degree(weights: dict[tuple, int]) -> _Profile:
+        acc: dict[int, Fraction] = {}
+        for key, w in weights.items():
+            if w:
+                d = sum(key)
+                acc[d] = acc.get(d, 0) + w * _sphere_monomial_rational(n, key)
+        return tuple((d, c / den**2) for d, c in sorted(acc.items()) if c)
+
+    return _RadialProfile(n, by_degree(grad), by_degree(pairing), by_degree(flux))
+
+
 def _fischer_route(u, spec: QuadratureSpec) -> bool:
     """True when u's energies may be read off its Fischer profile.
 
     That needs harmonic components (certified), exact coefficients and an
-    exact spec; every other input goes through polynomial quadrature.
+    exact spec.
     """
     return (
         spec.method == EXACT_METHOD
@@ -120,21 +214,34 @@ def _fischer_route(u, spec: QuadratureSpec) -> bool:
     )
 
 
-def _fischer_energy(u: HarmonicMap, r, weight, lift: int) -> IntegralResult:
-    """sum_d weight(n, d) S_d r^(n + 2d - 3 + lift), exactly.
+def _exact_profile(u, spec: QuadratureSpec) -> _RadialProfile | None:
+    """u's radial profile, or None where the squares must be materialised.
 
-    With |u_d|^2 integrating to S_d r^(n - 1 + 2d) over the sphere of radius
-    r, Euler's identity <x, grad u_d> = d u_d and the orthogonality of
-    different degrees give E (weight d, lift 1), total = dE/dr (weight
-    d (n + 2d - 2)) and normal (weight d^2).
+    Fischer for certified exact maps, pairwise quadrature for other exact
+    coefficients; Monte Carlo specs and float coefficients get None.
     """
-    n = u.dimension
+    if _fischer_route(u, spec):
+        return _fischer_radial(u.body)
+    body = map_body(u)
+    if spec.method == EXACT_METHOD and all(comp.is_exact for comp in body):
+        return _pairwise_profile(body)
+    return None
+
+
+def _radial_integral(
+    n: int, profile: _Profile, r, ball: bool = False, lift: int = 0
+) -> IntegralResult:
+    """A profile's integrand over the sphere or the ball of radius r, exactly.
+
+    Over the sphere the degree-d part gives c_d r^(n - 1 + d), times r^lift;
+    over the ball it gives c_d r^(n + d) / (n + d).
+    """
     rq = as_fraction(r)
-    coeff = sum(
-        (weight(n, d) * s * rq ** (n + 2 * d - 3 + lift) for d, s in _fischer_profile(u.body)),
-        Fraction(0),
-    )
-    return IntegralResult.from_exact(PiRational(coeff, n // 2))
+    if ball:
+        terms = (c * rq ** (n + d) / (n + d) for d, c in profile)
+    else:
+        terms = (c * rq ** (n - 1 + d + lift) for d, c in profile)
+    return IntegralResult.from_exact(PiRational(sum(terms, Fraction(0)), n // 2))
 
 
 def _check_radius(r, upper: float = 1.0) -> float:
@@ -146,8 +253,9 @@ def _check_radius(r, upper: float = 1.0) -> float:
 
 def dirichlet_energy_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralResult:
     _check_radius(r)
-    if _fischer_route(u, spec):
-        return _fischer_energy(u, r, lambda n, d: d, 1)
+    profile = _exact_profile(u, spec)
+    if profile is not None:
+        return _radial_integral(profile.dimension, profile.grad, r, ball=True)
     return integrate_poly_ball(_grad_norm_sq_of(map_body(u)), r, spec)
 
 
@@ -158,8 +266,9 @@ def dirichlet_energy(u, r=1, spec: QuadratureSpec = EXACT) -> float:
 
 def surface_energy_total_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralResult:
     _check_radius(r)
-    if _fischer_route(u, spec):
-        return _fischer_energy(u, r, lambda n, d: d * (n + 2 * d - 2), 0)
+    profile = _exact_profile(u, spec)
+    if profile is not None:
+        return _radial_integral(profile.dimension, profile.grad, r)
     return integrate_poly_sphere(_grad_norm_sq_of(map_body(u)), r, spec)
 
 
@@ -170,8 +279,9 @@ def surface_energy_total(u, r=1, spec: QuadratureSpec = EXACT) -> float:
 
 def normal_energy_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralResult:
     _check_radius(r)
-    if _fischer_route(u, spec):
-        return _fischer_energy(u, r, lambda n, d: d * d, 0)
+    profile = _exact_profile(u, spec)
+    if profile is not None:
+        return _radial_integral(profile.dimension, profile.pairing, r, lift=-2)
     raw = integrate_poly_sphere(_pairing_sq_sum_of(map_body(u)), r, spec)
     return raw.scaled(as_fraction(r) ** -2)
 

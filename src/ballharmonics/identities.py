@@ -7,12 +7,18 @@ For a certified harmonic map u and radius r in (0, 1]:
     sum_i u^i <x, grad u^i>,
   * minimiser bound (n >= 3, u non-constant): E(1) < 2/(n-2) H(1),
 
-with E, total, normal and H as in :mod:`energetics`.  On the exact
-quadrature route the two identities hold with *exactly* zero residual for
-rational harmonic maps; the Monte Carlo route reproduces them to sampling
-accuracy.  Residuals are normalised by max(|lhs|, |rhs|, E(r)) so that the
-n = 2 inner identity (whose lhs vanishes identically) is still meaningfully
-scored.
+with E, total, normal and H as in :mod:`energetics`.  Both identities pass
+the bare body, so their sides come from quadrature of the stated integrands,
+never from the Fischer product, and each compares two independent
+computations.  On the exact spec with exact coefficients that quadrature is
+the pairwise radial profile of :mod:`energetics` (the flux sum_i u^i <x,
+grad u^i> included), which never forms a squared polynomial and does not
+assume harmonicity; the two identities then hold with *exactly* zero
+residual for rational harmonic maps.  Monte Carlo specs and float
+coefficients integrate the materialised polynomials, and the Monte Carlo
+route reproduces the identities to sampling accuracy.  Residuals are
+normalised by max(|lhs|, |rhs|, E(r)) so that the n = 2 inner identity
+(whose lhs vanishes identically) is still meaningfully scored.
 
 Identity checks refuse maps whose ``certified`` flag is False: the algebra
 behind the identities needs the Laplacian to vanish, and this package only
@@ -27,6 +33,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .energetics import (
+    _exact_profile,
+    _radial_integral,
     dirichlet_energy_result,
     normal_energy_result,
     surface_dirichlet_result,
@@ -79,6 +87,18 @@ def _flux_poly_of(body: VectorPoly) -> MultiPoly:
     return MultiPoly(body.dimension, acc)
 
 
+def _flux_result(body: VectorPoly, r, spec: QuadratureSpec) -> IntegralResult:
+    """(1/r) times the sphere integral of sum_i u^i <x, grad u^i> at radius r.
+
+    Exact bodies read the flux off their pairwise radial profile; Monte
+    Carlo specs and float coefficients integrate the materialised polynomial.
+    """
+    profile = _exact_profile(body, spec)
+    if profile is not None:
+        return _radial_integral(profile.dimension, profile.flux, r, lift=-1)
+    return integrate_poly_sphere(_flux_poly_of(body), r, spec).scaled(1 / as_fraction(r))
+
+
 def _normalized(lhs: IntegralResult, rhs: IntegralResult, scale: IntegralResult) -> tuple[float, float]:
     """(residual, normalized residual); exact when all three carry exact values."""
     if lhs.exact is not None and rhs.exact is not None and scale.exact is not None:
@@ -129,8 +149,7 @@ def green_residual(
     n = u.dimension
     # bare body: quadrature, not the Fischer profile, so the two sides stay independent
     lhs = dirichlet_energy_result(u.body, r, spec)
-    raw = integrate_poly_sphere(_flux_poly_of(u.body), r, spec)
-    rhs = raw.scaled(1 / as_fraction(r))
+    rhs = _flux_result(u.body, r, spec)
     residual, normalized = _normalized(lhs, rhs, lhs)
     return ResidualReport(
         identity_name=GREEN,

@@ -200,16 +200,23 @@ def _mc_blocks(
     Each block returns its sum and its sum of squares about its own mean;
     the centred sums are merged in block order (Chan, Golub and LeVeque), so
     the variance never comes from the cancelling difference s2 - N mean^2.
+    The centred values are squared in units of a power of two near their
+    largest magnitude, and the blocks are merged in units of one common
+    power of two, so the squares neither overflow nor underflow whatever the
+    integrand's scale.  Scaling by a power of two is exact, so wherever the
+    unscaled squares were finite and normal the result is the same to the bit.
     """
     nblocks = (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
 
-    def one(block: int) -> tuple[int, float, float]:
+    def one(block: int) -> tuple[int, float, float, float]:
         count = min(BLOCK_SIZE, samples - block * BLOCK_SIZE)
         v = block_values(_substream(seed, block), count)
         total = float(np.sum(v))
         centred = v - total / count
+        peak = float(np.max(np.abs(centred)))
+        scaled = np.ldexp(centred, -math.frexp(peak)[1])
         # np.sum, not a BLAS dot, whose summation order follows the BLAS thread count
-        return count, total, float(np.sum(centred * centred))
+        return count, total, peak, float(np.sum(scaled * scaled))
 
     if workers > 1 and nblocks > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -219,13 +226,21 @@ def _mc_blocks(
     mean = math.fsum(p[1] for p in partials) / samples
     if samples < 2:
         return mean, 0.0
-    count, total, m2 = partials[0]
-    for b_count, b_total, b_m2 in partials[1:]:
-        delta = b_total / b_count - total / count
-        m2 += b_m2 + delta * delta * count * b_count / (count + b_count)
+    # every centred value and every difference of block means is below 2^unit
+    means = [b_total / b_count for b_count, b_total, _, _ in partials]
+    unit = math.frexp(max(max(p[2] for p in partials), max(means) - min(means)))[1]
+
+    def m2_in_units(peak: float, m2_scaled: float) -> float:
+        return math.ldexp(m2_scaled, 2 * (math.frexp(peak)[1] - unit))
+
+    count, total, peak, m2_scaled = partials[0]
+    m2 = m2_in_units(peak, m2_scaled)
+    for b_count, b_total, b_peak, b_m2_scaled in partials[1:]:
+        delta = math.ldexp(b_total / b_count - total / count, -unit)
+        m2 += m2_in_units(b_peak, b_m2_scaled) + delta * delta * count * b_count / (count + b_count)
         count += b_count
         total += b_total
-    return mean, math.sqrt(m2 / (samples - 1) / samples)
+    return mean, math.ldexp(math.sqrt(m2 / (samples - 1) / samples), unit)
 
 
 def _float_terms(p: MultiPoly) -> list[tuple[tuple[int, ...], float]]:

@@ -23,6 +23,7 @@ from ballharmonics.energetics import (
     surface_energy_total_result,
     verify_decay_bound,
 )
+from ballharmonics.exactmath import PiRational
 from ballharmonics.geometry import unit_ball_volume
 from ballharmonics.harmonics import (
     HarmonicMap,
@@ -33,8 +34,9 @@ from ballharmonics.harmonics import (
     scale_map,
     zonal_solid_harmonic,
 )
-from ballharmonics.integration import EXACT, QuadratureSpec
-from ballharmonics.polynomials import MultiPoly, VectorPoly
+from ballharmonics.identities import _flux_result
+from ballharmonics.integration import EXACT, QuadratureSpec, integrate_poly_ball, integrate_poly_sphere
+from ballharmonics.polynomials import MultiPoly, VectorPoly, grad_norm_sq, radial_pairing
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
@@ -306,3 +308,66 @@ def test_fischer_profile_of_a_mixed_map():
     assert energetics._fischer_profile(u.body) == ((1, Fraction(1)), (2, Fraction(1)))
     # E(1) = 1 * S_1 + 2 * S_2 = 3 pi
     assert dirichlet_energy_result(u, 1).exact.coeff == 3
+
+
+# -- the pairwise quadrature profile ---------------------------------------------
+
+
+@st.composite
+def exact_polynomials(draw, n):
+    """Any exact polynomial of degree <= 4, the zero polynomial included."""
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    exps = st.integers(0, 4).flatmap(lambda d: compositions(n, d))
+    return MultiPoly(n, draw(st.dictionaries(exps, coeffs, max_size=6)))
+
+
+@st.composite
+def exact_bodies(draw):
+    """Exact, generally non-harmonic, mixed-degree bodies with 1-3 components."""
+    n = draw(st.integers(1, 8))
+    return VectorPoly(draw(st.lists(exact_polynomials(n), min_size=1, max_size=3)))
+
+
+def materialised(body, r):
+    """E, total, normal and the Green flux from the squared polynomials."""
+    rq = Fraction(r)
+    pairings = radial_pairing(body)
+    pairing_sq = sum((p * p for p in pairings), MultiPoly(body.dimension))
+    flux = sum((c * p for c, p in zip(body, pairings)), MultiPoly(body.dimension))
+    return (
+        integrate_poly_ball(grad_norm_sq(body), r).exact,
+        integrate_poly_sphere(grad_norm_sq(body), r).exact,
+        integrate_poly_sphere(pairing_sq, r).exact.scaled(rq**-2),
+        integrate_poly_sphere(flux, r).exact.scaled(1 / rq),
+    )
+
+
+def profiled(body, r):
+    return (
+        dirichlet_energy_result(body, r).exact,
+        surface_energy_total_result(body, r).exact,
+        normal_energy_result(body, r).exact,
+        _flux_result(body, r, EXACT).exact,
+    )
+
+
+@given(exact_bodies(), radii)
+@settings(max_examples=80, deadline=None)
+def test_property_pairwise_profile_equals_materialised_quadrature(body, r):
+    assert energetics._exact_profile(body, EXACT) == energetics._pairwise_profile(body)
+    assert profiled(body, r) == materialised(body, r)
+
+
+def test_pairwise_profile_does_not_assume_harmonicity():
+    # u = x1^2 in R^3 is not harmonic: |grad u|^2 = 4 x1^2, <x, grad u> = 2 x1^2,
+    # and over the unit sphere x1^2 integrates to 4 pi/3, x1^4 to 4 pi/5
+    body = VectorPoly([MultiPoly(3, {(2, 0, 0): 1})])
+    energy, total, normal, flux = profiled(body, 1)
+    assert energy == PiRational(Fraction(16, 15), 1)
+    assert total == PiRational(Fraction(16, 3), 1)
+    assert normal == PiRational(Fraction(16, 5), 1)
+    # Pohozaev: (n - 2) E = 16 pi/15 against total - 2 normal = -16 pi/15
+    assert total - normal.scaled(2) == PiRational(Fraction(-16, 15), 1)
+    # Green: E(1) = 16 pi/15 against the flux 8 pi/5
+    assert flux == PiRational(Fraction(8, 5), 1)
+    assert profiled(body, 1) == materialised(body, 1)

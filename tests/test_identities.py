@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ballharmonics import energetics
+from ballharmonics import energetics, identities, suite
 from ballharmonics.energetics import (
     dirichlet_energy,
     dirichlet_energy_result,
@@ -71,6 +71,39 @@ def test_identities_stay_off_the_fischer_route(monkeypatch):
                 assert green_residual(u, r).normalized_residual == 0.0
     with pytest.raises(AssertionError, match="Fischer"):
         minimiser_bound_check(identity_map(3))
+
+
+def test_identity_scan_never_materialises_a_square(monkeypatch):
+    # exact bodies read the pairwise radial profile; forming |grad u|^2,
+    # sum_i <x, grad u^i>^2 or the flux polynomial is the Monte Carlo and
+    # float-coefficient route only
+    def refuse(body):
+        raise AssertionError("a squared polynomial was materialised")
+
+    monkeypatch.setattr(energetics, "_grad_norm_sq_of", refuse)
+    monkeypatch.setattr(energetics, "_pairing_sq_sum_of", refuse)
+    monkeypatch.setattr(identities, "_flux_poly_of", refuse)
+    assert suite.check_pohozaev(7).passed
+    assert suite.check_green(7).passed
+
+
+def test_monte_carlo_and_float_bodies_stay_off_the_profile(monkeypatch):
+    def refuse(body):
+        raise AssertionError("the pairwise profile was consulted")
+
+    monkeypatch.setattr(energetics, "_pairwise_profile", refuse)
+    u = zonal_solid_harmonic(3, 2)
+    mc = QuadratureSpec(method="monte_carlo", samples=2000, seed=3)
+    lowered = make_harmonic_map(u.body[0].lowered())
+    for quantity in (dirichlet_energy_result, surface_energy_total_result, normal_energy_result):
+        quantity(u.body, 1, mc)
+        quantity(lowered.body, 1)
+    for check in (pohozaev_residual, green_residual):
+        check(u, 0.7, mc)
+        assert check(lowered, 0.7).normalized_residual < 1e-12
+    minimiser_bound_check(u, mc)
+    with pytest.raises(AssertionError, match="pairwise"):
+        green_residual(u, 0.7)
 
 
 def test_pohozaev_sides_by_hand_in_the_plane():

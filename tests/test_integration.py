@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -236,6 +237,31 @@ class TestMonteCarlo:
             assert proc.returncode == 0, proc.stderr
             errors.add(proc.stdout)
         assert len(errors) == 1
+
+    @pytest.mark.parametrize("coeff", [1e300, 1e-200])
+    @pytest.mark.parametrize("samples", [1000, 2 * BLOCK_SIZE + 7])
+    def test_standard_error_of_huge_and_tiny_integrands(self, coeff, samples):
+        # squaring the centred values unscaled gave standard_error inf (with a
+        # numpy overflow warning) at 1e300 and 0 at 1e-200
+        p = MultiPoly(2, {(2, 2): coeff})
+        exact = integrate_poly_ball(p, 1).value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = integrate_poly_ball(p, 1.0, self.spec(samples=samples, seed=0))
+        assert 0.0 < result.standard_error < math.inf
+        assert abs(result.value - exact) <= 4 * result.standard_error
+
+    def test_standard_error_scales_exactly_with_powers_of_two(self):
+        # the same draws times 2^k give the same standard error times 2^k
+        samples = 2 * BLOCK_SIZE + 7
+
+        def block_values(scale):
+            return lambda gen, count: scale * (3.0 + gen.random(count))
+
+        _, base = _mc_blocks(samples, 6, 1, block_values(1.0))
+        for k in (-900, -40, 40, 900):
+            _, stderr = _mc_blocks(samples, 6, 1, block_values(math.ldexp(1.0, k)))
+            assert stderr == math.ldexp(base, k)
 
     @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0])
     def test_radius_must_be_positive_and_finite(self, radius):
