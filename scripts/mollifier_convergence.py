@@ -4,7 +4,7 @@ The harmonic map's mollified values should converge to its pointwise values
 as the grid refines (the defect is pure discretization error); the defect of
 the non-harmonic control |x|^2 converges to the kernel's second moment and
 stays bounded away from zero.  Prints the defect table with observed orders
-and writes it as CSV.  A minute or so at the default spacings.
+and writes it as CSV.  About a second at the default spacings on a 2-core x86 box.
 
 usage: python3 scripts/mollifier_convergence.py [--delta 0.25] [--degree 4] [--out mollifier.csv]
 """

@@ -59,10 +59,6 @@ class QuadratureSpec:
         if not isinstance(self.workers, int) or self.workers < 1:
             raise ValueError(f"workers must be a positive integer, got {self.workers!r}")
 
-    def require_samples(self) -> None:
-        if self.method == MC_METHOD and self.samples == 0:
-            raise ValueError("monte_carlo quadrature needs samples > 0")
-
 
 EXACT = QuadratureSpec()
 
@@ -205,7 +201,14 @@ def _mc_blocks(
     power of two, so the squares neither overflow nor underflow whatever the
     integrand's scale.  Scaling by a power of two is exact, so wherever the
     unscaled squares were finite and normal the result is the same to the bit.
+    Every Monte Carlo estimate comes through here, so this is where fewer
+    than two samples, which leave the standard error undefined, are refused.
     """
+    if not isinstance(samples, int) or samples < 2:
+        raise ValueError(
+            f"Monte Carlo needs at least 2 samples to estimate its standard error, "
+            f"got {samples!r}"
+        )
     nblocks = (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
 
     def one(block: int) -> tuple[int, float, float, float]:
@@ -224,8 +227,6 @@ def _mc_blocks(
     else:
         partials = [one(b) for b in range(nblocks)]
     mean = math.fsum(p[1] for p in partials) / samples
-    if samples < 2:
-        return mean, 0.0
     # every centred value and every difference of block means is below 2^unit
     means = [b_total / b_count for b_count, b_total, _, _ in partials]
     unit = math.frexp(max(max(p[2] for p in partials), max(means) - min(means)))[1]
@@ -280,7 +281,6 @@ def _ball_points(gen: np.random.Generator, count: int, n: int, radius: float) ->
 def _mc_poly_integral(
     p: MultiPoly, radius: float, spec: QuadratureSpec, domain: str
 ) -> IntegralResult:
-    spec.require_samples()
     n = p.dimension
     terms = _float_terms(p)
     if domain == "sphere":
@@ -355,8 +355,6 @@ def mc_ball_volume(
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
-    if not isinstance(samples, int) or samples < 1:
-        raise ValueError(f"samples must be a positive integer, got {samples!r}")
     if estimator == "hit_or_miss":
         if n > HIT_OR_MISS_MAX_DIM:
             raise ValueError(

@@ -10,10 +10,15 @@ moment.  Both facts are checked on regular grids over [-1, 1]^n.
 
 Grids are dimension <= 3 only (storage is h^(-n)); spacings are expected to
 be dyadic so node coordinates are exact binary floats reproducible from
-index arithmetic.  Convolution uses scipy's FFT route and is cross-checked
-against direct summation (see :func:`direct_mollify_at`), and smoothed
-fields carry a validity mask instead of extrapolating where the kernel
-would poke outside the sampled square.
+index arithmetic.  Mean-value checks read the defining sum
+(J_delta * u)(x) = sum_j J_delta(x - y_j) u(y_j) h^n at the requested nodes
+only, sampling u on the kernel's (2K+1)^n box around each node, so their
+storage is O(points * K^n) rather than O(h^-n).  Whole-field smoothing
+(:func:`mollify`) stays on scipy's FFT route, masks the margin where the
+kernel would poke outside the sampled square, and is cross-checked in the
+tests against the same defining sum (:func:`direct_mollify_at`), which is
+its oracle.  Kernel-gradient norms scale one unit-lattice profile of the
+bump's slope to every delta.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.signal import fftconvolve
 
 from .energetics import map_body
 from .geometry import sphere_area
@@ -146,20 +150,31 @@ class GridField:
 
     def index_of(self, point: Sequence[float]) -> tuple[int, ...]:
         """Nearest node index; raises if the point leaves the grid."""
-        if len(point) != self.dimension:
-            raise ValueError(f"point has {len(point)} coordinates, expected {self.dimension}")
-        idx = []
-        for d, x in enumerate(point):
-            i = round((float(x) - self.origin[d]) / self.spacing)
-            if not 0 <= i < self.values.shape[d]:
-                raise ValueError(f"point {tuple(point)} falls outside the sampled grid")
-            idx.append(i)
-        return tuple(idx)
+        return _nearest_node(point, self.origin, self.spacing, self.values.shape)
 
     def coordinate_of(self, index: Sequence[int]) -> tuple[float, ...]:
-        return tuple(
-            self.origin[d] + self.spacing * int(i) for d, i in enumerate(index)
-        )
+        return _node_coordinate(index, self.origin, self.spacing)
+
+
+def _nearest_node(
+    point: Sequence[float], origin: tuple[float, ...], spacing: float, shape: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Index of the node nearest to point on the grid origin + i * spacing."""
+    if len(point) != len(shape):
+        raise ValueError(f"point has {len(point)} coordinates, expected {len(shape)}")
+    idx = []
+    for d, x in enumerate(point):
+        i = round((float(x) - origin[d]) / spacing)
+        if not 0 <= i < shape[d]:
+            raise ValueError(f"point {tuple(point)} falls outside the sampled grid")
+        idx.append(i)
+    return tuple(idx)
+
+
+def _node_coordinate(
+    index: Sequence[int], origin: tuple[float, ...], spacing: float
+) -> tuple[float, ...]:
+    return tuple(origin[d] + spacing * int(i) for d, i in enumerate(index))
 
 
 def _check_grid_dimension(n: int) -> None:
@@ -198,17 +213,24 @@ def poly_on_grid(p: MultiPoly, axes: list[np.ndarray]) -> np.ndarray:
     return np.broadcast_to(total, shape).copy() if total.shape != shape else total
 
 
-def sample_scalar_on_grid(p: MultiPoly, spacing: float, extent: float = 1.0) -> GridField:
-    """Sample p over [-extent, extent]^n at the given (dyadic) spacing."""
-    _check_grid_dimension(p.dimension)
-    if not spacing > 0:
-        raise ValueError(f"spacing must be positive, got {spacing!r}")
+def _grid_axis(spacing: float, extent: float) -> np.ndarray:
+    """Node coordinates (i - half) * spacing, i = 0..2 half, spanning [-extent, extent]."""
+    if not 0 < spacing < math.inf:
+        raise ValueError(f"spacing must be positive and finite, got {spacing!r}")
+    if not extent / spacing < math.inf:
+        raise ValueError(f"spacing {spacing!r} is too fine to count the nodes of the grid")
     half = round(extent / spacing)
-    if abs(half * spacing - extent) > 1e-12:
+    if not abs(half * spacing - extent) <= 1e-12:
         raise ValueError(
             f"extent {extent!r} must be an integer multiple of spacing {spacing!r}"
         )
-    axis = (np.arange(2 * half + 1) - half) * spacing
+    return (np.arange(2 * half + 1) - half) * spacing
+
+
+def sample_scalar_on_grid(p: MultiPoly, spacing: float, extent: float = 1.0) -> GridField:
+    """Sample p over [-extent, extent]^n at the given (dyadic) spacing."""
+    _check_grid_dimension(p.dimension)
+    axis = _grid_axis(spacing, extent)
     axes = [axis] * p.dimension
     return GridField(
         dimension=p.dimension,
@@ -264,12 +286,18 @@ def build_mollifier(spec: MollifierSpec, spacing: float) -> tuple[GridField, Mol
 
 
 def mollify(field: GridField, spec: MollifierSpec) -> GridField:
-    """J_delta convolved with the field; undefined margins are masked.
+    """J_delta convolved with the whole field; undefined margins are masked.
 
     The kernel is symmetric, so FFT convolution and the defining sum
     (J_delta * u)(x) = sum_j J_delta(x - y_j) u(y_j) h^n agree; scipy's
-    ``fftconvolve`` keeps them within 1e-12 for desk-scale grids.
+    ``fftconvolve`` keeps them within 1e-12 of :func:`direct_mollify_at` for
+    desk-scale grids.  Use it when every node is wanted (Young's inequality);
+    a check that reads a few nodes, like :func:`mean_value_check`, evaluates
+    the defining sum there instead.
     """
+    # deferred: only whole-field smoothing pays for importing scipy.signal
+    from scipy.signal import fftconvolve
+
     if field.dimension != spec.dimension:
         raise ValueError(
             f"field dimension {field.dimension} != kernel dimension {spec.dimension}"
@@ -293,19 +321,29 @@ def mollify(field: GridField, spec: MollifierSpec) -> GridField:
     )
 
 
+def _kernel_window(
+    index: Sequence[int], shape: tuple[int, ...], half: int
+) -> tuple[slice, ...] | None:
+    """Per-axis slices of the kernel's (2 half + 1)^n footprint centred at index,
+    or None when the footprint leaves the grid (the masked margin)."""
+    if not all(half <= int(i) < s - half for i, s in zip(index, shape)):
+        return None
+    return tuple(slice(int(i) - half, int(i) + half + 1) for i in index)
+
+
+def _convolution_sum(block: np.ndarray, kern: GridField) -> float:
+    """sum_j J_delta(x - y_j) u(y_j) h^n over one kernel footprint."""
+    # symmetric kernel: correlation equals convolution
+    return float(np.sum(block * kern.values)) * kern.spacing**kern.dimension
+
+
 def direct_mollify_at(field: GridField, spec: MollifierSpec, index: Sequence[int]) -> float:
     """The convolution sum at one node, by direct summation (FFT oracle)."""
     kern = kernel_field(spec, field.spacing)
-    half = (kern.values.shape[0] - 1) // 2
-    slices = []
-    for d, i in enumerate(index):
-        i = int(i)
-        if not half <= i < field.values.shape[d] - half:
-            raise ValueError(f"index {tuple(index)} is inside the masked margin")
-        slices.append(slice(i - half, i + half + 1))
-    block = field.values[tuple(slices)]
-    # symmetric kernel: correlation equals convolution
-    return float(np.sum(block * kern.values)) * field.spacing**field.dimension
+    window = _kernel_window(index, field.values.shape, (kern.values.shape[0] - 1) // 2)
+    if window is None:
+        raise ValueError(f"index {tuple(index)} is inside the masked margin")
+    return _convolution_sum(field.values[window], kern)
 
 
 # -- mean-value checks ---------------------------------------------------------
@@ -345,11 +383,15 @@ def mean_value_check(
     """sup over points and components of |(J_delta * u)(x) - u(x)|.
 
     Points must lie in the closed ball of radius 1 - delta (so the kernel
-    stays inside the sampled square); each is snapped to its nearest grid
-    node, and the snapped coordinates are what the report carries.  A
-    non-harmonic input is *not* an error: the defect is computed and the
-    report is flagged ``not_a_counterexample`` because a nonzero defect for
-    a non-harmonic function contradicts nothing.
+    stays inside the square [-1, 1]^n that the grid covers); each is snapped
+    to its nearest grid node, and the snapped coordinates are what the
+    report carries.  J_delta * u is the defining sum read at that node
+    alone: u is sampled on the kernel's box of grid nodes around it, so the
+    value equals :func:`direct_mollify_at` on the whole sampled square to
+    the bit, without the square being formed.  A non-harmonic input is
+    *not* an error: the defect is computed and the report is flagged
+    ``not_a_counterexample`` because a nonzero defect for a non-harmonic
+    function contradicts nothing.
     """
     comps, certified, n = _scalar_components(u)
     _check_grid_dimension(n)
@@ -364,33 +406,36 @@ def mean_value_check(
                 f"point {tuple(pt)} leaves the ball of radius 1 - delta = "
                 f"{1.0 - spec.delta:g} where the convolution identity applies"
             )
+    axis = _grid_axis(spacing, 1.0)
+    kern = kernel_field(spec, spacing)
+    half = (kern.values.shape[0] - 1) // 2
+    origin = (float(axis[0]),) * n
+    shape = (len(axis),) * n
     snapped: list[tuple[float, ...]] = []
-    values = [[0.0] * len(comps) for _ in points]
-    mollified = [[0.0] * len(comps) for _ in points]
-    errors = [0.0] * len(points)
-    for comp_index, comp in enumerate(comps):
-        field = sample_scalar_on_grid(comp, spacing, extent=1.0)
-        smoothed = mollify(field, spec)
-        for j, pt in enumerate(points):
-            idx = field.index_of(pt)
-            node = field.coordinate_of(idx)
-            if not smoothed.valid[idx]:
-                raise ValueError(
-                    f"point {tuple(pt)} is inside the masked margin at spacing {spacing!r}"
-                )
-            exact = float(comp.evaluate(node))
-            approx = float(smoothed.values[idx])
-            if comp_index == 0:
-                snapped.append(node)
-            values[j][comp_index] = exact
-            mollified[j][comp_index] = approx
-            errors[j] = max(errors[j], abs(approx - exact))
+    values: list[tuple[float, ...]] = []
+    mollified: list[tuple[float, ...]] = []
+    errors: list[float] = []
+    for pt in points:
+        idx = _nearest_node(pt, origin, spacing, shape)
+        window = _kernel_window(idx, shape, half)
+        if window is None:
+            raise ValueError(
+                f"point {tuple(pt)} is inside the masked margin at spacing {spacing!r}"
+            )
+        node = _node_coordinate(idx, origin, spacing)
+        box = [axis[w] for w in window]
+        exact = tuple(float(comp.evaluate(node)) for comp in comps)
+        approx = tuple(_convolution_sum(poly_on_grid(comp, box), kern) for comp in comps)
+        snapped.append(node)
+        values.append(exact)
+        mollified.append(approx)
+        errors.append(max([0.0] + [abs(a - e) for a, e in zip(approx, exact)]))
     return MeanValueReport(
         delta=spec.delta,
         spacing=spacing,
         points=tuple(snapped),
-        values=tuple(tuple(row) for row in values),
-        mollified=tuple(tuple(row) for row in mollified),
+        values=tuple(values),
+        mollified=tuple(mollified),
         errors=tuple(errors),
         sup_error=max(errors),
         not_a_counterexample=not certified,
@@ -525,13 +570,19 @@ class GradientScalingFit:
     max_fit_residual: float
 
 
-def _gradient_q_norm(spec: MollifierSpec, q: float, spacing: float) -> float:
-    half = int(math.floor(spec.delta / spacing + 1e-12))
-    axis = (np.arange(2 * half + 1) - half) * spacing
-    axes = [axis] * spec.dimension
-    mags = spec.gradient_magnitude_at_radii(_radius_mesh(axes))
-    total = float(np.sum(mags**q)) * spacing**spec.dimension
-    return total ** (1.0 / q)
+@lru_cache(maxsize=4)
+def _unit_slope_magnitudes(n: int, nodes_per_delta: int) -> np.ndarray:
+    """|d/dt exp(-1/(1-t^2))| at t = |y| on the unit lattice y in Z^n / nodes_per_delta.
+
+    With spacing delta / nodes_per_delta the nodes x = delta * y give
+    t = |x| / delta on this same lattice for every delta (to the bit when
+    delta is a power of two, since multiplying by one is exact).  Read-only: the
+    cache hands the same array to every caller.
+    """
+    axis = (np.arange(2 * nodes_per_delta + 1) - nodes_per_delta) * (1.0 / nodes_per_delta)
+    slopes = np.abs(_bump_radial_slope(_radius_mesh([axis] * n)))
+    slopes.setflags(write=False)
+    return slopes
 
 
 def mollifier_gradient_scaling(
@@ -544,7 +595,9 @@ def mollifier_gradient_scaling(
 
     Each delta gets its own grid with spacing delta / nodes_per_delta, so
     the discretisation is scale-covariant and the fitted exponent measures
-    the scaling law rather than resolution artifacts.  Dimensional analysis
+    the scaling law rather than resolution artifacts; the bump's slope on
+    that grid is one unit-lattice profile, computed once and scaled by
+    c_n delta^(-n-1) per delta.  Dimensional analysis
     gives n/q - n - 1 (equal to -1 exactly when q = 1); the fit is reported
     against that reference, not asserted beyond it.
     """
@@ -559,15 +612,17 @@ def mollifier_gradient_scaling(
         raise ValueError(f"deltas must lie in (0, 1/2], got {ds}")
     if nodes_per_delta < 8:
         raise ValueError("nodes_per_delta below 8 cannot resolve the kernel")
+    if nodes_per_delta != int(nodes_per_delta):
+        raise ValueError(f"nodes_per_delta must be a whole number, got {nodes_per_delta!r}")
+    n = spec.dimension
+    slopes = _unit_slope_magnitudes(n, int(nodes_per_delta))
     norms = []
     for d in ds:
-        per_delta = MollifierSpec(
-            dimension=spec.dimension,
-            delta=d,
-            profile=spec.profile,
-            normalization=spec.normalization,
-        )
-        norms.append(_gradient_q_norm(per_delta, q, d / nodes_per_delta))
+        # |grad J_delta| = c_n delta^(-n-1) |slope(|x| / delta)|, as in
+        # MollifierSpec.gradient_magnitude_at_radii
+        mags = spec.normalization * d ** (-n - 1) * slopes
+        total = float(np.sum(mags**q)) * (d / nodes_per_delta) ** n
+        norms.append(total ** (1.0 / q))
     xs = [math.log(d) for d in ds]
     ys = [math.log(v) for v in norms]
     x_mean = math.fsum(xs) / len(xs)
@@ -577,7 +632,6 @@ def mollifier_gradient_scaling(
     slope = sxy / sxx
     intercept = y_mean - slope * x_mean
     resid = max(abs(y - (intercept + slope * x)) for x, y in zip(xs, ys))
-    n = spec.dimension
     return GradientScalingFit(
         dimension=n,
         q=float(q),

@@ -200,6 +200,18 @@ class TestIntegrate:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_fewer_than_two_samples_is_usage_error(self, samples):
+        # one draw used to print a value with standard_error 0 and exit 0
+        proc = run_cli(
+            "integrate", "--poly", "x1^2", "--method", "monte-carlo", "--samples", samples
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "at least 2 samples" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_poly_required(self):
         proc = run_cli("integrate", "--dimension", "2")
         assert proc.returncode == 2

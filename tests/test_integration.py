@@ -277,6 +277,24 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             integrate_poly_ball(MultiPoly(2, {(2, 0): 1}), 1, spec)
 
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_fewer_than_two_samples_rejected(self, samples):
+        # one draw used to report its value with standard_error 0.0, as if exact
+        p = MultiPoly(2, {(2, 0): 1})
+        for integrate in (integrate_poly_ball, integrate_poly_sphere):
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                integrate(p, 1, self.spec(samples=samples))
+        for estimator in ("gaussian", "hit_or_miss"):
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                mc_ball_volume(3, samples, seed=0, estimator=estimator)
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            _mc_blocks(samples, 0, 1, lambda gen, count: gen.random(count))
+
+    def test_two_samples_give_a_standard_error(self):
+        result = integrate_poly_ball(MultiPoly(2, {(2, 0): 1}), 1, self.spec(samples=2))
+        assert result.samples == 2
+        assert 0.0 < result.standard_error < math.inf
+
     def test_spec_fields(self):
         # no option that nothing reads
         assert [f.name for f in dataclasses.fields(QuadratureSpec)] == [

@@ -1,12 +1,25 @@
 """Grid mollification: kernel normalisation, mean-value defects, scaling laws."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ballharmonics.harmonics import random_harmonic_polynomial, zonal_solid_harmonic
+from ballharmonics import mollifier
+from ballharmonics.harmonics import (
+    HarmonicMap,
+    identity_map,
+    random_harmonic_polynomial,
+    zonal_solid_harmonic,
+)
 from ballharmonics.mollifier import (
     GRID_DIMENSION_CAP,
     MollifierSpec,
@@ -20,7 +33,7 @@ from ballharmonics.mollifier import (
     sample_scalar_on_grid,
     young_convolution_check,
 )
-from ballharmonics.polynomials import MultiPoly
+from ballharmonics.polynomials import MultiPoly, VectorPoly, as_vector
 
 
 SPEC2 = MollifierSpec(dimension=2, delta=0.25)
@@ -151,6 +164,38 @@ class TestMeanValue:
                 zonal_solid_harmonic(2, 1), SPEC2, [(0.9, 0.0)], spacing=1 / 64
             )
 
+    def test_point_in_masked_margin_rejected(self, monkeypatch):
+        # the radius budget keeps every snapped point of a valid spec clear of
+        # the margin, so a kernel wider than its delta stands in for the case
+        wide = MollifierSpec(dimension=2, delta=0.5)
+        wide_kernel = mollifier.kernel_field(wide, 1 / 64)
+        monkeypatch.setattr(mollifier, "kernel_field", lambda spec, spacing: wide_kernel)
+        with pytest.raises(ValueError, match="masked margin"):
+            mean_value_check(
+                zonal_solid_harmonic(2, 1), SPEC2, [(0.0, 0.0), (0.75, 0.0)], spacing=1 / 64
+            )
+
+    def test_direct_sum_refuses_the_masked_margin(self):
+        field = sample_scalar_on_grid(MultiPoly.constant(2, 1), 1 / 32, extent=1.0)
+        with pytest.raises(ValueError, match="masked margin"):
+            direct_mollify_at(field, SPEC2, (3, 16))
+
+    @pytest.mark.parametrize(
+        "spacing,message",
+        [
+            (0.0, "spacing must be positive"),
+            (-1 / 64, "spacing must be positive"),
+            (math.nan, "spacing must be positive"),
+            (math.inf, "spacing must be positive"),
+            (1e-320, "too fine"),
+            (0.3, "integer multiple of spacing"),
+            (1 / 3, "cannot resolve a kernel"),
+        ],
+    )
+    def test_bad_spacing_rejected(self, spacing, message):
+        with pytest.raises(ValueError, match=message):
+            mean_value_check(zonal_solid_harmonic(2, 2), SPEC2, self.POINTS, spacing=spacing)
+
     def test_convergence_order_superquadratic(self):
         conv = mean_value_convergence(
             zonal_solid_harmonic(2, 4), SPEC2, self.POINTS, (1 / 16, 1 / 32, 1 / 64)
@@ -158,6 +203,133 @@ class TestMeanValue:
         assert all(e > 0 for e in conv.sup_errors)
         assert all(a > b for a, b in zip(conv.sup_errors, conv.sup_errors[1:]))
         assert min(conv.orders) >= 1.8
+
+
+# -- the mean-value check reads the defining sum at its nodes only ----------------
+
+
+@st.composite
+def compositions(draw, n, d):
+    """An exponent tuple of total degree d in n variables."""
+    cuts = sorted(draw(st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1)))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, d]))
+
+
+@st.composite
+def grid_maps(draw, n):
+    """Certified exact maps, or bare (generally non-harmonic) bodies of 1-3 components."""
+    top = 1 if n == 1 else 4
+    kind = draw(st.sampled_from(("zonal", "random", "identity", "bare")))
+    if kind == "zonal":
+        return zonal_solid_harmonic(n, draw(st.integers(0, top)))
+    if kind == "random":
+        return random_harmonic_polynomial(n, draw(st.integers(0, top)), draw(st.integers(0, 99)))
+    if kind == "identity":
+        return identity_map(n)
+    coeffs = st.fractions(min_value=-2, max_value=2, max_denominator=7)
+    exps = st.integers(0, 4).flatmap(lambda d: compositions(n, d))
+    comps = draw(
+        st.lists(
+            st.dictionaries(exps, coeffs, max_size=5).map(lambda t: MultiPoly(n, t)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return comps[0] if len(comps) == 1 else VectorPoly(comps)
+
+
+@st.composite
+def mean_value_cases(draw):
+    n = draw(st.integers(1, 3))
+    spacing = draw(st.sampled_from((1 / 16, 1 / 32, 1 / 64) + ((1 / 128,) if n <= 2 else ())))
+    spec = MollifierSpec(dimension=n, delta=draw(st.sampled_from((0.125, 0.25, 0.3, 0.5))))
+    half = round(1 / spacing)
+    budget = 1.0 - spec.delta
+    points = []
+    for _ in range(draw(st.integers(1, 3))):
+        idx = draw(st.lists(st.integers(-half, half), min_size=n, max_size=n))
+        r = math.hypot(*[i * spacing for i in idx])
+        if r > budget:
+            # pull the lattice point towards 0 until it fits inside the budget
+            idx = [int(i * budget / r) for i in idx]
+        points.append(tuple(i * spacing for i in idx))
+    return draw(grid_maps(n)), spec, points, spacing
+
+
+class TestMeanValueRoute:
+    @given(mean_value_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_property_equals_the_direct_sum_on_the_whole_grid(self, case):
+        u, spec, points, spacing = case
+        report = mean_value_check(u, spec, points, spacing=spacing)
+        comps = list(u.body) if isinstance(u, HarmonicMap) else list(as_vector(u))
+        certified = u.certified if isinstance(u, HarmonicMap) else all(
+            c.is_harmonic() for c in comps
+        )
+        assert report.not_a_counterexample == (not certified)
+        for i, comp in enumerate(comps):
+            field = sample_scalar_on_grid(comp, spacing)
+            smoothed = mollify(field, spec)
+            for j, pt in enumerate(points):
+                idx = field.index_of(pt)
+                node = field.coordinate_of(idx)
+                assert report.points[j] == node
+                assert report.values[j][i] == float(comp.evaluate(node))
+                direct = direct_mollify_at(field, spec, idx)
+                assert report.mollified[j][i] == direct
+                assert abs(report.mollified[j][i] - smoothed.values[idx]) <= 1e-12
+        assert report.errors == tuple(
+            max([0.0] + [abs(a - e) for a, e in zip(m, v)])
+            for m, v in zip(report.mollified, report.values)
+        )
+        assert report.sup_error == max(report.errors)
+
+    def test_never_forms_the_whole_field(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the whole sampled field was formed")
+
+        monkeypatch.setattr(mollifier, "mollify", refuse)
+        monkeypatch.setattr(mollifier, "sample_scalar_on_grid", refuse)
+        u2 = random_harmonic_polynomial(2, 4, 19)
+        assert mean_value_check(u2, SPEC2, TestMeanValue.POINTS, spacing=1 / 256).sup_error < 1e-6
+        spec3 = MollifierSpec(dimension=3, delta=0.25)
+        report = mean_value_check(identity_map(3), spec3, [(0.0, 0.25, -0.125)], spacing=1 / 32)
+        assert len(report.mollified[0]) == 3
+
+    def test_memory_is_the_kernel_box_not_the_grid(self):
+        # the whole 257^3 grid would take 136 MB per array at h = 1/128
+        spec3 = MollifierSpec(dimension=3, delta=0.25)
+        u = random_harmonic_polynomial(3, 3, 5)
+        points = [(0.0, -0.25, 0.125), (0.125, 0.125, 0.125), (-0.375, 0.25, 0.0)]
+        tracemalloc.start()
+        try:
+            report = mean_value_check(u, spec3, points, spacing=1 / 128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.sup_error < 1e-6
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_mean_value_check_does_not_import_scipy_signal(self):
+        script = (
+            "import sys\n"
+            "from ballharmonics.harmonics import zonal_solid_harmonic\n"
+            "from ballharmonics.mollifier import MollifierSpec, mean_value_check\n"
+            "spec = MollifierSpec(dimension=2, delta=0.25)\n"
+            "mean_value_check(zonal_solid_harmonic(2, 3), spec, [(0.25, 0.0)], spacing=1 / 64)\n"
+            "print('scipy.signal' in sys.modules)\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestGradientEstimate:
@@ -204,6 +376,58 @@ class TestScaling:
             a > b for a, b in zip(fit.norms, fit.norms[1:])
         )
         assert fit.exponent < 0
+
+
+def least_squares_slope(xs, ys):
+    x_mean = math.fsum(xs) / len(xs)
+    y_mean = math.fsum(ys) / len(ys)
+    sxx = math.fsum((x - x_mean) ** 2 for x in xs)
+    return math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / sxx
+
+
+def per_delta_norms(spec, q, deltas, nodes_per_delta=64):
+    """||grad J_delta||_q with a radius mesh built afresh at spacing delta / nodes_per_delta."""
+    n = spec.dimension
+    norms = []
+    for d in deltas:
+        per_delta = MollifierSpec(dimension=n, delta=d, normalization=spec.normalization)
+        h = d / nodes_per_delta
+        half = int(math.floor(d / h + 1e-12))
+        axis = (np.arange(2 * half + 1) - half) * h
+        total = np.zeros((1,) * n)
+        for g in np.meshgrid(*[axis] * n, indexing="ij", sparse=True):
+            total = total + g * g
+        mags = per_delta.gradient_magnitude_at_radii(np.sqrt(total))
+        norms.append((float(np.sum(mags**q)) * h**n) ** (1.0 / q))
+    return norms
+
+
+class TestScalingFromOneUnitProfile:
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dyadic_deltas_match_per_delta_meshes_to_the_bit(self, n, q):
+        spec = MollifierSpec(dimension=n, delta=0.25)
+        fit = mollifier_gradient_scaling(q, spec)
+        norms = per_delta_norms(spec, q, fit.deltas)
+        assert fit.deltas == (0.5, 0.25, 0.125, 0.0625)
+        assert fit.norms == tuple(norms)
+        xs = [math.log(d) for d in fit.deltas]
+        assert fit.exponent == least_squares_slope(xs, [math.log(v) for v in norms])
+
+    @pytest.mark.parametrize("n,q", [(1, 1.5), (2, 1.0), (2, 3.0), (3, 2.0)])
+    def test_other_deltas_match_per_delta_meshes(self, n, q):
+        deltas = (0.3, 0.2, 0.1)
+        spec = MollifierSpec(dimension=n, delta=0.25)
+        fit = mollifier_gradient_scaling(q, spec, deltas=deltas, nodes_per_delta=24)
+        norms = per_delta_norms(spec, q, deltas, nodes_per_delta=24)
+        assert fit.norms == pytest.approx(norms, rel=1e-12, abs=0)
+        xs = [math.log(d) for d in deltas]
+        reference = least_squares_slope(xs, [math.log(v) for v in norms])
+        assert fit.exponent == pytest.approx(reference, rel=1e-12, abs=0)
+
+    def test_fractional_nodes_per_delta_rejected(self):
+        with pytest.raises(ValueError, match="whole number"):
+            mollifier_gradient_scaling(1.0, SPEC2, nodes_per_delta=10.5)
 
 
 class TestYoung:
