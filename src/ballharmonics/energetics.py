@@ -8,8 +8,8 @@ For a map u: R^n -> R^m the quantities are
     H(r)        total(r) - normal(r), the tangential surface energy.
 
 The normal derivative on the sphere of radius r is <x, grad u^i> / r, so
-normal(r) is r^-2 times the sphere integral of sum_i <x, grad u^i>^2.  Three
-routes compute E, total and normal; the route follows from the input alone:
+normal(r) is r^-2 times the sphere integral of sum_i <x, grad u^i>^2.  Two
+exact routes compute E, total and normal; the route follows from the input:
 
   * Fischer route, for a certified HarmonicMap with exact coefficients and
     the exact spec.  For harmonic p of degree d the integral of p^2 over
@@ -24,26 +24,26 @@ routes compute E, total and normal; the route follows from the input alone:
         normal(r) = sum_d d^2 S_d r^(n + 2d - 3),
 
     costing O(terms) once per map and O(#degrees) per radius.
-  * Pairwise quadrature route, for every other exact-coefficient input on
-    the exact spec (bare polynomials, uncertified maps).  The monomial
-    quadrature of :mod:`integration` (Folland) is applied to the bilinear
-    forms pair by pair: for terms p_a x^a and p_b x^b of one component,
-    |grad u|^2 gets p_a p_b sum_k a_k b_k I(a + b - 2 e_k), sum_i <x, grad
-    u^i>^2 gets |a| |b| p_a p_b I(a + b) and the flux sum_i u^i <x, grad u^i>
-    gets (|a| + |b|)/2 p_a p_b I(a + b), with I the unit-sphere monomial
-    integral.  Only pairs with a = b mod 2 in every coordinate are visited,
-    since every other pair integrates to zero.  The sums are kept per
-    integrand degree, so each radius again costs O(#degrees).  Nothing here
-    uses that u is harmonic: it is plain quadrature of the stated integrands.
-  * Materialised route, for Monte Carlo specs and float coefficients:
-    |grad u|^2 and sum_i <x, grad u^i>^2 are formed as polynomials and
-    integrated by :mod:`integration`, term by term or by sampling.
+  * Pairwise quadrature route, for every other input on the exact spec (bare
+    polynomials, uncertified maps, float coefficients at their exact binary
+    values).  The monomial quadrature of :mod:`integration` (Folland) is
+    applied to the bilinear forms pair by pair: for terms p_a x^a and p_b x^b
+    of one component, |grad u|^2 gets p_a p_b sum_k a_k b_k I(a + b - 2 e_k),
+    sum_i <x, grad u^i>^2 gets |a| |b| p_a p_b I(a + b) and the flux sum_i
+    u^i <x, grad u^i> gets (|a| + |b|)/2 p_a p_b I(a + b), with I the
+    unit-sphere monomial integral.  Only pairs with a = b mod 2 in every
+    coordinate are visited, since every other pair integrates to zero.  The
+    sums are kept per integrand degree, so each radius again costs
+    O(#degrees).  Nothing here uses that u is harmonic: it is plain
+    quadrature of the stated integrands.
 
-The Pohozaev and Green identities in :mod:`identities` pass the bare body,
-so they stay on quadrature: with the Fischer route on both sides their
-residuals would vanish by construction.  Energies scale quadratically in the
-map and decay like r^(n + 2k - 2) per homogeneous degree-k component; the
-fitting helpers below measure that decay from log-log samples.
+Monte Carlo specs evaluate the partials d_k u^i, or the pairings, at the
+sample points and sum their squares there; no route forms a squared
+polynomial.  The Pohozaev and Green identities in :mod:`identities` pass the
+bare body, so they stay on quadrature: with the Fischer route on both sides
+their residuals would vanish by construction.  Energies scale quadratically
+in the map and decay like r^(n + 2k - 2) per homogeneous degree-k component;
+the fitting helpers below measure that decay from log-log samples.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .exactmath import PiRational, as_fraction
 from .harmonics import HarmonicMap
 from .integration import (
@@ -61,11 +63,10 @@ from .integration import (
     EXACT_METHOD,
     IntegralResult,
     QuadratureSpec,
+    _mc_integral,
     _sphere_monomial_rational,
-    integrate_poly_ball,
-    integrate_poly_sphere,
 )
-from .polynomials import MultiPoly, VectorPoly, as_vector, grad_norm_sq, radial_pairing
+from .polynomials import VectorPoly, as_vector, gradient, radial_pairing
 
 
 def map_body(u) -> VectorPoly:
@@ -73,23 +74,6 @@ def map_body(u) -> VectorPoly:
     if isinstance(u, HarmonicMap):
         return u.body
     return as_vector(u)
-
-
-# Energies of one map get queried at several radii and by several identities;
-# on the materialised route the squared-gradient and squared-pairing
-# polynomials dominate that cost, so they are cached per (hashable) body.
-@lru_cache(maxsize=512)
-def _grad_norm_sq_of(body: VectorPoly) -> MultiPoly:
-    return grad_norm_sq(body)
-
-
-@lru_cache(maxsize=512)
-def _pairing_sq_sum_of(body: VectorPoly) -> MultiPoly:
-    acc: dict = {}
-    for pairing in radial_pairing(body):
-        for exps, c in pairing.square().terms():
-            acc[exps] = acc.get(exps, 0) + c
-    return MultiPoly(body.dimension, acc)
 
 
 _Profile = tuple[tuple[int, Fraction], ...]
@@ -155,22 +139,23 @@ def _fischer_radial(body: VectorPoly) -> _RadialProfile:
 
 @lru_cache(maxsize=512)
 def _pairwise_profile(body: VectorPoly) -> _RadialProfile:
-    """The radial profile of any exact-coefficient body, by pairwise quadrature.
+    """The radial profile of any body, by pairwise quadrature.
 
     One pass over the term pairs (a, b) of each component, visiting only
     pairs with a = b mod 2 in every coordinate (all others integrate to zero
-    over spheres).  Coefficients are brought to a common denominator, so the
-    pair weights are integers, summed per monomial before each monomial is
-    integrated once.
+    over spheres).  Coefficients are taken exactly (a float at its binary
+    value) and brought to a common denominator, so the pair weights are
+    integers, summed per monomial before each monomial is integrated once.
     """
     n = body.dimension
-    den = math.lcm(*(c.denominator for comp in body for _, c in comp.terms()))
+    comps = [[(exps, as_fraction(c)) for exps, c in comp.terms()] for comp in body]
+    den = math.lcm(*(c.denominator for comp in comps for _, c in comp))
     grad: dict[tuple, int] = {}
     pairing: dict[tuple, int] = {}
     flux: dict[tuple, int] = {}
-    for comp in body:
+    for comp in comps:
         classes: dict[tuple, list] = {}
-        for exps, c in comp.terms():
+        for exps, c in comp:
             support = tuple(k for k, e in enumerate(exps) if e)
             term = (exps, c.numerator * (den // c.denominator), sum(exps), support)
             classes.setdefault(tuple(e & 1 for e in exps), []).append(term)
@@ -215,17 +200,26 @@ def _fischer_route(u, spec: QuadratureSpec) -> bool:
 
 
 def _exact_profile(u, spec: QuadratureSpec) -> _RadialProfile | None:
-    """u's radial profile, or None where the squares must be materialised.
+    """u's radial profile on the exact spec; None on a Monte Carlo spec.
 
-    Fischer for certified exact maps, pairwise quadrature for other exact
-    coefficients; Monte Carlo specs and float coefficients get None.
+    Fischer for certified exact maps, pairwise quadrature for everything else.
     """
+    if spec.method != EXACT_METHOD:
+        return None
     if _fischer_route(u, spec):
         return _fischer_radial(u.body)
+    return _pairwise_profile(map_body(u))
+
+
+def _sum_of_squares(values: np.ndarray) -> np.ndarray:
+    return np.sum(values * values, axis=0)
+
+
+def _mc_grad_norm_sq(u, r: float, spec: QuadratureSpec, domain: str) -> IntegralResult:
+    """|grad u|^2 over the ball or sphere of radius r, sampled from the partials."""
     body = map_body(u)
-    if spec.method == EXACT_METHOD and all(comp.is_exact for comp in body):
-        return _pairwise_profile(body)
-    return None
+    partials = [d for comp in body for d in gradient(comp) if not d.is_zero]
+    return _mc_integral(body.dimension, partials, _sum_of_squares, r, spec, domain)
 
 
 def _radial_integral(
@@ -252,11 +246,11 @@ def _check_radius(r, upper: float = 1.0) -> float:
 
 
 def dirichlet_energy_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralResult:
-    _check_radius(r)
+    rf = _check_radius(r)
     profile = _exact_profile(u, spec)
     if profile is not None:
         return _radial_integral(profile.dimension, profile.grad, r, ball=True)
-    return integrate_poly_ball(_grad_norm_sq_of(map_body(u)), r, spec)
+    return _mc_grad_norm_sq(u, rf, spec, "ball")
 
 
 def dirichlet_energy(u, r=1, spec: QuadratureSpec = EXACT) -> float:
@@ -265,11 +259,11 @@ def dirichlet_energy(u, r=1, spec: QuadratureSpec = EXACT) -> float:
 
 
 def surface_energy_total_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralResult:
-    _check_radius(r)
+    rf = _check_radius(r)
     profile = _exact_profile(u, spec)
     if profile is not None:
         return _radial_integral(profile.dimension, profile.grad, r)
-    return integrate_poly_sphere(_grad_norm_sq_of(map_body(u)), r, spec)
+    return _mc_grad_norm_sq(u, rf, spec, "sphere")
 
 
 def surface_energy_total(u, r=1, spec: QuadratureSpec = EXACT) -> float:
@@ -278,11 +272,13 @@ def surface_energy_total(u, r=1, spec: QuadratureSpec = EXACT) -> float:
 
 
 def normal_energy_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralResult:
-    _check_radius(r)
+    rf = _check_radius(r)
     profile = _exact_profile(u, spec)
     if profile is not None:
         return _radial_integral(profile.dimension, profile.pairing, r, lift=-2)
-    raw = integrate_poly_sphere(_pairing_sq_sum_of(map_body(u)), r, spec)
+    body = map_body(u)
+    pairings = radial_pairing(body)
+    raw = _mc_integral(body.dimension, pairings, _sum_of_squares, rf, spec, "sphere")
     return raw.scaled(as_fraction(r) ** -2)
 
 

@@ -10,13 +10,13 @@ For a certified harmonic map u and radius r in (0, 1]:
 with E, total, normal and H as in :mod:`energetics`.  Both identities pass
 the bare body, so their sides come from quadrature of the stated integrands,
 never from the Fischer product, and each compares two independent
-computations.  On the exact spec with exact coefficients that quadrature is
-the pairwise radial profile of :mod:`energetics` (the flux sum_i u^i <x,
-grad u^i> included), which never forms a squared polynomial and does not
-assume harmonicity; the two identities then hold with *exactly* zero
-residual for rational harmonic maps.  Monte Carlo specs and float
-coefficients integrate the materialised polynomials, and the Monte Carlo
-route reproduces the identities to sampling accuracy.  Residuals are
+computations.  On the exact spec that quadrature is the pairwise radial
+profile of :mod:`energetics` (the flux sum_i u^i <x, grad u^i> included),
+which never forms a squared polynomial and does not assume harmonicity; the
+two identities then hold with *exactly* zero residual for rational harmonic
+maps, float coefficients being taken at their exact binary values.  Monte
+Carlo specs evaluate the partials, pairings and components at the sample
+points and reproduce the identities to sampling accuracy.  Residuals are
 normalised by max(|lhs|, |rhs|, E(r)) so that the n = 2 inner identity
 (whose lhs vanishes identically) is still meaningfully scored.
 
@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+
+import numpy as np
 
 from .energetics import (
     _exact_profile,
@@ -43,8 +44,8 @@ from .energetics import (
 from .exactmath import PiRational, as_fraction
 from .geometry import unit_ball_volume
 from .harmonics import HarmonicMap
-from .integration import EXACT, IntegralResult, QuadratureSpec, integrate_poly_sphere
-from .polynomials import MultiPoly, VectorPoly, radial_pairing
+from .integration import EXACT, IntegralResult, QuadratureSpec, _mc_integral
+from .polynomials import VectorPoly, radial_pairing
 
 POHOZAEV = "pohozaev"
 GREEN = "green"
@@ -77,26 +78,24 @@ def _require_certified(u: HarmonicMap) -> None:
         )
 
 
-@lru_cache(maxsize=512)
-def _flux_poly_of(body: VectorPoly) -> MultiPoly:
-    """sum_i u^i <x, grad u^i>, cached since it is queried per radius."""
-    acc: dict = {}
-    for comp, pairing in zip(body, radial_pairing(body)):
-        for exps, c in (comp * pairing).terms():
-            acc[exps] = acc.get(exps, 0) + c
-    return MultiPoly(body.dimension, acc)
+def _sum_of_products(values: np.ndarray) -> np.ndarray:
+    """sum_i u^i <x, grad u^i> from rows holding the components, then their pairings."""
+    m = len(values) // 2
+    return np.sum(values[:m] * values[m:], axis=0)
 
 
 def _flux_result(body: VectorPoly, r, spec: QuadratureSpec) -> IntegralResult:
     """(1/r) times the sphere integral of sum_i u^i <x, grad u^i> at radius r.
 
-    Exact bodies read the flux off their pairwise radial profile; Monte
-    Carlo specs and float coefficients integrate the materialised polynomial.
+    The exact spec reads the flux off the pairwise radial profile; Monte
+    Carlo evaluates the components and their pairings at the sample points.
     """
     profile = _exact_profile(body, spec)
     if profile is not None:
         return _radial_integral(profile.dimension, profile.flux, r, lift=-1)
-    return integrate_poly_sphere(_flux_poly_of(body), r, spec).scaled(1 / as_fraction(r))
+    rows = (*body, *radial_pairing(body))
+    raw = _mc_integral(body.dimension, rows, _sum_of_products, float(r), spec, "sphere")
+    return raw.scaled(1 / as_fraction(r))
 
 
 def _normalized(lhs: IntegralResult, rhs: IntegralResult, scale: IntegralResult) -> tuple[float, float]:

@@ -20,16 +20,18 @@ function of (seed, samples); the worker count changes wall time only.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .exactmath import PiRational, as_fraction, gamma_half
-from .geometry import sphere_area, unit_ball_volume
+from .geometry import sphere_area_exact, unit_ball_volume_exact
 from .polynomials import DimensionError, MultiPoly
 
 BLOCK_SIZE = 1 << 15
@@ -244,58 +246,59 @@ def _mc_blocks(
     return mean, math.ldexp(math.sqrt(m2 / (samples - 1) / samples), unit)
 
 
-def _float_terms(p: MultiPoly) -> list[tuple[tuple[int, ...], float]]:
-    return [(exps, float(c)) for exps, c in p.terms()]
-
-
-def _eval_terms(
-    pts: np.ndarray, terms: list[tuple[tuple[int, ...], float]]
-) -> np.ndarray:
-    total = np.zeros(len(pts))
-    for exps, c in terms:
-        t = np.full(len(pts), c)
-        for axis, e in enumerate(exps):
-            if e == 1:
-                t *= pts[:, axis]
-            elif e:
-                t *= pts[:, axis] ** e
-        total += t
-    return total
-
-
-def _sphere_points(gen: np.random.Generator, count: int, n: int, radius: float) -> np.ndarray:
-    z = gen.standard_normal((count, n))
-    norms = np.linalg.norm(z, axis=1)
-    norms[norms == 0.0] = 1.0  # probability-zero guard
-    return (radius / norms)[:, None] * z
-
-
-def _ball_points(gen: np.random.Generator, count: int, n: int, radius: float) -> np.ndarray:
-    z = gen.standard_normal((count, n))
-    norms = np.linalg.norm(z, axis=1)
-    norms[norms == 0.0] = 1.0
-    radii = radius * gen.random(count) ** (1.0 / n)
-    return (radii / norms)[:, None] * z
-
-
-def _mc_poly_integral(
-    p: MultiPoly, radius: float, spec: QuadratureSpec, domain: str
+def _mc_integral(
+    n: int,
+    polys: Sequence[MultiPoly],
+    combine: Callable[[np.ndarray], np.ndarray],
+    radius: float,
+    spec: QuadratureSpec,
+    domain: str,
 ) -> IntegralResult:
-    n = p.dimension
-    terms = _float_terms(p)
-    if domain == "sphere":
-        log_scale = sphere_area(n, radius).log_area
-        sampler = _sphere_points
+    """Monte Carlo integral of combine(values) over the sphere or ball of radius r in R^n.
+
+    values[j] holds polys[j] at a block's sample points.  The mean is scaled
+    by the domain's exact measure (a float radius is an exact binary
+    rational), so a constant 1 integrates to the exact measure, error 0.
+    """
+    rows = [
+        [(float(c), tuple((a, e) for a, e in enumerate(exps) if e)) for exps, c in p.terms()]
+        for p in polys
+    ]
+    # a power x_a^e (e > 1) used by several terms is formed once per block;
+    # holding single-use powers as well only kept memory alive and measurably
+    # slowed single monomials in R^10
+    uses = Counter(f for terms in rows for _, factors in terms for f in factors if f[1] > 1)
+    shared = {f for f, k in uses.items() if k > 1}
+    ball = domain == "ball"
+    if ball:
+        measure = unit_ball_volume_exact(n).scaled(Fraction(radius) ** n)
     else:
-        log_scale = unit_ball_volume(n).log_volume + n * math.log(radius)
-        sampler = _ball_points
+        measure = sphere_area_exact(n, Fraction(radius))
 
     def block_values(gen: np.random.Generator, count: int) -> np.ndarray:
-        return _eval_terms(sampler(gen, count, n, radius), terms)
+        z = gen.standard_normal((count, n))
+        norms = np.linalg.norm(z, axis=1)
+        norms[norms == 0.0] = 1.0  # probability-zero guard
+        radii = radius * gen.random(count) ** (1.0 / n) if ball else radius
+        pts = (radii / norms)[:, None] * z
+        powers: dict[tuple[int, int], np.ndarray] = {}
+        values = np.zeros((len(rows), count))
+        for row, terms in zip(values, rows):
+            for c, factors in terms:
+                t = np.full(count, c)
+                for a, e in factors:
+                    if (a, e) in shared:
+                        if (a, e) not in powers:
+                            powers[a, e] = pts[:, a] ** e
+                        t *= powers[a, e]
+                    else:
+                        t *= pts[:, a] if e == 1 else pts[:, a] ** e
+                row += t
+        return combine(values)
 
     mean, stderr = _mc_blocks(spec.samples, spec.seed, spec.workers, block_values)
-    scale = math.exp(log_scale)
-    log_abs = (log_scale + math.log(abs(mean))) if mean != 0.0 else -math.inf
+    scale = float(measure)
+    log_abs = (measure.log_abs() + math.log(abs(mean))) if mean != 0.0 else -math.inf
     return IntegralResult(
         value=scale * mean,
         log_abs_value=log_abs,
@@ -314,7 +317,7 @@ def integrate_poly_sphere(
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
     if spec.method == EXACT_METHOD:
         return _exact_poly_integral(p, radius, sphere_monomial_integral)
-    return _mc_poly_integral(p, r, spec, "sphere")
+    return _mc_integral(p.dimension, [p], itemgetter(0), r, spec, "sphere")
 
 
 def integrate_poly_ball(
@@ -326,7 +329,7 @@ def integrate_poly_ball(
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
     if spec.method == EXACT_METHOD:
         return _exact_poly_integral(p, radius, ball_monomial_integral)
-    return _mc_poly_integral(p, r, spec, "ball")
+    return _mc_integral(p.dimension, [p], itemgetter(0), r, spec, "ball")
 
 
 # -- ball volume estimators ---------------------------------------------------

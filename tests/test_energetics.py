@@ -23,7 +23,7 @@ from ballharmonics.energetics import (
     surface_energy_total_result,
     verify_decay_bound,
 )
-from ballharmonics.exactmath import PiRational
+from ballharmonics.exactmath import PiRational, as_fraction
 from ballharmonics.geometry import unit_ball_volume
 from ballharmonics.harmonics import (
     HarmonicMap,
@@ -31,6 +31,7 @@ from ballharmonics.harmonics import (
     harmonic_sum,
     identity_map,
     make_harmonic_map,
+    random_harmonic_polynomial,
     scale_map,
     zonal_solid_harmonic,
 )
@@ -371,3 +372,28 @@ def test_pairwise_profile_does_not_assume_harmonicity():
     # Green: E(1) = 16 pi/15 against the flux 8 pi/5
     assert flux == PiRational(Fraction(8, 5), 1)
     assert profiled(body, 1) == materialised(body, 1)
+
+
+FLOAT_BODIES = {
+    "harmonic": VectorPoly([c.lowered() for c in random_harmonic_polynomial(4, 3, 5).body]),
+    "non-harmonic": VectorPoly(
+        [
+            MultiPoly(3, {(2, 0, 0): 0.1, (1, 1, 0): 1 / 3, (0, 0, 3): -2.7e-3}),
+            MultiPoly(3, {(0, 1, 0): 1e-3, (1, 0, 2): 7.25}),
+        ]
+    ),
+}
+
+
+@pytest.mark.parametrize("body", FLOAT_BODIES.values(), ids=FLOAT_BODIES.keys())
+def test_float_bodies_take_the_pairwise_profile_of_their_binary_values(body):
+    assert not any(comp.is_exact for comp in body)
+    exact_body = VectorPoly(
+        [MultiPoly(c.dimension, {e: as_fraction(x) for e, x in c.terms()}) for c in body]
+    )
+    assert energetics._exact_profile(body, EXACT) == energetics._pairwise_profile(exact_body)
+    assert profiled(body, 0.7) == profiled(exact_body, 0.7)
+    # squaring the float polynomials, as these bodies were once integrated,
+    # agrees to rounding
+    for got, squared in zip(profiled(body, 0.7), materialised(body, 0.7)):
+        assert float(got) == pytest.approx(float(squared), rel=1e-12)

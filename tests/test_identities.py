@@ -1,11 +1,13 @@
 """Variational identity residuals and the energy bound reports."""
 
+import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
-from ballharmonics import energetics, identities, suite
+from ballharmonics import energetics, polynomials, suite
 from ballharmonics.energetics import (
     dirichlet_energy,
     dirichlet_energy_result,
@@ -21,13 +23,13 @@ from ballharmonics.harmonics import (
     zonal_solid_harmonic,
 )
 from ballharmonics.identities import (
-    _flux_poly_of,
+    _flux_result,
     green_residual,
     minimiser_bound_check,
     pohozaev_residual,
     volume_decay_chain,
 )
-from ballharmonics.integration import QuadratureSpec, integrate_poly_sphere
+from ballharmonics.integration import EXACT, QuadratureSpec
 from ballharmonics.polynomials import MultiPoly, VectorPoly
 
 
@@ -74,36 +76,54 @@ def test_identities_stay_off_the_fischer_route(monkeypatch):
 
 
 def test_identity_scan_never_materialises_a_square(monkeypatch):
-    # exact bodies read the pairwise radial profile; forming |grad u|^2,
-    # sum_i <x, grad u^i>^2 or the flux polynomial is the Monte Carlo and
-    # float-coefficient route only
-    def refuse(body):
+    # the exact spec reads the Fischer or pairwise radial profile and Monte
+    # Carlo evaluates partials, pairings and components at the sample points:
+    # neither forms |grad u|^2, sum_i <x, grad u^i>^2 or the flux as a polynomial
+    def refuse(*args):
         raise AssertionError("a squared polynomial was materialised")
 
-    monkeypatch.setattr(energetics, "_grad_norm_sq_of", refuse)
-    monkeypatch.setattr(energetics, "_pairing_sq_sum_of", refuse)
-    monkeypatch.setattr(identities, "_flux_poly_of", refuse)
+    monkeypatch.setattr(polynomials.MultiPoly, "square", refuse)
+    original = polynomials.grad_norm_sq
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ballharmonics" and vars(module).get("grad_norm_sq") is original:
+            monkeypatch.setattr(module, "grad_norm_sq", refuse)
     assert suite.check_pohozaev(7).passed
     assert suite.check_green(7).passed
-
-
-def test_monte_carlo_and_float_bodies_stay_off_the_profile(monkeypatch):
-    def refuse(body):
-        raise AssertionError("the pairwise profile was consulted")
-
-    monkeypatch.setattr(energetics, "_pairwise_profile", refuse)
-    u = zonal_solid_harmonic(3, 2)
+    assert suite.check_c1_rate().passed
+    u = random_harmonic_polynomial(4, 3, 5)
     mc = QuadratureSpec(method="monte_carlo", samples=2000, seed=3)
     lowered = make_harmonic_map(u.body[0].lowered())
+    for spec, v in ((mc, u), (EXACT, lowered)):
+        for quantity in (dirichlet_energy_result, surface_energy_total_result, normal_energy_result):
+            quantity(v, 0.7, spec)
+        for check in (pohozaev_residual, green_residual):
+            check(v, 0.7, spec)
+        minimiser_bound_check(v, spec)
+
+
+def test_monte_carlo_stays_off_the_profile_and_float_bodies_take_it(monkeypatch):
+    consulted = []
+
+    def spy(body):
+        consulted.append(body)
+        return profile(body)
+
+    profile = energetics._pairwise_profile
+    monkeypatch.setattr(energetics, "_pairwise_profile", spy)
+    u = zonal_solid_harmonic(3, 2)
+    mc = QuadratureSpec(method="monte_carlo", samples=2000, seed=3)
     for quantity in (dirichlet_energy_result, surface_energy_total_result, normal_energy_result):
         quantity(u.body, 1, mc)
-        quantity(lowered.body, 1)
     for check in (pohozaev_residual, green_residual):
         check(u, 0.7, mc)
-        assert check(lowered, 0.7).normalized_residual < 1e-12
     minimiser_bound_check(u, mc)
-    with pytest.raises(AssertionError, match="pairwise"):
-        green_residual(u, 0.7)
+    assert consulted == []
+    lowered = make_harmonic_map(u.body[0].lowered())
+    for quantity in (dirichlet_energy_result, surface_energy_total_result, normal_energy_result):
+        quantity(lowered.body, 1)
+    for check in (pohozaev_residual, green_residual):
+        assert check(lowered, 0.7).normalized_residual < 1e-12
+    assert consulted and all(body == lowered.body for body in consulted)
 
 
 def test_pohozaev_sides_by_hand_in_the_plane():
@@ -280,11 +300,11 @@ class TestMonteCarloRoute:
     def test_green(self):
         u = zonal_solid_harmonic(3, 2)
         energy = dirichlet_energy_result(u, self.R, self.SPEC)
-        flux = integrate_poly_sphere(_flux_poly_of(u.body), self.R, self.SPEC)
+        flux = _flux_result(u.body, self.R, self.SPEC)
         mc = green_residual(u, self.R, self.SPEC)
         exact = green_residual(u, self.R)
         self.close(mc.lhs, exact.lhs, energy.standard_error)
-        self.close(mc.rhs, exact.rhs, flux.standard_error / self.R)
+        self.close(mc.rhs, exact.rhs, flux.standard_error)
 
     def test_minimiser_bound(self):
         u = zonal_solid_harmonic(3, 2)
@@ -297,3 +317,25 @@ class TestMonteCarloRoute:
         self.close(mc.lhs, exact.lhs, energy.standard_error)
         self.close(mc.rhs, exact.rhs, 2.0 * tangential.standard_error)
         assert mc.margin_ratio > 1.0
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            VectorPoly([MultiPoly(2, {(2, 0): 1, (0, 2): -1}), MultiPoly(2, {(1, 1): 2})]),
+            identity_map(3).body,
+        ],
+        ids=["plane", "identity3"],
+    )
+    @pytest.mark.parametrize(
+        "quantity",
+        [dirichlet_energy_result, surface_energy_total_result, normal_energy_result, _flux_result],
+    )
+    def test_vector_maps_agree_and_ignore_the_worker_count(self, body, quantity):
+        lone = quantity(body, self.R, self.SPEC)
+        team = quantity(body, self.R, dataclasses.replace(self.SPEC, workers=2))
+        assert lone == team
+        exact = quantity(body, self.R, EXACT).value
+        # both maps have |grad u|^2, the pairing squares and the flux constant
+        # on spheres, so most of these integrands have zero variance and only
+        # float rounding separates the estimate from the exact value
+        assert abs(lone.value - exact) <= 4.0 * lone.standard_error + 1e-12 * exact

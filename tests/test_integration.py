@@ -175,6 +175,15 @@ class TestMonteCarlo:
         result = integrate_poly_ball(p, 1, self.spec(seed=5))
         assert abs(result.value - exact) < 3 * result.standard_error
 
+    @pytest.mark.parametrize("integrate", [integrate_poly_sphere, integrate_poly_ball])
+    def test_constant_one_is_the_exact_measure(self, integrate):
+        # every sample is 1.0, so the estimate is the domain's measure: taken
+        # from the exact measure it is the exact integral, with no error
+        one = MultiPoly.constant(10, 1)
+        result = integrate(one, 1, self.spec(samples=4096))
+        assert result.value == float(integrate(one, 1).exact)
+        assert result.standard_error == 0.0
+
     def test_worker_count_does_not_change_the_stream(self):
         p = MultiPoly(3, {(2, 0, 0): 1, (0, 1, 1): -2})
         lone = integrate_poly_ball(p, 0.7, self.spec(workers=1))
