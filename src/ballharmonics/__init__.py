@@ -31,7 +31,6 @@ _EXPORTS = {
     "gradient": "polynomials",
     "grad_norm_sq": "polynomials",
     "radial_pairing": "polynomials",
-    "compose_linear": "polynomials",
     "as_vector": "polynomials",
     # geometry
     "BallVolume": "geometry",
@@ -52,12 +51,10 @@ _EXPORTS = {
     "ball_monomial_integral": "integration",
     "integrate_poly_sphere": "integration",
     "integrate_poly_ball": "integration",
-    "mc_ball_volume": "integration",
     # harmonic maps
     "HarmonicMap": "harmonics",
     "make_harmonic_map": "harmonics",
     "identity_map": "harmonics",
-    "scale_map": "harmonics",
     "harmonic_sum": "harmonics",
     "zonal_solid_harmonic": "harmonics",
     "almansi_decomposition": "harmonics",
@@ -69,8 +66,6 @@ _EXPORTS = {
     "DecayFit": "energetics",
     "DecayBoundReport": "energetics",
     "dirichlet_energy": "energetics",
-    "surface_energy_total": "energetics",
-    "normal_energy": "energetics",
     "energy_profile": "energetics",
     "fit_decay_exponent": "energetics",
     "verify_decay_bound": "energetics",
@@ -88,19 +83,13 @@ _EXPORTS = {
     "MollifierSpec": "mollifier",
     "GridField": "mollifier",
     "sample_scalar_on_grid": "mollifier",
-    "build_mollifier": "mollifier",
-    "mollify": "mollifier",
     "direct_mollify_at": "mollifier",
     "MeanValueReport": "mollifier",
     "mean_value_check": "mollifier",
     "MeanValueConvergence": "mollifier",
     "mean_value_convergence": "mollifier",
-    "GradientRatioReport": "mollifier",
-    "gradient_estimate_report": "mollifier",
     "GradientScalingFit": "mollifier",
     "mollifier_gradient_scaling": "mollifier",
-    "YoungReport": "mollifier",
-    "young_convolution_check": "mollifier",
     # verification suite
     "run_suite": "suite",
     "SuiteReport": "suite",

@@ -467,7 +467,7 @@ def _cmd_integrate(options: dict[str, Any]) -> int:
 
 
 def _cmd_make_harmonic(options: dict[str, Any]) -> int:
-    from .polynomials import format_poly
+    from .polynomials import format_vector
 
     kind = options["kind"]
     n = options["dimension"]
@@ -480,7 +480,7 @@ def _cmd_make_harmonic(options: dict[str, Any]) -> int:
     else:
         raise UsageError(f"--kind must be 'identity', 'zonal' or 'random', got {kind!r}")
     u = _build_map(spec_text, n, options["seed"], options["axis"])
-    text = "\n".join(format_poly(comp) for comp in u.body) + "\n"
+    text = format_vector(u.body) + "\n"
     _emit(text, options["out"], options["output-dir"])
     return 0
 

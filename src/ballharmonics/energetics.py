@@ -259,6 +259,7 @@ def dirichlet_energy(u, r=1, spec: QuadratureSpec = EXACT) -> float:
 
 
 def surface_energy_total_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralResult:
+    """total(r): the integral of |grad u|^2 over the sphere of radius r <= 1."""
     rf = _check_radius(r)
     profile = _exact_profile(u, spec)
     if profile is not None:
@@ -266,12 +267,8 @@ def surface_energy_total_result(u, r=1, spec: QuadratureSpec = EXACT) -> Integra
     return _mc_grad_norm_sq(u, rf, spec, "sphere")
 
 
-def surface_energy_total(u, r=1, spec: QuadratureSpec = EXACT) -> float:
-    """Integral of |grad u|^2 over the sphere of radius r."""
-    return surface_energy_total_result(u, r, spec).value
-
-
 def normal_energy_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralResult:
+    """normal(r): the integral of |du/dnu|^2 over the sphere of radius r <= 1."""
     rf = _check_radius(r)
     profile = _exact_profile(u, spec)
     if profile is not None:
@@ -282,12 +279,8 @@ def normal_energy_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralResult
     return raw.scaled(as_fraction(r) ** -2)
 
 
-def normal_energy(u, r=1, spec: QuadratureSpec = EXACT) -> float:
-    """Integral of the squared normal derivative over the sphere of radius r."""
-    return normal_energy_result(u, r, spec).value
-
-
 def surface_dirichlet_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralResult:
+    """H(r): the tangential surface energy, total minus normal."""
     total = surface_energy_total_result(u, r, spec)
     tangential = total.minus(normal_energy_result(u, r, spec))
     if tangential.exact is not None:
@@ -305,11 +298,6 @@ def surface_dirichlet_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralRe
     if tangential.value < 0.0:
         return replace(tangential, value=0.0, log_abs_value=-math.inf)
     return tangential
-
-
-def surface_dirichlet(u, r=1, spec: QuadratureSpec = EXACT) -> float:
-    """H(r): the tangential surface energy, total minus normal."""
-    return surface_dirichlet_result(u, r, spec).value
 
 
 # -- profiles and decay fits ----------------------------------------------------

@@ -76,14 +76,6 @@ def log_fraction(q: Fraction) -> float:
     return math.log(num) - math.log(den)
 
 
-def float_of_fraction(q: Fraction) -> float:
-    """float(q) with overflow mapped to signed infinity instead of raising."""
-    try:
-        return float(q)
-    except OverflowError:
-        return math.inf if q > 0 else -math.inf
-
-
 @dataclass(frozen=True)
 class PiRational:
     """An exact real of the form coeff * pi**power with coeff rational.

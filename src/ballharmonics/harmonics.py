@@ -77,14 +77,6 @@ def identity_map(n: int) -> HarmonicMap:
     return make_harmonic_map(body, label=f"identity(n={n})")
 
 
-def scale_map(u: HarmonicMap, factor, label: str | None = None) -> HarmonicMap:
-    """The map factor * u; harmonicity is preserved, so it is re-certified cheaply."""
-    scalar = factor if isinstance(factor, float) else as_fraction(factor)
-    return make_harmonic_map(
-        u.body * scalar, label=label if label is not None else f"{u.label} * {factor}"
-    )
-
-
 def harmonic_sum(
     maps: Sequence[HarmonicMap],
     coefficients: Sequence | None = None,

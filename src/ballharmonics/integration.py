@@ -256,9 +256,10 @@ def _mc_integral(
 ) -> IntegralResult:
     """Monte Carlo integral of combine(values) over the sphere or ball of radius r in R^n.
 
-    values[j] holds polys[j] at a block's sample points.  The mean is scaled
-    by the domain's exact measure (a float radius is an exact binary
-    rational), so a constant 1 integrates to the exact measure, error 0.
+    values[j] holds polys[j] at a block's sample points.  The mean times the
+    domain's exact measure (a float radius is an exact binary rational) is
+    rounded once, so a constant with an exact sample sum (an integer, a
+    dyadic fraction) gives float(exact), error 0.
     """
     rows = [
         [(float(c), tuple((a, e) for a, e in enumerate(exps) if e)) for exps, c in p.terms()]
@@ -297,12 +298,11 @@ def _mc_integral(
         return combine(values)
 
     mean, stderr = _mc_blocks(spec.samples, spec.seed, spec.workers, block_values)
-    scale = float(measure)
     log_abs = (measure.log_abs() + math.log(abs(mean))) if mean != 0.0 else -math.inf
     return IntegralResult(
-        value=scale * mean,
+        value=float(measure.scaled(as_fraction(mean))),
         log_abs_value=log_abs,
-        standard_error=scale * stderr,
+        standard_error=float(measure) * stderr,
         method=MC_METHOD,
         samples=spec.samples,
     )
@@ -331,81 +331,3 @@ def integrate_poly_ball(
         return _exact_poly_integral(p, radius, ball_monomial_integral)
     return _mc_integral(p.dimension, [p], itemgetter(0), r, spec, "ball")
 
-
-# -- ball volume estimators ---------------------------------------------------
-
-HIT_OR_MISS_MAX_DIM = 25
-
-
-def mc_ball_volume(
-    n: int,
-    samples: int,
-    seed: int = 0,
-    estimator: str = "gaussian",
-    workers: int = 1,
-) -> IntegralResult:
-    """Monte Carlo estimate of the unit-ball volume V_n.
-
-    ``hit_or_miss`` draws uniform points in [-1, 1]^n and scales the hit
-    fraction by 2^n; the acceptance rate V_n / 2^n collapses exponentially,
-    so dimensions above HIT_OR_MISS_MAX_DIM are refused (use ``gaussian``).
-
-    ``gaussian`` importance-samples from N(0, sigma^2 I) with
-    sigma^2 = 1/(n+2), which parks the proposal's radial mass just inside
-    the unit sphere; weights are exponentiated after subtracting their
-    maximum, and the log of the estimate is formed directly in log space,
-    so the estimator works in any dimension.
-    """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"dimension must be a positive integer, got {n!r}")
-    if estimator == "hit_or_miss":
-        if n > HIT_OR_MISS_MAX_DIM:
-            raise ValueError(
-                f"hit_or_miss is useless past n = {HIT_OR_MISS_MAX_DIM} "
-                f"(expected hit rate V_n / 2^n is below 1e-8); "
-                f"use estimator='gaussian'"
-            )
-
-        def block_values(gen: np.random.Generator, count: int) -> np.ndarray:
-            pts = gen.random((count, n)) * 2.0 - 1.0
-            return (np.einsum("ij,ij->i", pts, pts) <= 1.0).astype(float)
-
-        mean, stderr = _mc_blocks(samples, seed, workers, block_values)
-        scale = 2.0**n
-        log_abs = (n * math.log(2.0) + math.log(mean)) if mean > 0.0 else -math.inf
-        return IntegralResult(
-            value=scale * mean,
-            log_abs_value=log_abs,
-            standard_error=scale * stderr,
-            method=MC_METHOD,
-            samples=samples,
-        )
-    if estimator == "gaussian":
-        sigma_sq = 1.0 / (n + 2)
-        # weight = (2 pi sigma^2)^(n/2) exp(|x|^2 / (2 sigma^2)) on hits;
-        # its maximum over the ball sits at |x| = 1
-        log_wmax = 0.5 * n * math.log(2.0 * math.pi * sigma_sq) + 0.5 / sigma_sq
-
-        def block_values(gen: np.random.Generator, count: int) -> np.ndarray:
-            pts = gen.standard_normal((count, n)) * math.sqrt(sigma_sq)
-            sq = np.einsum("ij,ij->i", pts, pts)
-            inside = sq <= 1.0
-            out = np.zeros(count)
-            out[inside] = np.exp((sq[inside] - 1.0) / (2.0 * sigma_sq))
-            return out
-
-        mean, stderr = _mc_blocks(samples, seed, workers, block_values)
-        if mean > 0.0:
-            log_abs = log_wmax + math.log(mean)
-            value = math.exp(log_abs) if log_abs < 709.0 else math.inf
-        else:
-            log_abs, value = -math.inf, 0.0
-        log_se = (log_wmax + math.log(stderr)) if stderr > 0.0 else -math.inf
-        return IntegralResult(
-            value=value,
-            log_abs_value=log_abs,
-            standard_error=math.exp(log_se) if log_se > -708.0 else 0.0,
-            method=MC_METHOD,
-            samples=samples,
-        )
-    raise ValueError(f"unknown estimator {estimator!r} (use 'hit_or_miss' or 'gaussian')")

@@ -1,4 +1,4 @@
-"""Grid lab for mollification: mean-value checks and gradient estimates.
+"""Grid lab for mollification: mean-value checks and kernel-gradient scaling.
 
 The smoothing kernel is the standard bump J(x) = c_n exp(-1/(1 - |x|^2)) on
 |x| < 1 (zero outside), normalised so that its integral over R^n is 1, and
@@ -13,19 +13,16 @@ be dyadic so node coordinates are exact binary floats reproducible from
 index arithmetic.  Mean-value checks read the defining sum
 (J_delta * u)(x) = sum_j J_delta(x - y_j) u(y_j) h^n at the requested nodes
 only, sampling u on the kernel's (2K+1)^n box around each node, so their
-storage is O(points * K^n) rather than O(h^-n).  Whole-field smoothing
-(:func:`mollify`) stays on scipy's FFT route, masks the margin where the
-kernel would poke outside the sampled square, and is cross-checked in the
-tests against the same defining sum (:func:`direct_mollify_at`), which is
-its oracle.  Kernel-gradient norms scale one unit-lattice profile of the
-bump's slope to every delta.
+storage is O(points * K^n) rather than O(h^-n).  The tests hold them to the
+same sum over the whole sampled square (:func:`sample_scalar_on_grid` and
+:func:`direct_mollify_at`, their oracle).  Kernel-gradient norms scale one
+unit-lattice profile of the bump's slope to every delta.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -35,8 +32,7 @@ from scipy.integrate import quad
 from .energetics import map_body
 from .geometry import sphere_area
 from .harmonics import HarmonicMap
-from .integration import integrate_poly_ball
-from .polynomials import MultiPoly, grad_norm_sq
+from .polynomials import MultiPoly
 
 GRID_DIMENSION_CAP = 3
 
@@ -142,7 +138,6 @@ class GridField:
     spacing: float
     origin: tuple[float, ...]
     values: np.ndarray
-    valid: np.ndarray | None = None
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         count = self.values.shape[axis]
@@ -240,17 +235,6 @@ def sample_scalar_on_grid(p: MultiPoly, spacing: float, extent: float = 1.0) -> 
     )
 
 
-@dataclass(frozen=True)
-class MollifierBuildReport:
-    """Normalization bookkeeping from discretising the kernel."""
-
-    continuum_normalization: float
-    grid_integral: float
-    deviation: float
-    center_value: float
-    spacing: float
-
-
 def kernel_field(spec: MollifierSpec, spacing: float) -> GridField:
     """J_delta sampled on its support grid, offsets -K..K per axis."""
     if not spacing > 0:
@@ -271,56 +255,6 @@ def kernel_field(spec: MollifierSpec, spacing: float) -> GridField:
     )
 
 
-def build_mollifier(spec: MollifierSpec, spacing: float) -> tuple[GridField, MollifierBuildReport]:
-    """Discretise J_delta and report how well the grid integral hits 1."""
-    field = kernel_field(spec, spacing)
-    grid_integral = float(np.sum(field.values)) * spacing**spec.dimension
-    center = field.index_of((0.0,) * spec.dimension)
-    return field, MollifierBuildReport(
-        continuum_normalization=spec.normalization,
-        grid_integral=grid_integral,
-        deviation=abs(grid_integral - 1.0),
-        center_value=float(field.values[center]),
-        spacing=spacing,
-    )
-
-
-def mollify(field: GridField, spec: MollifierSpec) -> GridField:
-    """J_delta convolved with the whole field; undefined margins are masked.
-
-    The kernel is symmetric, so FFT convolution and the defining sum
-    (J_delta * u)(x) = sum_j J_delta(x - y_j) u(y_j) h^n agree; scipy's
-    ``fftconvolve`` keeps them within 1e-12 of :func:`direct_mollify_at` for
-    desk-scale grids.  Use it when every node is wanted (Young's inequality);
-    a check that reads a few nodes, like :func:`mean_value_check`, evaluates
-    the defining sum there instead.
-    """
-    # deferred: only whole-field smoothing pays for importing scipy.signal
-    from scipy.signal import fftconvolve
-
-    if field.dimension != spec.dimension:
-        raise ValueError(
-            f"field dimension {field.dimension} != kernel dimension {spec.dimension}"
-        )
-    if field.valid is not None:
-        raise ValueError("refusing to mollify a field that is already masked")
-    kern = kernel_field(spec, field.spacing)
-    weights = kern.values * field.spacing**field.dimension
-    smoothed = fftconvolve(field.values, weights, mode="same")
-    half = (kern.values.shape[0] - 1) // 2
-    valid = np.zeros(field.values.shape, dtype=bool)
-    interior = tuple(slice(half, s - half) for s in field.values.shape)
-    valid[interior] = True
-    smoothed = np.where(valid, smoothed, np.nan)
-    return GridField(
-        dimension=field.dimension,
-        spacing=field.spacing,
-        origin=field.origin,
-        values=smoothed,
-        valid=valid,
-    )
-
-
 def _kernel_window(
     index: Sequence[int], shape: tuple[int, ...], half: int
 ) -> tuple[slice, ...] | None:
@@ -338,7 +272,7 @@ def _convolution_sum(block: np.ndarray, kern: GridField) -> float:
 
 
 def direct_mollify_at(field: GridField, spec: MollifierSpec, index: Sequence[int]) -> float:
-    """The convolution sum at one node, by direct summation (FFT oracle)."""
+    """The convolution sum at one node of a whole sampled field, by direct summation."""
     kern = kernel_field(spec, field.spacing)
     window = _kernel_window(index, field.values.shape, (kern.values.shape[0] - 1) // 2)
     if window is None:
@@ -476,83 +410,6 @@ def mean_value_convergence(
     return MeanValueConvergence(spacings=hs, sup_errors=sups, orders=tuple(orders))
 
 
-# -- gradient estimates --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GradientRatioReport:
-    """||grad u||_p over the half ball against ||u||_2 over the unit ball."""
-
-    p: float
-    ratio: float
-    numerator: float
-    denominator: float
-    error_estimate: float  # 0 on the exact route
-
-
-def _l2_norm_unit_ball(comps: list[MultiPoly]) -> float:
-    n = comps[0].dimension
-    sq = MultiPoly(n)
-    for comp in comps:
-        sq = sq + comp.square()
-    return math.sqrt(integrate_poly_ball(sq, 1).value)
-
-
-def _grad_p_norm_grid(comps: list[MultiPoly], p: float, spacing: float) -> float:
-    n = comps[0].dimension
-    _check_grid_dimension(n)
-    half = round(0.5 / spacing)
-    if abs(half * spacing - 0.5) > 1e-12:
-        raise ValueError(f"spacing {spacing!r} must divide the half-ball radius 0.5")
-    axis = (np.arange(2 * half + 1) - half) * spacing
-    axes = [axis] * n
-    gnsq = np.zeros((1,) * n)
-    for comp in comps:
-        for d in range(n):
-            part = poly_on_grid(comp.partial_derivative(d), axes)
-            gnsq = gnsq + part * part
-    inside = _radius_mesh(axes) <= 0.5 + 1e-12
-    total = float(np.sum(np.where(inside, gnsq ** (p / 2.0), 0.0))) * spacing**n
-    return total ** (1.0 / p)
-
-
-def gradient_estimate_report(
-    u, p: float = 4, spacing: float = 1 / 128
-) -> GradientRatioReport:
-    """||grad u||_{L^p(half ball)} / ||u||_{L^2(unit ball)} with an error estimate.
-
-    Even integer p: |grad u|^p is a polynomial, both norms are exact, and the
-    error estimate is 0.  Other p >= 1: the numerator is a masked Riemann sum
-    at ``spacing`` (dimension <= 3), and the error estimate is the difference
-    against the half-spacing refinement.
-    """
-    comps, _, n = _scalar_components(u)
-    if all(c.is_zero for c in comps):
-        raise ValueError("zero map: the gradient-to-norm ratio is undefined")
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p!r}")
-    denominator = _l2_norm_unit_ball(comps)
-    if isinstance(p, int) and p % 2 == 0:
-        gnsq = grad_norm_sq(map_body(u))
-        numerator = integrate_poly_ball(gnsq ** (p // 2), Fraction(1, 2)).value ** (1.0 / p)
-        return GradientRatioReport(
-            p=float(p),
-            ratio=numerator / denominator,
-            numerator=numerator,
-            denominator=denominator,
-            error_estimate=0.0,
-        )
-    coarse = _grad_p_norm_grid(comps, float(p), spacing)
-    fine = _grad_p_norm_grid(comps, float(p), spacing / 2.0)
-    return GradientRatioReport(
-        p=float(p),
-        ratio=fine / denominator,
-        numerator=fine,
-        denominator=denominator,
-        error_estimate=abs(fine - coarse) / denominator,
-    )
-
-
 # -- kernel gradient scaling ----------------------------------------------------
 
 
@@ -641,64 +498,4 @@ def mollifier_gradient_scaling(
         deltas=ds,
         norms=tuple(norms),
         max_fit_residual=resid,
-    )
-
-
-# -- Young's inequality on the grid ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class YoungReport:
-    """One discrete instance of ||K * u||_p <= ||K||_q ||u||_2."""
-
-    p: float
-    q: float
-    lhs: float
-    rhs: float
-    kernel_norm: float
-    field_norm: float
-    holds: bool
-
-
-def _grid_p_norm(values: np.ndarray, mask: np.ndarray | None, p: float, spacing: float, n: int) -> float:
-    v = np.abs(values if mask is None else np.where(mask, values, 0.0))
-    return (float(np.sum(v**p)) * spacing**n) ** (1.0 / p)
-
-
-def young_convolution_check(
-    u, spec: MollifierSpec, p: float = 4, spacing: float = 1 / 128
-) -> YoungReport:
-    """Check ||J_delta * u||_p <= ||J_delta||_q ||u||_2 with 1/q = 1/p + 1/2.
-
-    The left side runs over the valid (unmasked) nodes; the right side uses
-    the kernel's q-norm over its support and u's 2-norm over the whole
-    sampled square, a superset of what the convolution touches, so the
-    discrete inequality is a faithful instance of the continuum one.
-    """
-    if not p >= 2:
-        raise ValueError(f"p must be >= 2 so that q = 2p/(p+2) is >= 1; got {p!r}")
-    q = 2.0 * p / (p + 2.0)
-    comps, _, n = _scalar_components(u)
-    if spec.dimension != n:
-        raise ValueError(f"kernel dimension {spec.dimension} != map dimension {n}")
-    kern = kernel_field(spec, spacing)
-    kernel_norm = _grid_p_norm(kern.values, None, q, spacing, n)
-    lhs_p = 0.0
-    field_norm_sq = 0.0
-    for comp in comps:
-        field = sample_scalar_on_grid(comp, spacing, extent=1.0)
-        smoothed = mollify(field, spec)
-        lhs_p += _grid_p_norm(smoothed.values, smoothed.valid, p, spacing, n) ** p
-        field_norm_sq += _grid_p_norm(field.values, None, 2.0, spacing, n) ** 2
-    lhs = lhs_p ** (1.0 / p)
-    field_norm = math.sqrt(field_norm_sq)
-    rhs = kernel_norm * field_norm
-    return YoungReport(
-        p=float(p),
-        q=q,
-        lhs=lhs,
-        rhs=rhs,
-        kernel_norm=kernel_norm,
-        field_norm=field_norm,
-        holds=lhs <= rhs * (1.0 + 1e-9),
     )

@@ -25,7 +25,6 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .exactmath import as_fraction
 
 Coeff = Union[Fraction, float]
 Exponents = tuple  # tuple[int, ...], one entry per variable
@@ -465,49 +464,6 @@ def radial_pairing(u: VectorPoly | MultiPoly) -> tuple[MultiPoly, ...]:
                 acc[key] = acc.get(key, 0) + c
         out.append(MultiPoly(vec.dimension, acc))
     return tuple(out)
-
-
-def compose_linear(p: MultiPoly, matrix: Sequence[Sequence]) -> MultiPoly:
-    """p(M x): substitute x_i -> sum_j M[i][j] x_j.
-
-    Matrix entries are converted exactly (floats via their binary value), so
-    the composed polynomial has exact coefficients; orthogonality of float
-    matrices is only approximate, so harmonicity of the result should be
-    checked with a tolerance.
-    """
-    n = p.dimension
-    rows = [list(r) for r in matrix]
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise DimensionError(f"matrix must be {n}x{n} for a {n}-variable polynomial")
-    forms = [
-        MultiPoly(
-            n,
-            {
-                tuple(1 if j == col else 0 for col in range(n)): as_fraction(rows[i][j])
-                for j in range(n)
-                if as_fraction(rows[i][j]) != 0
-            },
-        )
-        for i in range(n)
-    ]
-    power_cache: list[dict[int, MultiPoly]] = [
-        {0: MultiPoly.constant(n, 1)} for _ in range(n)
-    ]
-
-    def form_power(i: int, e: int) -> MultiPoly:
-        cache = power_cache[i]
-        if e not in cache:
-            cache[e] = form_power(i, e - 1) * forms[i]
-        return cache[e]
-
-    total = MultiPoly(n)
-    for exps, c in p.terms():
-        term = MultiPoly.constant(n, c if isinstance(c, float) else Fraction(c))
-        for i, e in enumerate(exps):
-            if e:
-                term = term * form_power(i, e)
-        total = total + term
-    return total
 
 
 # -- textual format ---------------------------------------------------------

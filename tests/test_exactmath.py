@@ -8,7 +8,6 @@ import pytest
 from ballharmonics.exactmath import (
     PiRational,
     as_fraction,
-    float_of_fraction,
     gamma_half,
     log_fraction,
 )
@@ -101,8 +100,3 @@ class TestPiRational:
         assert big.log_abs() == pytest.approx(400 * math.log(10), rel=1e-12)
         tiny = PiRational(Fraction(1, 10**400), 0)
         assert float(tiny) == 0.0
-
-    def test_float_of_fraction_huge(self):
-        assert math.isinf(float_of_fraction(Fraction(10**400)))
-        assert float_of_fraction(Fraction(-(10**400))) == -math.inf
-        assert float_of_fraction(Fraction(1, 10**400)) == 0.0

@@ -13,7 +13,6 @@ from ballharmonics.harmonics import (
     identity_map,
     make_harmonic_map,
     random_harmonic_polynomial,
-    scale_map,
     zonal_solid_harmonic,
 )
 from ballharmonics.polynomials import MultiPoly, VectorPoly
@@ -31,7 +30,7 @@ class TestIdentity:
         assert u.body[1] == MultiPoly.variable(3, 1)
 
     def test_scale(self):
-        u = scale_map(identity_map(2), Fraction(1, 2))
+        u = harmonic_sum([identity_map(2)], [Fraction(1, 2)])
         assert u.body[0] == P(2, {(1, 0): Fraction(1, 2)})
         assert u.certified
 

@@ -11,19 +11,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ballharmonics.energetics import surface_energy_total_result
 from ballharmonics.exactmath import PiRational
-from ballharmonics.geometry import unit_ball_volume
+from ballharmonics.harmonics import identity_map
 from ballharmonics.integration import (
     BLOCK_SIZE,
     EXACT,
-    HIT_OR_MISS_MAX_DIM,
     IntegralResult,
     QuadratureSpec,
     ball_monomial_integral,
     integrate_poly_ball,
     _mc_blocks,
     integrate_poly_sphere,
-    mc_ball_volume,
     sphere_monomial_integral,
 )
 from ballharmonics.polynomials import MultiPoly
@@ -184,6 +183,31 @@ class TestMonteCarlo:
         assert result.value == float(integrate(one, 1).exact)
         assert result.standard_error == 0.0
 
+    def test_constant_energy_is_its_exact_value(self):
+        # rounding the measure before multiplying by the mean put this energy
+        # one ulp off (18.47256480310798), a miss against standard error 0
+        body = identity_map(3).body
+        mc = QuadratureSpec("monte_carlo", 100_000, 11)
+        result = surface_energy_total_result(body, 0.7, mc)
+        assert result.value == surface_energy_total_result(body, 0.7).value
+        assert result.standard_error == 0.0
+
+    @pytest.mark.parametrize("integrate", [integrate_poly_sphere, integrate_poly_ball])
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_constants_are_their_exact_integral(self, n, integrate):
+        # every sample is c, so the estimate is c times the domain's measure;
+        # rounded once from the exact product it is the exact integral, with
+        # no error
+        misses = []
+        for c in (1, 3, 5, Fraction(1, 4), -2):
+            constant = MultiPoly.constant(n, c)
+            for r in (1, 0.7, 0.3):
+                result = integrate(constant, r, self.spec(samples=4096))
+                exact = integrate(constant, r).value
+                if (result.value, result.standard_error) != (exact, 0.0):
+                    misses.append((c, r, result.value, exact))
+        assert not misses
+
     def test_worker_count_does_not_change_the_stream(self):
         p = MultiPoly(3, {(2, 0, 0): 1, (0, 1, 1): -2})
         lone = integrate_poly_ball(p, 0.7, self.spec(workers=1))
@@ -293,9 +317,6 @@ class TestMonteCarlo:
         for integrate in (integrate_poly_ball, integrate_poly_sphere):
             with pytest.raises(ValueError, match="at least 2 samples"):
                 integrate(p, 1, self.spec(samples=samples))
-        for estimator in ("gaussian", "hit_or_miss"):
-            with pytest.raises(ValueError, match="at least 2 samples"):
-                mc_ball_volume(3, samples, seed=0, estimator=estimator)
         with pytest.raises(ValueError, match="at least 2 samples"):
             _mc_blocks(samples, 0, 1, lambda gen, count: gen.random(count))
 
@@ -313,34 +334,6 @@ class TestMonteCarlo:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             QuadratureSpec(method="trapezoid")
-
-
-class TestBallVolumeEstimators:
-    def test_hit_or_miss_matches_truth(self):
-        result = mc_ball_volume(5, 200_000, seed=3, estimator="hit_or_miss")
-        truth = unit_ball_volume(5).volume
-        assert abs(result.value - truth) < 4 * result.standard_error
-
-    def test_gaussian_matches_truth_low_dim(self):
-        result = mc_ball_volume(5, 200_000, seed=3, estimator="gaussian")
-        truth = unit_ball_volume(5).volume
-        assert abs(result.value - truth) < 4 * result.standard_error
-
-    def test_gaussian_works_in_high_dimension(self):
-        # V_30 ~ 2.19e-5: far beyond hit-or-miss reach at this sample count
-        result = mc_ball_volume(30, 400_000, seed=11, estimator="gaussian")
-        truth = unit_ball_volume(30).volume
-        assert abs(result.value - truth) < 4 * result.standard_error
-        assert result.standard_error < truth  # the estimate is informative
-
-    def test_hit_or_miss_refuses_high_dimension(self):
-        with pytest.raises(ValueError, match="hit_or_miss"):
-            mc_ball_volume(HIT_OR_MISS_MAX_DIM + 1, 1000, seed=0, estimator="hit_or_miss")
-
-    def test_deterministic_across_workers(self):
-        a = mc_ball_volume(8, 100_000, seed=9, workers=1)
-        b = mc_ball_volume(8, 100_000, seed=9, workers=3)
-        assert a.value == b.value and a.standard_error == b.standard_error
 
 
 def test_exact_spec_is_default():

@@ -23,15 +23,12 @@ from ballharmonics.harmonics import (
 from ballharmonics.mollifier import (
     GRID_DIMENSION_CAP,
     MollifierSpec,
-    build_mollifier,
     direct_mollify_at,
-    gradient_estimate_report,
+    kernel_field,
     mean_value_check,
     mean_value_convergence,
     mollifier_gradient_scaling,
-    mollify,
     sample_scalar_on_grid,
-    young_convolution_check,
 )
 from ballharmonics.polynomials import MultiPoly, VectorPoly, as_vector
 
@@ -41,22 +38,20 @@ SPEC2 = MollifierSpec(dimension=2, delta=0.25)
 
 class TestKernel:
     def test_normalisation_on_grid(self):
-        _, report = build_mollifier(SPEC2, 1 / 128)
-        assert report.deviation < 1e-6
-        assert report.grid_integral == pytest.approx(1.0, abs=1e-6)
+        field = kernel_field(SPEC2, 1 / 128)
+        grid_integral = float(np.sum(field.values)) * (1 / 128) ** 2
+        assert grid_integral == pytest.approx(1.0, abs=1e-6)
 
     def test_center_value_scales_like_delta_power(self):
         # J_delta(0) = delta^(-n) J(0)
-        a = MollifierSpec(dimension=2, delta=0.5)
-        b = MollifierSpec(dimension=2, delta=0.25)
-        fa, _ = build_mollifier(a, 1 / 128)
-        fb, _ = build_mollifier(b, 1 / 128)
+        fa = kernel_field(MollifierSpec(dimension=2, delta=0.5), 1 / 128)
+        fb = kernel_field(MollifierSpec(dimension=2, delta=0.25), 1 / 128)
         ca = fa.values[fa.index_of((0.0, 0.0))]
         cb = fb.values[fb.index_of((0.0, 0.0))]
         assert cb / ca == pytest.approx(4.0, rel=1e-12)
 
     def test_support_radius(self):
-        field, _ = build_mollifier(SPEC2, 1 / 64)
+        field = kernel_field(SPEC2, 1 / 64)
         axis = field.axis_coordinates(0)
         assert axis[0] == pytest.approx(-0.25) and axis[-1] == pytest.approx(0.25)
         # vanishes on the support boundary
@@ -78,15 +73,7 @@ class TestKernel:
 
 
 class TestConvolution:
-    def test_fft_matches_direct_sum(self):
-        p = zonal_solid_harmonic(2, 3).body[0]
-        field = sample_scalar_on_grid(p, 1 / 64, extent=1.0)
-        smoothed = mollify(field, SPEC2)
-        for point in ((0.0, 0.0), (0.25, -0.25), (0.5, 0.125)):
-            idx = field.index_of(point)
-            assert smoothed.values[idx] == pytest.approx(
-                direct_mollify_at(field, SPEC2, idx), abs=1e-12
-            )
+    POINTS = ((0.0, 0.0), (0.25, -0.25), (0.5, 0.125), (-0.625, 0.5))
 
     def test_constants_are_fixed_points(self):
         # the residual for a constant input is exactly the kernel's grid
@@ -94,34 +81,27 @@ class TestConvolution:
         one = MultiPoly.constant(2, 1)
         for spacing, budget in ((1 / 64, 1e-5), (1 / 128, 1e-6)):
             field = sample_scalar_on_grid(one, spacing, extent=1.0)
-            smoothed = mollify(field, SPEC2)
-            inside = smoothed.valid
-            dev = np.nanmax(np.abs(smoothed.values[inside] - 1.0))
-            assert dev < budget
+            for point in self.POINTS:
+                smoothed = direct_mollify_at(field, SPEC2, field.index_of(point))
+                assert abs(smoothed - 1.0) < budget
 
     def test_linear_functions_preserved(self):
         # first moments of the symmetric kernel vanish
         p = MultiPoly(2, {(1, 0): 1, (0, 1): Fraction(-1, 2)})
         field = sample_scalar_on_grid(p, 1 / 128, extent=1.0)
-        smoothed = mollify(field, SPEC2)
-        idx = field.index_of((0.25, 0.25))
-        assert smoothed.values[idx] == pytest.approx(
-            float(p.evaluate((0.25, 0.25))), abs=1e-6
-        )
+        for point in self.POINTS:
+            smoothed = direct_mollify_at(field, SPEC2, field.index_of(point))
+            assert smoothed == pytest.approx(float(p.evaluate(point)), abs=1e-6)
 
     def test_margin_is_masked(self):
-        p = MultiPoly.constant(2, 1)
-        field = sample_scalar_on_grid(p, 1 / 32, extent=1.0)
-        smoothed = mollify(field, SPEC2)
-        assert math.isnan(smoothed.values[0, 0])
-        assert not smoothed.valid[0, 0]
-
-    def test_refuses_double_mollify(self):
-        p = MultiPoly.constant(2, 1)
-        field = sample_scalar_on_grid(p, 1 / 32, extent=1.0)
-        smoothed = mollify(field, SPEC2)
-        with pytest.raises(ValueError):
-            mollify(smoothed, SPEC2)
+        # the kernel's footprint leaves the grid within delta of its edge
+        field = sample_scalar_on_grid(MultiPoly.constant(2, 1), 1 / 32, extent=1.0)
+        for point in ((-1.0, -1.0), (0.0, 1.0), (-0.75 - 1 / 32, 0.0)):
+            with pytest.raises(ValueError, match="masked margin"):
+                direct_mollify_at(field, SPEC2, field.index_of(point))
+        # the last node outside the margin sums the whole footprint, as the centre does
+        edge = direct_mollify_at(field, SPEC2, field.index_of((-0.75, 0.0)))
+        assert edge == pytest.approx(direct_mollify_at(field, SPEC2, field.index_of((0.0, 0.0))))
 
 
 class TestMeanValue:
@@ -269,7 +249,6 @@ class TestMeanValueRoute:
         assert report.not_a_counterexample == (not certified)
         for i, comp in enumerate(comps):
             field = sample_scalar_on_grid(comp, spacing)
-            smoothed = mollify(field, spec)
             for j, pt in enumerate(points):
                 idx = field.index_of(pt)
                 node = field.coordinate_of(idx)
@@ -277,7 +256,6 @@ class TestMeanValueRoute:
                 assert report.values[j][i] == float(comp.evaluate(node))
                 direct = direct_mollify_at(field, spec, idx)
                 assert report.mollified[j][i] == direct
-                assert abs(report.mollified[j][i] - smoothed.values[idx]) <= 1e-12
         assert report.errors == tuple(
             max([0.0] + [abs(a - e) for a, e in zip(m, v)])
             for m, v in zip(report.mollified, report.values)
@@ -288,7 +266,6 @@ class TestMeanValueRoute:
         def refuse(*args, **kwargs):
             raise AssertionError("the whole sampled field was formed")
 
-        monkeypatch.setattr(mollifier, "mollify", refuse)
         monkeypatch.setattr(mollifier, "sample_scalar_on_grid", refuse)
         u2 = random_harmonic_polynomial(2, 4, 19)
         assert mean_value_check(u2, SPEC2, TestMeanValue.POINTS, spacing=1 / 256).sup_error < 1e-6
@@ -330,34 +307,6 @@ class TestMeanValueRoute:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
-
-
-class TestGradientEstimate:
-    def test_linear_map_closed_form(self):
-        # u = x1 on B^2, p = 4: ||grad u||_{L^4(B_1/2)} = (pi/4)^(1/4) and
-        # ||u||_{L^2(B_1)} = (pi/4)^(1/2), so the ratio is (pi/4)^(-1/4)
-        u = MultiPoly(2, {(1, 0): 1})
-        report = gradient_estimate_report(u, p=4)
-        assert report.error_estimate == 0.0
-        assert report.ratio == pytest.approx((math.pi / 4) ** -0.25, rel=1e-12)
-
-    def test_even_p_is_exact_for_zonal(self):
-        u = zonal_solid_harmonic(2, 2)
-        report = gradient_estimate_report(u, p=2)
-        # for p = 2 both norms are exact ball integrals
-        assert report.error_estimate == 0.0
-        assert report.ratio > 0
-
-    def test_grid_route_close_to_exact_route(self):
-        u = zonal_solid_harmonic(2, 2)
-        exact = gradient_estimate_report(u, p=4)
-        grid = gradient_estimate_report(u, p=4.0 + 1e-12, spacing=1 / 64)
-        assert grid.ratio == pytest.approx(exact.ratio, rel=1e-3)
-        assert grid.error_estimate < 1e-2
-
-    def test_zero_map_rejected(self):
-        with pytest.raises(ValueError):
-            gradient_estimate_report(MultiPoly(2), p=4)
 
 
 class TestScaling:
@@ -429,16 +378,3 @@ class TestScalingFromOneUnitProfile:
         with pytest.raises(ValueError, match="whole number"):
             mollifier_gradient_scaling(1.0, SPEC2, nodes_per_delta=10.5)
 
-
-class TestYoung:
-    @pytest.mark.parametrize("p", [2, 4])
-    def test_convolution_norm_bounded(self, p):
-        u = zonal_solid_harmonic(2, 3)
-        report = young_convolution_check(u, SPEC2, p=p, spacing=1 / 64)
-        assert report.holds
-        assert report.lhs <= report.rhs * (1 + 1e-9)
-        assert report.q == pytest.approx(2 * p / (p + 2))
-
-    def test_small_p_rejected(self):
-        with pytest.raises(ValueError):
-            young_convolution_check(zonal_solid_harmonic(2, 1), SPEC2, p=1)

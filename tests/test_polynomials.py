@@ -11,7 +11,6 @@ from ballharmonics.polynomials import (
     DimensionError,
     MultiPoly,
     VectorPoly,
-    compose_linear,
     format_poly,
     format_vector,
     grad_norm_sq,
@@ -177,24 +176,6 @@ class TestTextFormat:
             parse_poly("y1", 1)
         with pytest.raises(ValueError):
             parse_poly("x3", 2)  # index beyond the stated dimension
-
-
-class TestComposeLinear:
-    def test_permutation(self):
-        p = P(2, {(2, 0): 1})
-        swapped = compose_linear(p, [[0, 1], [1, 0]])
-        assert swapped == P(2, {(0, 2): 1})
-
-    def test_rotation_preserves_harmonicity(self):
-        # rotate x1^2 - x2^2 by 30 degrees; floats, so tolerance check
-        c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
-        p = P(2, {(2, 0): 1, (0, 2): -1})
-        q = compose_linear(p, [[c, -s], [s, c]])
-        assert q.is_harmonic(tol=1e-12)
-
-    def test_shape_checked(self):
-        with pytest.raises(DimensionError):
-            compose_linear(P(2, {(1, 0): 1}), [[1, 0]])
 
 
 # -- property tests ---------------------------------------------------------

@@ -8,21 +8,73 @@ import sys
 
 import pytest
 
-SOURCES = sorted(
-    (pathlib.Path(__file__).resolve().parents[1] / "src" / "ballharmonics").glob("*.py")
-)
+from ballharmonics import _EXPORTS
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "ballharmonics").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+
+# exports the package no longer calls, kept as the tests' reference implementations
+TEST_ORACLES = {"grad_norm_sq", "direct_mollify_at", "sample_scalar_on_grid"}
+
+
+def _parse(path: pathlib.Path) -> ast.AST:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _reads_outside_own_definition(tree: ast.AST) -> set[str]:
+    """Names read as a bare name or an attribute, except inside the def or class of that name."""
+    reads: set[str] = set()
+
+    def visit(node: ast.AST, enclosing: frozenset) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in enclosing:
+                reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if node.attr not in enclosing:
+                reads.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return reads
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_assert_statements(path):
     # `python -O` strips assert statements; runtime invariants must raise
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    lines = [node.lineno for node in ast.walk(_parse(path)) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert statements on lines {lines}"
 
 
 def test_sources_found():
     assert len(SOURCES) > 10
+
+
+def test_every_export_is_reached_by_the_package_or_a_script():
+    # a public name that only its own tests call is dead weight
+    reached: set[str] = set()
+    for path in [p for p in SOURCES if p.name != "__init__.py"] + SCRIPTS:
+        reached |= _reads_outside_own_definition(_parse(path))
+    dead = sorted(set(_EXPORTS) - reached - TEST_ORACLES)
+    assert not dead, f"exports that no module or script reaches: {dead}"
+    assert TEST_ORACLES <= set(_EXPORTS)
+    used = sorted(TEST_ORACLES & reached)
+    assert not used, f"no longer test-only, drop from TEST_ORACLES: {used}"
+
+
+def test_test_oracles_are_imported_by_the_tests():
+    imported = {
+        alias.name
+        for path in TESTS
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert TEST_ORACLES <= imported, sorted(TEST_ORACLES - imported)
 
 
 def test_identity_criteria_pass_under_optimize():
