@@ -105,16 +105,17 @@ def _fischer_profile(body: VectorPoly) -> _Profile:
     (n+2d-2)) for harmonic p.  Degree 0 carries no energy and is skipped.
     """
     n = body.dimension
-    norms: dict[int, Fraction] = {}
-    for comp in body:
-        for exps, c in comp.terms():
-            d = sum(exps)
-            if d:
-                weight = math.prod(math.factorial(e) for e in exps)
-                norms[d] = norms.get(d, 0) + weight * c * c
+    terms = [(exps, as_fraction(c)) for comp in body for exps, c in comp.terms()]
+    den = math.lcm(*(c.denominator for _, c in terms))
+    norms: dict[int, int] = {}
+    for exps, c in terms:
+        d = sum(exps)
+        if d:
+            num = c.numerator * (den // c.denominator)
+            norms[d] = norms.get(d, 0) + math.prod(map(math.factorial, exps)) * num * num
     area = _sphere_monomial_rational(n, (0,) * n)
     return tuple(
-        (d, area * norm / math.prod(range(n, n + 2 * d - 1, 2)))
+        (d, area * Fraction(norm, den * den) / math.prod(range(n, n + 2 * d - 1, 2)))
         for d, norm in sorted(norms.items())
     )
 

@@ -15,10 +15,15 @@ homogenised on the formal pair (t, s) = (<x, axis>, |x|^2):
 with lambda = n/2 - 1.  For n = 2 (lambda = 0) the recurrence degenerates and
 the Chebyshev form R_k = 2 t R_{k-1} - s R_{k-2} with R_1 = t is used instead.
 
-Harmonic projection uses the Almansi decomposition
-p = sum_j |x|^(2j) h_j (h_j harmonic): the Laplacian lowers each |x|^(2j) h_j
-by an explicit nonzero constant, so the h_j are recovered recursively from
-the decomposition of the Laplacian, all in exact arithmetic.
+Harmonic projection takes the closed form for the harmonic part h_0 of a
+homogeneous p of degree m in the Almansi decomposition p = sum_j |x|^(2j) h_j
+(Axler, Bourdon and Ramey, Harmonic Function Theory, ch. 5):
+
+    h_0 = sum_j (-1)^j |x|^(2j) Delta^j p / (2^j j! prod_{i=1..j} (n + 2m - 2 - 2i)),
+
+summed by Horner's rule in |x|^2 from the iterated Laplacians, all in exact
+arithmetic.  :func:`almansi_decomposition` recovers every h_j recursively
+and stays as the independent oracle for that formula.
 """
 
 from __future__ import annotations
@@ -250,9 +255,19 @@ def harmonic_projection(p: MultiPoly) -> MultiPoly:
     """
     if p.is_zero or p.laplacian().is_zero:
         return p
-    total = MultiPoly(p.dimension)
-    for _, comp in sorted(p.homogeneous_components().items()):
-        total = total + almansi_decomposition(comp)[0]
+    n = p.dimension
+    r2 = _radius_sq(n)
+    total = MultiPoly(n)
+    for m, comp in sorted(p.homogeneous_components().items()):
+        laps = [comp]  # Delta^j comp for j = 0, 1, ... while it is nonzero
+        while not (lap := laps[-1].laplacian()).is_zero:
+            laps.append(lap)
+        # Horner in |x|^2: the coefficient of |x|^(2j) Delta^j comp is the one
+        # of j - 1 times -1 / (2j (n + 2m - 2 - 2j))
+        h = laps[-1]
+        for j in range(len(laps) - 1, 0, -1):
+            h = laps[j - 1] + r2 * (h * Fraction(-1, 2 * j * (n + 2 * m - 2 - 2 * j)))
+        total = total + h
     return total
 
 

@@ -126,11 +126,13 @@ def _check_alpha(n: int, alpha: Sequence[int]) -> tuple[int, ...]:
 def _sphere_monomial_rational(n: int, alpha: tuple[int, ...]) -> Fraction:
     """Rational part of the unit-sphere integral of x^alpha (all alpha_i even)."""
     num = Fraction(2)
-    half_powers = 0
+    # a zero exponent contributes Gamma(1/2) = pi^(1/2), rational part 1
+    half_powers = alpha.count(0)
     for a in alpha:
-        rat, k = gamma_half(a + 1)  # Gamma((a+1)/2)
-        num *= rat
-        half_powers += k
+        if a:
+            rat, k = gamma_half(a + 1)  # Gamma((a+1)/2)
+            num *= rat
+            half_powers += k
     den_rat, den_k = gamma_half(n + sum(alpha))  # Gamma((n + |alpha|)/2)
     half_powers -= den_k
     if half_powers != 2 * (n // 2):
@@ -198,13 +200,15 @@ def _mc_blocks(
     Each block returns its sum and its sum of squares about its own mean;
     the centred sums are merged in block order (Chan, Golub and LeVeque), so
     the variance never comes from the cancelling difference s2 - N mean^2.
-    The centred values are squared in units of a power of two near their
-    largest magnitude, and the blocks are merged in units of one common
-    power of two, so the squares neither overflow nor underflow whatever the
-    integrand's scale.  Scaling by a power of two is exact, so wherever the
-    unscaled squares were finite and normal the result is the same to the bit.
-    Every Monte Carlo estimate comes through here, so this is where fewer
-    than two samples, which leave the standard error undefined, are refused.
+    Each block is summed in units of the power of two just above its largest
+    |value|, its centred values are squared in units of a power of two near
+    their largest magnitude, and the blocks are merged in units of common
+    powers of two, so neither the sums nor the squares overflow or underflow
+    whatever the integrand's scale.  Scaling by a power of two is exact while
+    the scaled values stay normal, and then the result is the same to the bit
+    as in unscaled arithmetic.  Every Monte Carlo estimate comes through here,
+    so this is where fewer than two samples, which leave the standard error
+    undefined, are refused.
     """
     if not isinstance(samples, int) or samples < 2:
         raise ValueError(
@@ -213,22 +217,30 @@ def _mc_blocks(
         )
     nblocks = (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
 
-    def one(block: int) -> tuple[int, float, float, float]:
+    def one(block: int) -> tuple[int, int, float, float, float]:
         count = min(BLOCK_SIZE, samples - block * BLOCK_SIZE)
         v = block_values(_substream(seed, block), count)
+        scale = math.frexp(float(np.max(np.abs(v))))[1]
+        v = np.ldexp(v, -scale)
         total = float(np.sum(v))
         centred = v - total / count
         peak = float(np.max(np.abs(centred)))
         scaled = np.ldexp(centred, -math.frexp(peak)[1])
         # np.sum, not a BLAS dot, whose summation order follows the BLAS thread count
-        return count, total, peak, float(np.sum(scaled * scaled))
+        return count, scale, total, peak, float(np.sum(scaled * scaled))
 
     if workers > 1 and nblocks > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(one, range(nblocks)))
     else:
         partials = [one(b) for b in range(nblocks)]
-    mean = math.fsum(p[1] for p in partials) / samples
+    # block totals and peaks in units of 2^top, the largest block scale
+    top = max(p[1] for p in partials)
+    partials = [
+        (count, math.ldexp(total, scale - top), math.ldexp(peak, scale - top), m2_scaled)
+        for count, scale, total, peak, m2_scaled in partials
+    ]
+    mean = math.ldexp(math.fsum(p[1] for p in partials) / samples, top)
     # every centred value and every difference of block means is below 2^unit
     means = [b_total / b_count for b_count, b_total, _, _ in partials]
     unit = math.frexp(max(max(p[2] for p in partials), max(means) - min(means)))[1]
@@ -243,7 +255,7 @@ def _mc_blocks(
         m2 += m2_in_units(b_peak, b_m2_scaled) + delta * delta * count * b_count / (count + b_count)
         count += b_count
         total += b_total
-    return mean, math.ldexp(math.sqrt(m2 / (samples - 1) / samples), unit)
+    return mean, math.ldexp(math.sqrt(m2 / (samples - 1) / samples), unit + top)
 
 
 def _mc_integral(

@@ -11,7 +11,9 @@ Canonical form: zero coefficients are never stored, and for float polys any
 coefficient below 1e-14 relative to the largest float coefficient is pruned
 so that round-trips through arithmetic stay stable.  Terms iterate in graded
 lexicographic order (total degree first, then lexicographic), largest first;
-evaluation and printing follow that order deterministically.
+evaluation and printing follow that order deterministically.  The constructor
+validates its input once; ring operations and calculus on valid operands
+canonicalise their results but do not re-validate them.
 
 The textual format is ``coeff * x1^a1 * x2^a2`` terms joined by `` + `` and
 `` - ``, rationals written ``p/q``.  ``parse_poly`` round-trips
@@ -36,8 +38,8 @@ class DimensionError(ValueError):
     """Raised when operands disagree on the ambient dimension."""
 
 
-def _grlex_key(exps: Exponents) -> tuple:
-    return (sum(exps), exps)
+def _grlex_key(term: tuple[Exponents, Coeff]) -> tuple:
+    return (sum(term[0]), term[0])
 
 
 def _abs_float(c: Coeff) -> float:
@@ -60,7 +62,7 @@ class MultiPoly:
         if not isinstance(dimension, int) or dimension < 1:
             raise DimensionError(f"dimension must be a positive integer, got {dimension!r}")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Exponents, Coeff] = {}
+        merged: dict[Exponents, Coeff] = {}
         for exps, coeff in items:
             exps = tuple(exps)
             if len(exps) != dimension:
@@ -70,31 +72,43 @@ class MultiPoly:
             if any((not isinstance(e, int)) or e < 0 for e in exps):
                 raise ValueError(f"exponents must be non-negative integers, got {exps}")
             if isinstance(coeff, float):
-                if not math.isfinite(coeff):
-                    raise ValueError(f"coefficient of {exps} is not finite: {coeff!r}")
                 c: Coeff = coeff
             elif isinstance(coeff, (int, Fraction)):
                 c = Fraction(coeff)
             else:
                 raise TypeError(f"unsupported coefficient type {type(coeff).__name__}")
-            if exps in acc:
-                c = acc[exps] + c
-            if c == 0:
-                acc.pop(exps, None)
-            else:
-                acc[exps] = c
+            merged[exps] = merged.get(exps, 0) + c
+        self._canonicalise(dimension, merged)
+
+    @classmethod
+    def _canonical(cls, dimension: int, merged: dict[Exponents, Coeff]) -> "MultiPoly":
+        """The poly of already-merged terms whose exponents and coefficients are valid.
+
+        For results of ring operations on valid operands of one dimension:
+        skips the per-term checks of ``__init__`` and only canonicalises.
+        """
+        poly = object.__new__(cls)
+        poly._canonicalise(dimension, merged)
+        return poly
+
+    def _canonicalise(self, dimension: int, merged: dict[Exponents, Coeff]) -> None:
+        """Drop zeros, reject non-finite floats, prune small floats, sort grlex."""
+        acc = {e: c for e, c in merged.items() if c}
         floats = [abs(c) for c in acc.values() if isinstance(c, float)]
         if floats:
+            for exps, c in acc.items():
+                if isinstance(c, float) and not math.isfinite(c):
+                    raise ValueError(f"coefficient of {exps} is not finite: {c!r}")
             cutoff = FLOAT_PRUNE_REL * max(floats)
             acc = {
                 e: c
                 for e, c in acc.items()
                 if not (isinstance(c, float) and abs(c) <= cutoff)
             }
+        if len(acc) > 1:
+            acc = dict(sorted(acc.items(), key=_grlex_key, reverse=True))
         object.__setattr__(self, "_dimension", dimension)
-        object.__setattr__(self, "_terms", dict(
-            sorted(acc.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
-        ))
+        object.__setattr__(self, "_terms", acc)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -135,7 +149,7 @@ class MultiPoly:
         for exps, c in self._terms.items():
             buckets.setdefault(sum(exps), {})[exps] = c
         return {
-            d: MultiPoly(self._dimension, t) for d, t in sorted(buckets.items())
+            d: MultiPoly._canonical(self._dimension, t) for d, t in sorted(buckets.items())
         }
 
     @staticmethod
@@ -148,8 +162,8 @@ class MultiPoly:
         """The coordinate function x_{axis+1}."""
         if not 0 <= axis < dimension:
             raise DimensionError(f"axis {axis} out of range for dimension {dimension}")
-        exps = tuple(1 if i == axis else 0 for i in range(dimension))
-        return MultiPoly(dimension, {exps: Fraction(1)})
+        exps = (0,) * axis + (1,) + (0,) * (dimension - axis - 1)
+        return MultiPoly._canonical(dimension, {exps: Fraction(1)})
 
     # -- equality ---------------------------------------------------------
 
@@ -183,12 +197,12 @@ class MultiPoly:
         merged = dict(self._terms)
         for exps, c in other._terms.items():
             merged[exps] = merged.get(exps, 0) + c
-        return MultiPoly(self._dimension, merged)
+        return MultiPoly._canonical(self._dimension, merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self._dimension, {e: -c for e, c in self._terms.items()})
+        return MultiPoly._canonical(self._dimension, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         if isinstance(other, (int, float, Fraction)):
@@ -203,9 +217,9 @@ class MultiPoly:
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, float, Fraction)):
             if other == 0:
-                return MultiPoly(self._dimension)
+                return MultiPoly._canonical(self._dimension, {})
             scalar = other if isinstance(other, float) else Fraction(other)
-            return MultiPoly(
+            return MultiPoly._canonical(
                 self._dimension, {e: c * scalar for e, c in self._terms.items()}
             )
         if not isinstance(other, MultiPoly):
@@ -219,7 +233,7 @@ class MultiPoly:
             for eb, cb in b.items():
                 key = tuple(x + y for x, y in zip(ea, eb))
                 out[key] = out.get(key, 0) + ca * cb
-        return MultiPoly(self._dimension, out)
+        return MultiPoly._canonical(self._dimension, out)
 
     __rmul__ = __mul__
 
@@ -251,11 +265,11 @@ class MultiPoly:
             for eb, cb in items[i + 1 :]:
                 key = tuple(x + y for x, y in zip(ea, eb))
                 out[key] = out.get(key, 0) + 2 * ca * cb
-        return MultiPoly(self._dimension, out)
+        return MultiPoly._canonical(self._dimension, out)
 
     def lowered(self) -> "MultiPoly":
         """Float-coefficient copy.  The only sanctioned exact-to-float step."""
-        return MultiPoly(
+        return MultiPoly._canonical(
             self._dimension, {e: float(c) for e, c in self._terms.items()}
         )
 
@@ -273,17 +287,19 @@ class MultiPoly:
                 continue
             key = exps[:axis] + (e - 1,) + exps[axis + 1 :]
             out[key] = out.get(key, 0) + c * e
-        return MultiPoly(self._dimension, out)
+        return MultiPoly._canonical(self._dimension, out)
 
     def laplacian(self) -> "MultiPoly":
         out: dict[Exponents, Coeff] = {}
         for exps, c in self._terms.items():
+            if max(exps) < 2:
+                continue
             for axis, e in enumerate(exps):
                 if e < 2:
                     continue
                 key = exps[:axis] + (e - 2,) + exps[axis + 1 :]
                 out[key] = out.get(key, 0) + c * (e * (e - 1))
-        return MultiPoly(self._dimension, out)
+        return MultiPoly._canonical(self._dimension, out)
 
     def is_harmonic(self, tol: float | None = None) -> bool:
         """True iff the Laplacian vanishes.

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -193,6 +194,16 @@ class TestIntegrate:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    def test_monte_carlo_near_the_float_maximum(self):
+        # the block sums overflowed to inf and the run exited 2 on a finite integral
+        proc = run_cli(
+            "integrate", "--poly", "1e308 * x1^2", "--dimension", "2", "--method", "monte-carlo"
+        )
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        exact = math.pi / 4 * 1e308
+        assert abs(payload["value"] - exact) <= 4 * payload["standard_error"]
 
     def test_zero_denominator_is_usage_error(self):
         proc = run_cli("integrate", "--poly", "1/0*x1")

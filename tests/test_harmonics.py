@@ -1,5 +1,8 @@
 """Harmonic map construction: zonal polynomials, projection, random draws."""
 
+import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -104,6 +107,34 @@ class TestAlmansi:
         proj = harmonic_projection(p)
         # the radial quadratic dies, the linear part survives
         assert proj == P(2, {(1, 0): 7})
+
+
+def _random_terms(rng, n, m, count):
+    """Up to ``count`` distinct degree-m monomials in n variables, rational coefficients."""
+    monomials = []
+    for axes in itertools.combinations_with_replacement(range(n), m):
+        hits = Counter(axes)
+        monomials.append(tuple(hits[i] for i in range(n)))
+    chosen = rng.sample(monomials, min(count, len(monomials)))
+    return {e: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6)) for e in chosen}
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_projection_matches_almansi_oracle(n):
+    # the closed form against the recursive Almansi split, degree by degree
+    rng = random.Random(n)
+    for m in range(7):
+        homogeneous = MultiPoly(n, _random_terms(rng, n, m, 60))
+        assert harmonic_projection(homogeneous) == almansi_decomposition(homogeneous)[0]
+        mixed = MultiPoly(n)
+        for d in range(m + 1):
+            mixed = mixed + MultiPoly(n, _random_terms(rng, n, d, 60 // (m + 1)))
+        expected = MultiPoly(n)
+        for comp in mixed.homogeneous_components().values():
+            expected = expected + almansi_decomposition(comp)[0]
+        projected = harmonic_projection(mixed)
+        assert projected == expected
+        assert projected.is_harmonic()
 
 
 @pytest.mark.parametrize(

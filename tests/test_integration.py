@@ -271,11 +271,12 @@ class TestMonteCarlo:
             errors.add(proc.stdout)
         assert len(errors) == 1
 
-    @pytest.mark.parametrize("coeff", [1e300, 1e-200])
+    @pytest.mark.parametrize("coeff", [1e308, 1e300, 1e-200])
     @pytest.mark.parametrize("samples", [1000, 2 * BLOCK_SIZE + 7])
     def test_standard_error_of_huge_and_tiny_integrands(self, coeff, samples):
         # squaring the centred values unscaled gave standard_error inf (with a
-        # numpy overflow warning) at 1e300 and 0 at 1e-200
+        # numpy overflow warning) at 1e300 and 0 at 1e-200; summing the values
+        # unscaled overflowed the block totals to inf at 1e308
         p = MultiPoly(2, {(2, 2): coeff})
         exact = integrate_poly_ball(p, 1).value
         with warnings.catch_warnings():
@@ -285,16 +286,17 @@ class TestMonteCarlo:
         assert abs(result.value - exact) <= 4 * result.standard_error
 
     def test_standard_error_scales_exactly_with_powers_of_two(self):
-        # the same draws times 2^k give the same standard error times 2^k
+        # the same draws times 2^k give the same mean and standard error times
+        # 2^k, up to k = 1020, where the unscaled block sums overflowed
         samples = 2 * BLOCK_SIZE + 7
 
         def block_values(scale):
             return lambda gen, count: scale * (3.0 + gen.random(count))
 
-        _, base = _mc_blocks(samples, 6, 1, block_values(1.0))
-        for k in (-900, -40, 40, 900):
-            _, stderr = _mc_blocks(samples, 6, 1, block_values(math.ldexp(1.0, k)))
-            assert stderr == math.ldexp(base, k)
+        base = _mc_blocks(samples, 6, 1, block_values(1.0))
+        for k in (-900, -40, 40, 900, 1020):
+            scaled = _mc_blocks(samples, 6, 1, block_values(math.ldexp(1.0, k)))
+            assert scaled == tuple(math.ldexp(x, k) for x in base)
 
     @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0])
     def test_radius_must_be_positive_and_finite(self, radius):

@@ -52,6 +52,32 @@ class TestConstruction:
         with pytest.raises(ValueError, match="not finite"):
             parse_poly("1e400*x1^2", dimension=2)
 
+    @pytest.mark.parametrize(
+        "exps,error",
+        [
+            ((1, 0, 0), DimensionError),
+            ((1,), DimensionError),
+            ((1, -1), ValueError),
+            ((1.0, 0), ValueError),
+            (("1", 0), ValueError),
+        ],
+    )
+    def test_exponents_validated(self, exps, error):
+        with pytest.raises(error):
+            P(2, [(exps, 1)])
+
+    def test_overflowing_ring_operations_rejected(self):
+        # results of ring operations skip validation, not the finiteness check
+        p = P(2, {(1, 0): 1e308})
+        with pytest.raises(ValueError, match="not finite"):
+            p * 10.0
+        with pytest.raises(ValueError, match="not finite"):
+            p + p + p
+        with pytest.raises(ValueError, match="not finite"):
+            p * p
+        with pytest.raises(ValueError, match="not finite"):
+            p.square()
+
     def test_hashable_and_equal(self):
         a = P(2, {(1, 1): Fraction(1, 2)})
         b = P(2, {(1, 1): Fraction(1, 2)})
@@ -241,3 +267,31 @@ def test_property_grad_norm_sq_matches_gradient(p):
     for g in gradient(p):
         explicit = explicit + g.square()
     assert grad_norm_sq(p) == explicit
+
+
+float_coeffs = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+mixed_polys = st.dictionaries(
+    exponents, st.one_of(coeffs, float_coeffs), max_size=6
+).map(lambda d: MultiPoly(DIM, d))
+scalars = st.one_of(coeffs, float_coeffs)
+
+
+def _assert_canonical(r):
+    # what ring operations return without re-validation equals what the
+    # validating constructor makes of the same terms, in the same order
+    rebuilt = MultiPoly(r.dimension, r.terms())
+    assert [(e, type(c), c) for e, c in rebuilt.terms()] == [
+        (e, type(c), c) for e, c in r.terms()
+    ]
+    assert rebuilt == r and hash(rebuilt) == hash(r)
+
+
+@given(mixed_polys, mixed_polys, scalars)
+@settings(max_examples=60)
+def test_property_ring_operations_are_canonical(p, q, c):
+    results = [p + q, p - q, -p, p * q, p * c, c * p, p.square(), p.laplacian(), p.lowered()]
+    results += [p.partial_derivative(axis) for axis in range(DIM)]
+    results += list(p.homogeneous_components().values())
+    results += [MultiPoly.variable(DIM, axis) for axis in range(DIM)]
+    for r in results:
+        _assert_canonical(r)

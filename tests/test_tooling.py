@@ -16,7 +16,12 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # exports the package no longer calls, kept as the tests' reference implementations
-TEST_ORACLES = {"grad_norm_sq", "direct_mollify_at", "sample_scalar_on_grid"}
+TEST_ORACLES = {
+    "grad_norm_sq",
+    "direct_mollify_at",
+    "sample_scalar_on_grid",
+    "almansi_decomposition",
+}
 
 
 def _parse(path: pathlib.Path) -> ast.AST:
@@ -64,6 +69,18 @@ def test_every_export_is_reached_by_the_package_or_a_script():
     assert TEST_ORACLES <= set(_EXPORTS)
     used = sorted(TEST_ORACLES & reached)
     assert not used, f"no longer test-only, drop from TEST_ORACLES: {used}"
+
+
+def test_unvalidated_constructor_stays_in_polynomials():
+    # MultiPoly._canonical skips the exponent and coefficient checks, so only
+    # the ring operations on already-valid operands may reach it
+    users = {
+        path.name
+        for path in SOURCES + SCRIPTS + TESTS
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Attribute) and node.attr == "_canonical"
+    }
+    assert users == {"polynomials.py"}, sorted(users)
 
 
 def test_test_oracles_are_imported_by_the_tests():
