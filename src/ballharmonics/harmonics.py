@@ -192,17 +192,16 @@ def zonal_solid_harmonic(
             for i in range(n)
         },
     )
-    t_pows: dict[int, MultiPoly] = {0: MultiPoly.constant(n, 1)}
-    s_pows: dict[int, MultiPoly] = {0: MultiPoly.constant(n, 1)}
-
-    def cached_power(cache: dict[int, MultiPoly], base: MultiPoly, e: int) -> MultiPoly:
-        if e not in cache:
-            cache[e] = cached_power(cache, base, e - 1) * base
-        return cache[e]
-
+    # every term t^a s^b of the expansion has a + 2b = k
+    t_pows = [MultiPoly.constant(n, 1)]
+    s_pows = [MultiPoly.constant(n, 1)]
+    for _ in range(k):
+        t_pows.append(t_pows[-1] * t_poly)
+    for _ in range(k // 2):
+        s_pows.append(s_pows[-1] * s_poly)
     total = MultiPoly(n)
     for (a, b), c in sorted(_zonal_ts(n, k).items()):
-        term = cached_power(t_pows, t_poly, a) * cached_power(s_pows, s_poly, b) * c
+        term = t_pows[a] * s_pows[b] * c
         total = total + term
     return make_harmonic_map(total, label=label)
 

@@ -13,14 +13,14 @@ one more power of r.  Polynomials integrate term by term, exactly.
 Monte Carlo route: a counter-based Philox generator split into one substream
 per 32768-sample block (``Philox(key=seed).jumped(block)``), with per-block
 partial sums reduced in block order via ``math.fsum`` and per-block centred
-sums of squares merged in block order for the variance.  Results are a pure
+sums of squares merged in block order for the variance.  A block forms only
+the coordinates its terms read, and powers by squaring.  Results are a pure
 function of (seed, samples); the worker count changes wall time only.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -258,6 +258,14 @@ def _mc_blocks(
     return mean, math.ldexp(math.sqrt(m2 / (samples - 1) / samples), unit + top)
 
 
+def _power(powers: dict, a: int, e: int) -> np.ndarray:
+    """x_a^e as (x_a^(e // 2))^2, times x_a when e is odd, memoised in a block's ``powers``."""
+    if (a, e) not in powers:
+        half = _power(powers, a, e // 2)
+        powers[a, e] = half * half * powers[a, 1] if e % 2 else half * half
+    return powers[a, e]
+
+
 def _mc_integral(
     n: int,
     polys: Sequence[MultiPoly],
@@ -268,7 +276,8 @@ def _mc_integral(
 ) -> IntegralResult:
     """Monte Carlo integral of combine(values) over the sphere or ball of radius r in R^n.
 
-    values[j] holds polys[j] at a block's sample points.  The mean times the
+    values[j] holds polys[j] at a block's sample points, built from only the
+    coordinates some term reads, with powers by squaring.  The mean times the
     domain's exact measure (a float radius is an exact binary rational) is
     rounded once, so a constant with an exact sample sum (an integer, a
     dyadic fraction) gives float(exact), error 0.
@@ -277,11 +286,7 @@ def _mc_integral(
         [(float(c), tuple((a, e) for a, e in enumerate(exps) if e)) for exps, c in p.terms()]
         for p in polys
     ]
-    # a power x_a^e (e > 1) used by several terms is formed once per block;
-    # holding single-use powers as well only kept memory alive and measurably
-    # slowed single monomials in R^10
-    uses = Counter(f for terms in rows for _, factors in terms for f in factors if f[1] > 1)
-    shared = {f for f, k in uses.items() if k > 1}
+    axes = sorted({a for terms in rows for _, factors in terms for a, _ in factors})
     ball = domain == "ball"
     if ball:
         measure = unit_ball_volume_exact(n).scaled(Fraction(radius) ** n)
@@ -292,20 +297,14 @@ def _mc_integral(
         z = gen.standard_normal((count, n))
         norms = np.linalg.norm(z, axis=1)
         norms[norms == 0.0] = 1.0  # probability-zero guard
-        radii = radius * gen.random(count) ** (1.0 / n) if ball else radius
-        pts = (radii / norms)[:, None] * z
-        powers: dict[tuple[int, int], np.ndarray] = {}
+        scale = (radius * gen.random(count) ** (1.0 / n) if ball else radius) / norms
+        powers = {(a, 1): scale * z[:, a] for a in axes}
         values = np.zeros((len(rows), count))
         for row, terms in zip(values, rows):
             for c, factors in terms:
-                t = np.full(count, c)
-                for a, e in factors:
-                    if (a, e) in shared:
-                        if (a, e) not in powers:
-                            powers[a, e] = pts[:, a] ** e
-                        t *= powers[a, e]
-                    else:
-                        t *= pts[:, a] if e == 1 else pts[:, a] ** e
+                t = c * _power(powers, *factors[0]) if factors else c
+                for a, e in factors[1:]:
+                    t *= _power(powers, a, e)
                 row += t
         return combine(values)
 

@@ -1,8 +1,10 @@
 """Exact and Monte Carlo quadrature over spheres and balls."""
 
 import dataclasses
+import gc
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -10,8 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
-from ballharmonics.energetics import surface_energy_total_result
+from ballharmonics.energetics import dirichlet_energy_result, surface_energy_total_result
 from ballharmonics.exactmath import PiRational
 from ballharmonics.harmonics import identity_map
 from ballharmonics.integration import (
@@ -25,7 +28,7 @@ from ballharmonics.integration import (
     integrate_poly_sphere,
     sphere_monomial_integral,
 )
-from ballharmonics.polynomials import MultiPoly
+from ballharmonics.polynomials import MultiPoly, VectorPoly, gradient
 
 
 # Hand-derived values.  The surface-measure formula is
@@ -336,6 +339,146 @@ class TestMonteCarlo:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             QuadratureSpec(method="trapezoid")
+
+
+def _reference_mc(polys, combine, radius, spec, domain):
+    """Monte Carlo (value, standard_error) with every power taken by ``**``.
+
+    The same seeded points as the library's evaluator, formed as one
+    (count, n) array, each monomial a product of ``pts[:, a] ** e`` over all
+    axes.
+    """
+    n = polys[0].dimension
+    ball = domain == "ball"
+
+    def block_values(gen, count):
+        z = gen.standard_normal((count, n))
+        norms = np.linalg.norm(z, axis=1)
+        norms[norms == 0.0] = 1.0
+        radii = radius * gen.random(count) ** (1.0 / n) if ball else radius
+        pts = (radii / norms)[:, None] * z
+        rows = [
+            sum(
+                (float(c) * np.prod([pts[:, a] ** e for a, e in enumerate(exps)], axis=0)
+                 for exps, c in p.terms()),
+                np.zeros(count),
+            )
+            for p in polys
+        ]
+        return combine(np.array(rows))
+
+    mean, stderr = _mc_blocks(spec.samples, spec.seed, spec.workers, block_values)
+    integrate = integrate_poly_ball if ball else integrate_poly_sphere
+    measure = integrate(MultiPoly.constant(n, 1), radius).value
+    return measure * mean, measure * stderr
+
+
+def _sweep_polys(n):
+    """A monomial, an exact and a float multi-term poly and a constant in R^n, exponents <= 8."""
+    rng = random.Random(n)
+    monomial = MultiPoly(n, {tuple((a + n) % 8 + 1 for a in range(n)): Fraction(-3, 7)})
+    exact = MultiPoly(
+        n,
+        {tuple(rng.randint(0, 8) for _ in range(n)): Fraction(rng.randint(-9, 9) or 1, 4)
+         for _ in range(5)},
+    )
+    floats = MultiPoly(
+        n, {tuple(rng.randint(0, 8) for _ in range(n)): rng.uniform(-2, 2) for _ in range(5)}
+    )
+    return [monomial, exact, floats, MultiPoly.constant(n, Fraction(5, 3))]
+
+
+class TestEvaluator:
+    """The block evaluator against ``**`` on the same points, across workers and gc."""
+
+    @staticmethod
+    def assert_close(got, want):
+        # relative to the larger of |value| and its error bar: a mean that
+        # cancels to near 0 moves with the error bar's rounding, not its own
+        scale = max(abs(want[0]), want[1])
+        assert abs(got.value - want[0]) <= 1e-14 * scale
+        assert abs(got.standard_error - want[1]) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_powers_taken_by_pow(self, n):
+        for j, p in enumerate(_sweep_polys(n)):
+            spec = QuadratureSpec("monte_carlo", BLOCK_SIZE + 100 if j == 0 else 3000, n + j)
+            for integrate, domain in ((integrate_poly_sphere, "sphere"), (integrate_poly_ball, "ball")):
+                want = _reference_mc([p], lambda v: v[0], 0.8, spec, domain)
+                self.assert_close(integrate(p, 0.8, spec), want)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_vector_map_energy_matches_powers_taken_by_pow(self, n):
+        u = VectorPoly(_sweep_polys(n)[:3])
+        spec = QuadratureSpec("monte_carlo", 3000, 40 + n)
+        partials = [d for comp in u for d in gradient(comp) if not d.is_zero]
+        want = _reference_mc(partials, lambda v: np.sum(v * v, axis=0), 0.6, spec, "ball")
+        self.assert_close(dirichlet_energy_result(u, 0.6, spec), want)
+
+    def test_workers_give_the_same_bits_at_degree_eight(self):
+        p = MultiPoly(
+            4,
+            {(8, 0, 0, 0): Fraction(1, 3), (3, 5, 0, 0): -2, (1, 2, 2, 3): 0.75,
+             (0, 0, 7, 1): 5, (0, 0, 0, 0): -1},
+        )
+        for integrate in (integrate_poly_sphere, integrate_poly_ball):
+            one, two = (
+                integrate(p, 0.9, QuadratureSpec("monte_carlo", 2 * BLOCK_SIZE + 5, 13, workers))
+                for workers in (1, 2)
+            )
+            assert one.value.hex() == two.value.hex()
+            assert one.standard_error.hex() == two.standard_error.hex()
+
+    def test_blocks_leave_no_reference_cycles(self):
+        # a memo behind a nested function that calls itself forms a cycle
+        # per block, which keeps the block's arrays alive until a gc pass
+        spec = QuadratureSpec("monte_carlo", BLOCK_SIZE + 10, 3)
+        p = MultiPoly(3, {(3, 0, 5): 1, (0, 2, 0): -2, (0, 0, 0): 1})
+        u = VectorPoly([p, MultiPoly(3, {(1, 4, 0): 1})])
+        calls = [
+            lambda: integrate_poly_sphere(p, 0.8, spec),
+            lambda: integrate_poly_ball(p, 0.8, spec),
+            lambda: dirichlet_energy_result(u, 0.5, spec),
+        ]
+        for call in calls:
+            call()
+        gc.collect()
+        gc.disable()
+        try:
+            found = []
+            for call in calls:
+                call()
+                found.append(gc.collect())
+        finally:
+            gc.enable()
+        assert found == [0, 0, 0]
+
+
+def test_error_bars_cover_at_their_nominal_rates():
+    # 300 seeds x 4096 samples for each of six monomials (exponents up to 6,
+    # odd ones with integral 0), each case on its own seeds so the 1800
+    # trials are independent; the counts inside 1 and 3 standard errors must
+    # lie in the central 1 - 1e-6 interval of their binomial laws
+    cases = [
+        (integrate_poly_sphere, MultiPoly(2, {(6, 0): 1})),
+        (integrate_poly_ball, MultiPoly(2, {(4, 2): 3})),
+        (integrate_poly_sphere, MultiPoly(3, {(5, 0, 1): 1})),
+        (integrate_poly_ball, MultiPoly(3, {(0, 6, 0): Fraction(1, 2)})),
+        (integrate_poly_sphere, MultiPoly(5, {(2, 0, 0, 4, 0): -1})),
+        (integrate_poly_ball, MultiPoly(5, {(0, 3, 0, 0, 3): 2})),
+    ]
+    seeds = 300
+    within = {1: 0, 3: 0}
+    for j, (integrate, p) in enumerate(cases):
+        exact = integrate(p, 1).value
+        for seed in range(j * seeds, (j + 1) * seeds):
+            result = integrate(p, 1.0, QuadratureSpec("monte_carlo", 4096, seed))
+            for k in within:
+                within[k] += abs(result.value - exact) <= k * result.standard_error
+    trials = seeds * len(cases)
+    for k, hits in within.items():
+        lo, hi = binom.interval(1 - 1e-6, trials, math.erf(k / math.sqrt(2)))
+        assert lo <= hits <= hi, (k, hits / trials)
 
 
 def test_exact_spec_is_default():

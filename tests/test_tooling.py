@@ -83,6 +83,40 @@ def test_unvalidated_constructor_stays_in_polynomials():
     assert users == {"polynomials.py"}, sorted(users)
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _self_referencing_nested_functions(tree: ast.AST) -> list[str]:
+    """Functions defined inside a function whose body reads their own name."""
+    nested = [
+        inner
+        for outer in ast.walk(tree)
+        if isinstance(outer, _FUNCTIONS)
+        for statement in outer.body
+        for inner in ast.walk(statement)
+        if isinstance(inner, _FUNCTIONS)
+    ]
+    return sorted(
+        {
+            f"{f.name} (line {f.lineno})"
+            for f in nested
+            if any(
+                isinstance(node, ast.Name) and node.id == f.name
+                for statement in f.body
+                for node in ast.walk(statement)
+            )
+        }
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_nested_function_refers_to_itself(path):
+    # a closure that calls itself holds its own cell: a reference cycle that
+    # keeps everything it closes over alive until a gc pass
+    hits = _self_referencing_nested_functions(_parse(path))
+    assert not hits, f"{path.name}: {hits}"
+
+
 def test_test_oracles_are_imported_by_the_tests():
     imported = {
         alias.name
