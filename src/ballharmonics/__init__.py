@@ -37,9 +37,7 @@ _EXPORTS = {
     "SphereArea": "geometry",
     "ShellSpec": "geometry",
     "unit_ball_volume": "geometry",
-    "unit_ball_volume_exact": "geometry",
     "sphere_area": "geometry",
-    "sphere_area_exact": "geometry",
     "volume_argmax": "geometry",
     "shell_volume_fraction": "geometry",
     "shell_width_for_mass": "geometry",
@@ -47,8 +45,6 @@ _EXPORTS = {
     "QuadratureSpec": "integration",
     "EXACT": "integration",
     "IntegralResult": "integration",
-    "sphere_monomial_integral": "integration",
-    "ball_monomial_integral": "integration",
     "integrate_poly_sphere": "integration",
     "integrate_poly_ball": "integration",
     # harmonic maps
@@ -61,6 +57,7 @@ _EXPORTS = {
     "harmonic_projection": "harmonics",
     "harmonic_space_dimension": "harmonics",
     "random_harmonic_polynomial": "harmonics",
+    "standard_maps": "harmonics",
     # energies
     "EnergyProfile": "energetics",
     "DecayFit": "energetics",
@@ -94,7 +91,6 @@ _EXPORTS = {
     "run_suite": "suite",
     "SuiteReport": "suite",
     "CheckResult": "suite",
-    "standard_maps": "suite",
 }
 
 __all__ = ["__version__", *sorted(_EXPORTS)]

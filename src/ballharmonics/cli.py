@@ -389,7 +389,7 @@ def _cmd_decay(options: dict[str, Any]) -> int:
 
 def _cmd_identities(options: dict[str, Any]) -> int:
     from .identities import green_residual, minimiser_bound_check, pohozaev_residual
-    from .suite import standard_maps
+    from .harmonics import standard_maps
 
     suite_name = options["suite"]
     if suite_name == "default":

@@ -56,14 +56,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactmath import PiRational, as_fraction
+from .exactmath import as_fraction
 from .harmonics import HarmonicMap
 from .integration import (
     EXACT,
     EXACT_METHOD,
     IntegralResult,
     QuadratureSpec,
+    _Profile,
+    _degree_profile,
     _mc_integral,
+    _radial_integral,
     _sphere_monomial_rational,
 )
 from .polynomials import VectorPoly, as_vector, gradient, radial_pairing
@@ -74,9 +77,6 @@ def map_body(u) -> VectorPoly:
     if isinstance(u, HarmonicMap):
         return u.body
     return as_vector(u)
-
-
-_Profile = tuple[tuple[int, Fraction], ...]
 
 
 @dataclass(frozen=True)
@@ -176,12 +176,7 @@ def _pairwise_profile(body: VectorPoly) -> _RadialProfile:
                             grad[g] = grad.get(g, 0) + a[k] * b[k] * w
 
     def by_degree(weights: dict[tuple, int]) -> _Profile:
-        acc: dict[int, Fraction] = {}
-        for key, w in weights.items():
-            if w:
-                d = sum(key)
-                acc[d] = acc.get(d, 0) + w * _sphere_monomial_rational(n, key)
-        return tuple((d, c / den**2) for d, c in sorted(acc.items()) if c)
+        return tuple((d, c / den**2) for d, c in _degree_profile(n, weights.items()))
 
     return _RadialProfile(n, by_degree(grad), by_degree(pairing), by_degree(flux))
 
@@ -221,22 +216,6 @@ def _mc_grad_norm_sq(u, r: float, spec: QuadratureSpec, domain: str) -> Integral
     body = map_body(u)
     partials = [d for comp in body for d in gradient(comp) if not d.is_zero]
     return _mc_integral(body.dimension, partials, _sum_of_squares, r, spec, domain)
-
-
-def _radial_integral(
-    n: int, profile: _Profile, r, ball: bool = False, lift: int = 0
-) -> IntegralResult:
-    """A profile's integrand over the sphere or the ball of radius r, exactly.
-
-    Over the sphere the degree-d part gives c_d r^(n - 1 + d), times r^lift;
-    over the ball it gives c_d r^(n + d) / (n + d).
-    """
-    rq = as_fraction(r)
-    if ball:
-        terms = (c * rq ** (n + d) / (n + d) for d, c in profile)
-    else:
-        terms = (c * rq ** (n - 1 + d + lift) for d, c in profile)
-    return IntegralResult.from_exact(PiRational(sum(terms, Fraction(0)), n // 2))
 
 
 def _check_radius(r, upper: float = 1.0) -> float:
@@ -371,6 +350,22 @@ def energy_profile(u, radii, spec: QuadratureSpec = EXACT) -> EnergyProfile:
     )
 
 
+def _least_squares_line(xs, ys, what: str) -> tuple[float, float, float]:
+    """Slope, intercept and largest |residual| of the least-squares line through (xs, ys).
+
+    ``what`` names the abscissae for the error raised when they are all equal.
+    """
+    x_mean = math.fsum(xs) / len(xs)
+    y_mean = math.fsum(ys) / len(ys)
+    sxx = math.fsum((x - x_mean) ** 2 for x in xs)
+    if sxx == 0.0:
+        raise ValueError(f"a log-log fit needs at least two distinct {what}")
+    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    slope = sxy / sxx
+    intercept = y_mean - slope * x_mean
+    return slope, intercept, max(abs(y - (intercept + slope * x)) for x, y in zip(xs, ys))
+
+
 def fit_decay_exponent(profile: EnergyProfile) -> DecayFit:
     """Fit the decay exponent from the profile's positive-energy samples.
 
@@ -386,17 +381,9 @@ def fit_decay_exponent(profile: EnergyProfile) -> DecayFit:
         )
     if len(pts) < 2:
         raise ValueError("decay fit needs at least two positive energy samples")
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    x_mean = math.fsum(xs) / len(xs)
-    y_mean = math.fsum(ys) / len(ys)
-    sxx = math.fsum((x - x_mean) ** 2 for x in xs)
-    if sxx == 0.0:
-        raise ValueError("decay fit needs at least two distinct radii")
-    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = y_mean - slope * x_mean
-    max_resid = max(abs(y - (intercept + slope * x)) for x, y in zip(xs, ys))
+    slope, intercept, max_resid = _least_squares_line(
+        [p[0] for p in pts], [p[1] for p in pts], "radii"
+    )
     return DecayFit(
         exponent=slope,
         log_amplitude=intercept,
@@ -482,30 +469,21 @@ def concentration_fraction(u, r, spec: QuadratureSpec = EXACT) -> float:
     rf = float(r)
     if not 0.0 < rf < 1.0:
         raise ValueError(f"inner radius must lie strictly in (0, 1), got {r!r}")
-    if spec.method == EXACT_METHOD:
-        inner = dirichlet_energy_result(u, r, spec).exact
-        outer = dirichlet_energy_result(u, 1, spec).exact
-        if outer.is_zero:
-            raise ValueError("map has zero Dirichlet energy; fraction undefined")
-        return float(Fraction(1) - inner.ratio(outer))
-    inner_v = dirichlet_energy(u, rf, spec)
-    outer_v = dirichlet_energy(u, 1.0, spec)
-    if outer_v <= 0.0:
-        raise ValueError("map has zero Dirichlet energy; fraction undefined")
-    return 1.0 - inner_v / outer_v
+    inner = dirichlet_energy_result(u, r, spec)
+    outer = dirichlet_energy_result(u, 1, spec)
+    try:
+        inside = inner.ratio(outer)
+    except ZeroDivisionError:
+        raise ValueError("map has zero Dirichlet energy; fraction undefined") from None
+    return float(1 - inside)
 
 
 def half_radius_theta(u, big_radius=1, spec: QuadratureSpec = EXACT) -> float:
     """The contraction factor E(R/2) / E(R) at R = big_radius."""
-    rf = _check_radius(big_radius)
-    if spec.method == EXACT_METHOD:
-        half = dirichlet_energy_result(u, as_fraction(big_radius) / 2, spec).exact
-        full = dirichlet_energy_result(u, big_radius, spec).exact
-        if full.is_zero:
-            raise ValueError("map has zero Dirichlet energy; contraction undefined")
+    _check_radius(big_radius)
+    half = dirichlet_energy_result(u, as_fraction(big_radius) / 2, spec)
+    full = dirichlet_energy_result(u, big_radius, spec)
+    try:
         return float(half.ratio(full))
-    half_v = dirichlet_energy(u, rf / 2.0, spec)
-    full_v = dirichlet_energy(u, rf, spec)
-    if full_v <= 0.0:
-        raise ValueError("map has zero Dirichlet energy; contraction undefined")
-    return half_v / full_v
+    except ZeroDivisionError:
+        raise ValueError("map has zero Dirichlet energy; contraction undefined") from None

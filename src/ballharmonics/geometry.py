@@ -2,18 +2,13 @@
 
 All quantities are computed in log space first, so dimensions in the
 hundreds neither overflow nor lose the leading digits; plain float values
-are derived from the logs (0.0 or inf when out of float range).  Exact
-rational-times-pi-power companions are available for the dimensions where
-downstream identities want exact arithmetic.
+are derived from the logs (0.0 or inf when out of float range).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .exactmath import PiRational, gamma_half
 
 _LOG_PI = math.log(math.pi)
 
@@ -70,18 +65,6 @@ def unit_ball_volume(n: int) -> BallVolume:
     return BallVolume(dimension=n, log_volume=log_v, volume=_safe_exp(log_v))
 
 
-def unit_ball_volume_exact(n: int) -> PiRational:
-    """V_n as an exact Fraction times pi**(n // 2); n = 0 gives 1."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"dimension must be a non-negative integer, got {n!r}")
-    # V_n = pi^{n/2} / Gamma(n/2 + 1); the gamma eats one sqrt(pi) iff n is
-    # odd, so the net power is the integer n // 2 for both parities
-    rat, halfpi = gamma_half(n + 2)
-    if halfpi != n % 2:
-        raise ArithmeticError("the half-powers of pi in Gamma(n/2 + 1) must match n's parity")
-    return PiRational(Fraction(1) / rat, n // 2)
-
-
 def sphere_area(n: int, radius: float = 1.0) -> SphereArea:
     """Surface measure of {|x| = radius} in R^n; n = 1 gives 2 (two points)."""
     if not isinstance(n, int) or n < 1:
@@ -91,14 +74,6 @@ def sphere_area(n: int, radius: float = 1.0) -> SphereArea:
     # area = n * V_n * radius^(n-1)
     log_a = math.log(n) + unit_ball_volume(n).log_volume + (n - 1) * math.log(radius)
     return SphereArea(dimension=n, radius=radius, log_area=log_a, area=_safe_exp(log_a))
-
-
-def sphere_area_exact(n: int, radius=1) -> PiRational:
-    """Exact surface measure for a rational (or binary-float) radius."""
-    r = Fraction(radius)
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {radius!r}")
-    return unit_ball_volume_exact(n).scaled(n * r ** (n - 1))
 
 
 def volume_argmax(n_max: int) -> int:

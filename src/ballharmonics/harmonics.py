@@ -328,3 +328,15 @@ def random_harmonic_polynomial(n: int, k: int, seed: int) -> HarmonicMap:
         h = harmonic_projection(p)
         if not h.is_zero:
             return make_harmonic_map(h, label=label)
+
+
+def standard_maps(n: int, seed: int, max_zonal: int = 5, max_random: int = 4) -> list[HarmonicMap]:
+    """The identity/zonal/random family the identity checks run over."""
+    maps = [identity_map(n)]
+    top_zonal = max_zonal if n > 1 else 1
+    maps.extend(zonal_solid_harmonic(n, k) for k in range(0, top_zonal + 1))
+    if n > 1:
+        maps.extend(
+            random_harmonic_polynomial(n, k, seed + 13 * k) for k in range(1, max_random + 1)
+        )
+    return maps

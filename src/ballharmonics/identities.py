@@ -35,16 +35,15 @@ import numpy as np
 
 from .energetics import (
     _exact_profile,
-    _radial_integral,
     dirichlet_energy_result,
     normal_energy_result,
     surface_dirichlet_result,
     surface_energy_total_result,
 )
 from .exactmath import PiRational, as_fraction
-from .geometry import unit_ball_volume
+from .geometry import _safe_exp, unit_ball_volume
 from .harmonics import HarmonicMap
-from .integration import EXACT, IntegralResult, QuadratureSpec, _mc_integral
+from .integration import EXACT, IntegralResult, QuadratureSpec, _mc_integral, _radial_integral
 from .polynomials import VectorPoly, radial_pairing
 
 POHOZAEV = "pohozaev"
@@ -178,14 +177,10 @@ def minimiser_bound_check(u: HarmonicMap, spec: QuadratureSpec = EXACT) -> Resid
     energy = dirichlet_energy_result(u, 1, spec)
     c1 = Fraction(2, n - 2)
     rhs = surface_dirichlet_result(u, 1, spec).scaled(c1)
-    if energy.exact is not None and rhs.exact is not None:
-        if energy.exact.is_zero:
-            raise ValueError("constant map: the bound compares two zero energies")
-        margin = float(rhs.exact.ratio(energy.exact))
-    else:
-        if energy.value <= 0.0:
-            raise ValueError("constant map: the bound compares two zero energies")
-        margin = rhs.value / energy.value
+    try:
+        margin = float(rhs.ratio(energy))
+    except ZeroDivisionError:
+        raise ValueError("constant map: the bound compares two zero energies") from None
     residual, normalized = _normalized(energy, rhs, energy)
     return ResidualReport(
         identity_name=MINIMISER_BOUND,
@@ -257,26 +252,18 @@ def volume_decay_chain(n_min: int = 3, n_max: int = 50) -> VolumeDecayTable:
                 dimension=n,
                 log_volume=bv.log_volume,
                 volume=bv.volume,
-                ball_energy=_exp_or_inf(math.log(n) + bv.log_volume),
-                surface_energy=_exp_or_inf(log_surface),
+                ball_energy=_safe_exp(math.log(n) + bv.log_volume),
+                surface_energy=_safe_exp(log_surface),
                 log_surface_energy=log_surface,
-                volume_bound=_exp_or_inf(log_bound),
+                volume_bound=_safe_exp(log_bound),
                 bound_margin=2.0 * (n - 1) / (n - 2),
-                running_sup_surface_energy=_exp_or_inf(sup_log),
+                running_sup_surface_energy=_safe_exp(sup_log),
             )
         )
     return VolumeDecayTable(
         rows=tuple(rows),
         argmax_dimension=argmax_n,
-        max_surface_energy=_exp_or_inf(argmax_log),
+        max_surface_energy=_safe_exp(argmax_log),
         argmax_is_interior=(n_min < argmax_n < n_max),
     )
 
-
-def _exp_or_inf(log_value: float) -> float:
-    if log_value == -math.inf:
-        return 0.0
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        return math.inf

@@ -1,14 +1,18 @@
 """Quadrature over spheres and balls: exact monomial formulas plus Monte Carlo.
 
-Exact route: the integral of x^alpha over the sphere of radius r in R^n is 0
-when any exponent is odd, and otherwise
+Exact route: the integral of x^alpha over the unit sphere in R^n is 0 when
+any exponent is odd, and otherwise (Folland)
 
-    2 * prod_i Gamma(beta_i) / Gamma(sum_i beta_i) * r^(n - 1 + |alpha|),
-    beta_i = (alpha_i + 1) / 2,
+    2 * prod_i Gamma(beta_i) / Gamma(sum_i beta_i),   beta_i = (alpha_i + 1) / 2,
 
 all gamma values at integer or half-integer points, so the result is an exact
-Fraction times pi**(n // 2).  Ball integrals divide by n + |alpha| and gain
-one more power of r.  Polynomials integrate term by term, exactly.
+Fraction times pi**(n // 2).  Every exact integral is a weighted sum of such
+monomials, kept as a degree profile: pairs (d, c_d), with c_d the weighted
+unit-sphere integrals of the degree-d monomials.  Reading a profile at a
+radius r is the one radial law: the sphere of radius r gives
+sum_d c_d r^(n - 1 + d), the ball sum_d c_d r^(n + d) / (n + d).
+Polynomials, the energy densities of :mod:`energetics`, the flux and the
+Monte Carlo measure (the profile of the constant 1) are all read that way.
 
 Monte Carlo route: a counter-based Philox generator split into one substream
 per 32768-sample block (``Philox(key=seed).jumped(block)``), with per-block
@@ -26,13 +30,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .exactmath import PiRational, as_fraction, gamma_half
-from .geometry import sphere_area_exact, unit_ball_volume_exact
-from .polynomials import DimensionError, MultiPoly
+from .polynomials import MultiPoly
 
 BLOCK_SIZE = 1 << 15
 
@@ -99,6 +102,15 @@ class IntegralResult:
             samples=self.samples,
         )
 
+    def ratio(self, other: "IntegralResult") -> Fraction | float:
+        """This integral over another: a Fraction when both are exact, else the float quotient.
+
+        A zero denominator raises ZeroDivisionError on either route.
+        """
+        if self.exact is not None and other.exact is not None:
+            return self.exact.ratio(other.exact)
+        return self.value / other.value
+
     def minus(self, other: "IntegralResult") -> "IntegralResult":
         """This integral minus another; exact when both are, else errors add in quadrature."""
         if self.exact is not None and other.exact is not None:
@@ -111,15 +123,6 @@ class IntegralResult:
             method=self.method,
             samples=self.samples,
         )
-
-
-def _check_alpha(n: int, alpha: Sequence[int]) -> tuple[int, ...]:
-    a = tuple(alpha)
-    if len(a) != n:
-        raise DimensionError(f"alpha has {len(a)} entries, expected {n}")
-    if any((not isinstance(e, int)) or e < 0 for e in a):
-        raise ValueError(f"alpha entries must be non-negative integers, got {a}")
-    return a
 
 
 @lru_cache(maxsize=65536)
@@ -140,45 +143,38 @@ def _sphere_monomial_rational(n: int, alpha: tuple[int, ...]) -> Fraction:
     return num / den_rat
 
 
-def sphere_monomial_integral(n: int, alpha: Sequence[int], radius=1) -> IntegralResult:
-    """Exact integral of x^alpha over the sphere {|x| = radius} in R^n."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"dimension must be a positive integer, got {n!r}")
-    a = _check_alpha(n, alpha)
-    r = as_fraction(radius)
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {radius!r}")
-    if any(e % 2 for e in a):
-        return IntegralResult.from_exact(PiRational.zero(n // 2))
-    rational = _sphere_monomial_rational(n, a) * r ** (n - 1 + sum(a))
-    return IntegralResult.from_exact(PiRational(rational, n // 2))
+_Profile = tuple[tuple[int, Fraction], ...]
 
 
-def ball_monomial_integral(n: int, alpha: Sequence[int], radius=1) -> IntegralResult:
-    """Exact integral of x^alpha over the ball {|x| <= radius} in R^n."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"dimension must be a positive integer, got {n!r}")
-    a = _check_alpha(n, alpha)
-    r = as_fraction(radius)
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {radius!r}")
-    if any(e % 2 for e in a):
-        return IntegralResult.from_exact(PiRational.zero(n // 2))
-    total = n + sum(a)
-    rational = _sphere_monomial_rational(n, a) * r**total / total
-    return IntegralResult.from_exact(PiRational(rational, n // 2))
+def _degree_profile(n: int, weights: Iterable[tuple[tuple[int, ...], Fraction]]) -> _Profile:
+    """(d, c_d) per degree d of a weighted sum of even monomials x^alpha in R^n.
+
+    c_d is the sum of w_alpha times the rational part of the unit-sphere
+    integral of x^alpha over the monomials of degree d; degrees whose sum
+    vanishes are dropped.
+    """
+    acc: dict[int, Fraction] = {}
+    for alpha, w in weights:
+        if w:
+            d = sum(alpha)
+            acc[d] = acc.get(d, 0) + w * _sphere_monomial_rational(n, alpha)
+    return tuple((d, c) for d, c in sorted(acc.items()) if c)
 
 
-def _exact_poly_integral(
-    p: MultiPoly, radius, monomial: Callable[..., IntegralResult]
+def _radial_integral(
+    n: int, profile: _Profile, r, ball: bool = False, lift: int = 0
 ) -> IntegralResult:
-    acc = PiRational.zero(p.dimension // 2)
-    for exps, c in p.terms():
-        part = monomial(p.dimension, exps, radius).exact
-        if part is None or part.is_zero:
-            continue
-        acc = acc + part.scaled(as_fraction(c))
-    return IntegralResult.from_exact(acc)
+    """A profile's integrand over the sphere or the ball of radius r, exactly.
+
+    Over the sphere the degree-d part gives c_d r^(n - 1 + d), times r^lift;
+    over the ball it gives c_d r^(n + d) / (n + d).
+    """
+    rq = as_fraction(r)
+    if ball:
+        terms = (c * rq ** (n + d) / (n + d) for d, c in profile)
+    else:
+        terms = (c * rq ** (n - 1 + d + lift) for d, c in profile)
+    return IntegralResult.from_exact(PiRational(sum(terms, Fraction(0)), n // 2))
 
 
 # -- Monte Carlo engine -------------------------------------------------------
@@ -288,10 +284,7 @@ def _mc_integral(
     ]
     axes = sorted({a for terms in rows for _, factors in terms for a, _ in factors})
     ball = domain == "ball"
-    if ball:
-        measure = unit_ball_volume_exact(n).scaled(Fraction(radius) ** n)
-    else:
-        measure = sphere_area_exact(n, Fraction(radius))
+    measure = _radial_integral(n, _degree_profile(n, [((0,) * n, 1)]), radius, ball).exact
 
     def block_values(gen: np.random.Generator, count: int) -> np.ndarray:
         z = gen.standard_normal((count, n))
@@ -319,26 +312,26 @@ def _mc_integral(
     )
 
 
+def _integrate_poly(p: MultiPoly, radius, spec: QuadratureSpec, domain: str) -> IntegralResult:
+    r = float(radius)
+    if not 0 < r < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
+    n = p.dimension
+    if spec.method == EXACT_METHOD:
+        even = ((exps, as_fraction(c)) for exps, c in p.terms() if not any(e % 2 for e in exps))
+        return _radial_integral(n, _degree_profile(n, even), radius, ball=domain == "ball")
+    return _mc_integral(n, [p], itemgetter(0), r, spec, domain)
+
+
 def integrate_poly_sphere(
     p: MultiPoly, radius=1, spec: QuadratureSpec = EXACT
 ) -> IntegralResult:
     """Integral of p over the sphere {|x| = radius} in R^(p.dimension)."""
-    r = float(radius)
-    if not 0 < r < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius!r}")
-    if spec.method == EXACT_METHOD:
-        return _exact_poly_integral(p, radius, sphere_monomial_integral)
-    return _mc_integral(p.dimension, [p], itemgetter(0), r, spec, "sphere")
+    return _integrate_poly(p, radius, spec, "sphere")
 
 
 def integrate_poly_ball(
     p: MultiPoly, radius=1, spec: QuadratureSpec = EXACT
 ) -> IntegralResult:
     """Integral of p over the solid ball {|x| <= radius} in R^(p.dimension)."""
-    r = float(radius)
-    if not 0 < r < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius!r}")
-    if spec.method == EXACT_METHOD:
-        return _exact_poly_integral(p, radius, ball_monomial_integral)
-    return _mc_integral(p.dimension, [p], itemgetter(0), r, spec, "ball")
-
+    return _integrate_poly(p, radius, spec, "ball")

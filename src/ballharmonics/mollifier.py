@@ -29,15 +29,12 @@ from typing import Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .energetics import map_body
+from .energetics import _least_squares_line, map_body
 from .geometry import sphere_area
 from .harmonics import HarmonicMap
 from .polynomials import MultiPoly
 
 GRID_DIMENSION_CAP = 3
-
-STANDARD_BUMP = "standard_bump"
-
 
 def _bump_radial(t: np.ndarray) -> np.ndarray:
     """exp(-1/(1-t^2)) on t < 1, zero outside; vectorised and overflow-safe."""
@@ -88,17 +85,10 @@ def _bump_second_moment(n: int) -> float:
 
 @dataclass(frozen=True)
 class MollifierSpec:
-    """The kernel J_delta in a given dimension.
-
-    ``normalization`` is the unit-profile constant c_n; leave it None to have
-    it computed by radial quadrature (tolerance 1e-13, well under the 1e-10
-    budget).
-    """
+    """The kernel J_delta in a given dimension."""
 
     dimension: int
     delta: float
-    profile: str = STANDARD_BUMP
-    normalization: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.dimension, int) or self.dimension < 1:
@@ -110,10 +100,11 @@ class MollifierSpec:
             )
         if not 0.0 < self.delta <= 0.5:
             raise ValueError(f"delta must lie in (0, 1/2], got {self.delta!r}")
-        if self.profile != STANDARD_BUMP:
-            raise ValueError(f"unknown profile {self.profile!r}")
-        if self.normalization is None:
-            object.__setattr__(self, "normalization", _bump_normalization(self.dimension))
+
+    @property
+    def normalization(self) -> float:
+        """The unit-profile constant c_n, by radial quadrature (tolerance 1e-13)."""
+        return _bump_normalization(self.dimension)
 
     def value_at_radii(self, radii: np.ndarray) -> np.ndarray:
         """J_delta as a function of |x|."""
@@ -480,15 +471,9 @@ def mollifier_gradient_scaling(
         mags = spec.normalization * d ** (-n - 1) * slopes
         total = float(np.sum(mags**q)) * (d / nodes_per_delta) ** n
         norms.append(total ** (1.0 / q))
-    xs = [math.log(d) for d in ds]
-    ys = [math.log(v) for v in norms]
-    x_mean = math.fsum(xs) / len(xs)
-    y_mean = math.fsum(ys) / len(ys)
-    sxx = math.fsum((x - x_mean) ** 2 for x in xs)
-    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = y_mean - slope * x_mean
-    resid = max(abs(y - (intercept + slope * x)) for x, y in zip(xs, ys))
+    slope, intercept, resid = _least_squares_line(
+        [math.log(d) for d in ds], [math.log(v) for v in norms], "deltas"
+    )
     return GradientScalingFit(
         dimension=n,
         q=float(q),

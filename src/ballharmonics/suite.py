@@ -33,10 +33,10 @@ from .geometry import (
     volume_argmax,
 )
 from .harmonics import (
-    HarmonicMap,
     harmonic_sum,
     identity_map,
     random_harmonic_polynomial,
+    standard_maps,
     zonal_solid_harmonic,
 )
 from .identities import (
@@ -45,7 +45,7 @@ from .identities import (
     pohozaev_residual,
     volume_decay_chain,
 )
-from .integration import QuadratureSpec, integrate_poly_sphere, sphere_monomial_integral
+from .integration import QuadratureSpec, integrate_poly_sphere
 from .mollifier import (
     MollifierSpec,
     mean_value_check,
@@ -73,18 +73,6 @@ class SuiteReport:
 
 def _result(name: str, passed: bool, **details) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), details=dict(details))
-
-
-def standard_maps(n: int, seed: int, max_zonal: int = 5, max_random: int = 4) -> list[HarmonicMap]:
-    """The identity/zonal/random family the identity checks run over."""
-    maps = [identity_map(n)]
-    top_zonal = max_zonal if n > 1 else 1
-    maps.extend(zonal_solid_harmonic(n, k) for k in range(0, top_zonal + 1))
-    if n > 1:
-        maps.extend(
-            random_harmonic_polynomial(n, k, seed + 13 * k) for k in range(1, max_random + 1)
-        )
-    return maps
 
 
 # -- 1: volume peak --------------------------------------------------------------
@@ -406,8 +394,8 @@ def check_mc_oracle(seed: int, workers: int = 1) -> CheckResult:
         alphas = _even_multi_indices(n, 10, seed + n)
         hits = 0
         for j, alpha in enumerate(alphas):
-            exact = sphere_monomial_integral(n, alpha).value
             poly = MultiPoly(n, {alpha: Fraction(1)})
+            exact = integrate_poly_sphere(poly).value
             spec = QuadratureSpec(
                 method="monte_carlo",
                 samples=1_000_000,

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -162,6 +163,28 @@ class TestIdentities:
         proc = run_cli("identities", "--suite", "quick", "--dims", "2", "--tolerance", tolerance)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
+
+    def test_does_not_import_scipy(self, tmp_path):
+        # the map family lives in harmonics, so identities never loads the mollifier lab
+        out = tmp_path / "identities.json"
+        script = (
+            "import sys\n"
+            "from ballharmonics.cli import main\n"
+            f"code = main(['identities', '--suite', 'quick', '--dims', '2:2', '--out', {str(out)!r}])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 []\n"
+        assert json.loads(out.read_text())["count"] > 0
 
     def test_bad_suite_name(self):
         proc = run_cli("identities", "--suite", "nope")

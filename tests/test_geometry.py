@@ -12,37 +12,49 @@ from ballharmonics.geometry import (
     shell_volume_fraction,
     shell_width_for_mass,
     sphere_area,
-    sphere_area_exact,
     unit_ball_volume,
-    unit_ball_volume_exact,
     volume_argmax,
 )
+from ballharmonics.integration import integrate_poly_ball, integrate_poly_sphere
+from ballharmonics.polynomials import MultiPoly
 
 mpmath.mp.dps = 40
 
 
+def exact_volume(n):
+    """V_n as the exact ball integral of the constant 1."""
+    return integrate_poly_ball(MultiPoly.constant(n, 1)).exact
+
+
+def exact_area(n):
+    """|S^(n-1)| as the exact sphere integral of the constant 1."""
+    return integrate_poly_sphere(MultiPoly.constant(n, 1)).exact
+
+
 # V_1 = 2, V_2 = pi, V_3 = 4 pi / 3, V_4 = pi^2 / 2, V_5 = 8 pi^2 / 15
+SMALL_VOLUMES = [
+    (1, PiRational(Fraction(2), 0)),
+    (2, PiRational(Fraction(1), 1)),
+    (3, PiRational(Fraction(4, 3), 1)),
+    (4, PiRational(Fraction(1, 2), 2)),
+    (5, PiRational(Fraction(8, 15), 2)),
+    (6, PiRational(Fraction(1, 6), 3)),
+]
+
+
+# the ids keep the names these cases had when the table started at n = 0
 @pytest.mark.parametrize(
-    "n,expected",
-    [
-        (0, PiRational(Fraction(1), 0)),
-        (1, PiRational(Fraction(2), 0)),
-        (2, PiRational(Fraction(1), 1)),
-        (3, PiRational(Fraction(4, 3), 1)),
-        (4, PiRational(Fraction(1, 2), 2)),
-        (5, PiRational(Fraction(8, 15), 2)),
-        (6, PiRational(Fraction(1, 6), 3)),
-    ],
+    "n,expected", SMALL_VOLUMES, ids=[f"{n}-expected{n}" for n, _ in SMALL_VOLUMES]
 )
 def test_exact_volumes_small(n, expected):
-    assert unit_ball_volume_exact(n) == expected
+    assert exact_volume(n) == expected
 
 
-@pytest.mark.parametrize("n", range(2, 80))
+@pytest.mark.parametrize("n", range(3, 80))
 def test_exact_volume_recursion(n):
     # V_n = V_{n-2} * 2 pi / n
-    vn = unit_ball_volume_exact(n)
-    prev = unit_ball_volume_exact(n - 2)
+    vn = exact_volume(n)
+    prev = exact_volume(n - 2)
     assert vn.power == prev.power + 1
     assert vn.coeff == prev.coeff * Fraction(2, n)
 
@@ -59,7 +71,7 @@ def test_log_volume_against_mpmath(n):
 @pytest.mark.parametrize("n", range(1, 40))
 def test_float_volume_matches_exact(n):
     assert unit_ball_volume(n).volume == pytest.approx(
-        float(unit_ball_volume_exact(n)), rel=1e-13
+        float(exact_volume(n)), rel=1e-13
     )
 
 
@@ -71,9 +83,9 @@ def test_sphere_area_is_volume_derivative(n, r):
 
 
 def test_sphere_area_exact_small():
-    assert sphere_area_exact(2) == PiRational(Fraction(2), 1)  # circumference 2 pi
-    assert sphere_area_exact(3) == PiRational(Fraction(4), 1)  # 4 pi
-    assert sphere_area_exact(1) == PiRational(Fraction(2), 0)  # two endpoints
+    assert exact_area(2) == PiRational(Fraction(2), 1)  # circumference 2 pi
+    assert exact_area(3) == PiRational(Fraction(4), 1)  # 4 pi
+    assert exact_area(1) == PiRational(Fraction(2), 0)  # two endpoints
 
 
 def test_volume_argmax_is_five():

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from ballharmonics.energetics import dirichlet_energy_result, surface_energy_total_result
@@ -22,13 +24,16 @@ from ballharmonics.integration import (
     EXACT,
     IntegralResult,
     QuadratureSpec,
-    ball_monomial_integral,
     integrate_poly_ball,
     _mc_blocks,
     integrate_poly_sphere,
-    sphere_monomial_integral,
 )
 from ballharmonics.polynomials import MultiPoly, VectorPoly, gradient
+
+
+def monomial(n, alpha):
+    """The monomial x^alpha in R^n."""
+    return MultiPoly(n, {alpha: 1})
 
 
 # Hand-derived values.  The surface-measure formula is
@@ -53,7 +58,7 @@ from ballharmonics.polynomials import MultiPoly, VectorPoly, gradient
     ],
 )
 def test_sphere_monomials_known(n, alpha, expected):
-    assert sphere_monomial_integral(n, alpha, 1).exact == expected
+    assert integrate_poly_sphere(monomial(n, alpha), 1).exact == expected
 
 
 @pytest.mark.parametrize(
@@ -66,25 +71,25 @@ def test_sphere_monomials_known(n, alpha, expected):
     ],
 )
 def test_ball_monomials_known(n, alpha, expected):
-    assert ball_monomial_integral(n, alpha, 1).exact == expected
+    assert integrate_poly_ball(monomial(n, alpha), 1).exact == expected
 
 
 @pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(3, 10), 1])
 def test_radius_scaling(r):
     # sphere integral scales like r^(n - 1 + |alpha|), ball like r^(n + |alpha|)
     n, alpha = 3, (2, 0, 0)
-    base_s = sphere_monomial_integral(n, alpha, 1).exact
-    base_b = ball_monomial_integral(n, alpha, 1).exact
+    base_s = integrate_poly_sphere(monomial(n, alpha), 1).exact
+    base_b = integrate_poly_ball(monomial(n, alpha), 1).exact
     rf = Fraction(r)
-    assert sphere_monomial_integral(n, alpha, r).exact == base_s.scaled(rf ** (n - 1 + 2))
-    assert ball_monomial_integral(n, alpha, r).exact == base_b.scaled(rf ** (n + 2))
+    assert integrate_poly_sphere(monomial(n, alpha), r).exact == base_s.scaled(rf ** (n - 1 + 2))
+    assert integrate_poly_ball(monomial(n, alpha), r).exact == base_b.scaled(rf ** (n + 2))
 
 
 def test_ball_equals_sphere_over_degree():
     # radial integration: ball = sphere * r / (n + |alpha|) at radius r
     n, alpha = 4, (2, 2, 0, 0)
-    s = sphere_monomial_integral(n, alpha, 1).exact
-    b = ball_monomial_integral(n, alpha, 1).exact
+    s = integrate_poly_sphere(monomial(n, alpha), 1).exact
+    b = integrate_poly_ball(monomial(n, alpha), 1).exact
     assert b == s.scaled(Fraction(1, n + 4))
 
 
@@ -103,9 +108,53 @@ def test_exact_route_takes_floats_at_their_binary_value():
     assert integrate_poly_ball(p, 1).exact == PiRational(Fraction(1, 8), 1)
 
 
+def gamma_half_oracle(m):
+    """Gamma(m / 2) as (rational, k), meaning rational * sqrt(pi)^k, from factorials."""
+    if m % 2 == 0:
+        return Fraction(math.factorial(m // 2 - 1)), 0
+    k = m // 2  # Gamma(k + 1/2) = (2k - 1)!! sqrt(pi) / 2^k
+    return Fraction(math.prod(range(2 * k - 1, 0, -2)), 2**k), 1
+
+
+def sphere_monomial_oracle(n, alpha):
+    """Rational part of 2 prod Gamma((a_i + 1)/2) / Gamma((n + |alpha|)/2); 0 for odd alpha."""
+    if any(a % 2 for a in alpha):
+        return Fraction(0)
+    num, half_powers = Fraction(2), 0
+    for a in alpha:
+        g, k = gamma_half_oracle(a + 1)
+        num *= g
+        half_powers += k
+    den, k = gamma_half_oracle(n + sum(alpha))
+    assert half_powers - k == 2 * (n // 2)
+    return num / den
+
+
+@st.composite
+def exact_polys(draw):
+    """Exact polynomials in R^1..R^5 with mixed degrees and odd exponents."""
+    n = draw(st.integers(1, 5))
+    exps = st.tuples(*[st.integers(0, 5)] * n)
+    coeffs = st.fractions(min_value=-10, max_value=10, max_denominator=50)
+    return MultiPoly(n, draw(st.dictionaries(exps, coeffs, min_size=1, max_size=6)))
+
+
+@given(exact_polys(), st.fractions(min_value=Fraction(1, 64), max_value=4, max_denominator=64))
+@settings(max_examples=100, deadline=None)
+def test_exact_polynomials_match_the_termwise_oracle(p, r):
+    n = p.dimension
+    sphere = ball = Fraction(0)
+    for alpha, c in p.terms():
+        unit = Fraction(c) * sphere_monomial_oracle(n, alpha)
+        sphere += unit * r ** (n - 1 + sum(alpha))
+        ball += unit * r ** (n + sum(alpha)) / (n + sum(alpha))
+    assert integrate_poly_sphere(p, r).exact == PiRational(sphere, n // 2)
+    assert integrate_poly_ball(p, r).exact == PiRational(ball, n // 2)
+
+
 class TestScaled:
     def test_exact_route_stays_exact(self):
-        base = sphere_monomial_integral(3, (2, 0, 0), Fraction(7, 10))
+        base = integrate_poly_sphere(monomial(3, (2, 0, 0)), Fraction(7, 10))
         scaled = base.scaled(Fraction(3, 2))
         assert scaled.exact == base.exact.scaled(Fraction(3, 2))
         assert scaled.value == float(scaled.exact)
@@ -133,10 +182,38 @@ class TestScaled:
         assert zero.standard_error == 0.0
 
 
+class TestRatio:
+    def test_exact_route_gives_a_fraction(self):
+        a = integrate_poly_sphere(monomial(3, (2, 0, 0)), 1)
+        b = integrate_poly_sphere(monomial(3, (2, 2, 0)), 1)
+        assert a.ratio(b) == Fraction(5)
+        assert isinstance(a.ratio(b), Fraction)
+
+    def test_float_route_divides_values(self):
+        a = IntegralResult(
+            value=3.0, log_abs_value=math.log(3.0), standard_error=0.1,
+            method="monte_carlo", samples=100,
+        )
+        exact = integrate_poly_ball(MultiPoly.constant(2, 2), 1)
+        assert a.ratio(a) == 1.0
+        assert a.ratio(exact) == 3.0 / exact.value
+
+    def test_zero_denominator_raises(self):
+        zero_exact = integrate_poly_sphere(monomial(2, (1, 0)), 1)
+        zero_float = IntegralResult(
+            value=0.0, log_abs_value=-math.inf, standard_error=0.0,
+            method="monte_carlo", samples=100,
+        )
+        one = integrate_poly_sphere(MultiPoly.constant(2, 1), 1)
+        for denominator in (zero_exact, zero_float):
+            with pytest.raises(ZeroDivisionError):
+                one.ratio(denominator)
+
+
 class TestMinus:
     def test_exact_route_stays_exact(self):
-        a = sphere_monomial_integral(3, (2, 0, 0), 1)
-        b = sphere_monomial_integral(3, (2, 2, 0), 1)
+        a = integrate_poly_sphere(monomial(3, (2, 0, 0)), 1)
+        b = integrate_poly_sphere(monomial(3, (2, 2, 0)), 1)
         diff = a.minus(b)
         assert diff.exact == a.exact - b.exact
         assert diff.value == float(diff.exact)
@@ -167,7 +244,7 @@ class TestMonteCarlo:
 
     def test_sphere_within_three_sigma(self):
         p = MultiPoly(3, {(2, 2, 0): 1})
-        exact = float(sphere_monomial_integral(3, (2, 2, 0), 1).value)
+        exact = float(integrate_poly_sphere(monomial(3, (2, 2, 0)), 1).value)
         result = integrate_poly_sphere(p, 1, self.spec())
         assert abs(result.value - exact) < 3 * result.standard_error
 

@@ -317,6 +317,11 @@ class TestScaling:
         assert fit.exponent == pytest.approx(n / q - n - 1, abs=0.05)
         assert fit.max_fit_residual < 1e-3
 
+    def test_duplicate_deltas_raise_value_error(self):
+        # equal deltas leave the log-log fit without a slope; this used to be a ZeroDivisionError
+        with pytest.raises(ValueError, match="distinct deltas"):
+            mollifier_gradient_scaling(1.0, MollifierSpec(2, 0.25), deltas=(0.25, 0.25))
+
     def test_norms_decrease_with_delta(self):
         spec = MollifierSpec(dimension=2, delta=0.25)
         fit = mollifier_gradient_scaling(1.0, spec)
@@ -339,7 +344,7 @@ def per_delta_norms(spec, q, deltas, nodes_per_delta=64):
     n = spec.dimension
     norms = []
     for d in deltas:
-        per_delta = MollifierSpec(dimension=n, delta=d, normalization=spec.normalization)
+        per_delta = MollifierSpec(dimension=n, delta=d)
         h = d / nodes_per_delta
         half = int(math.floor(d / h + 1e-12))
         axis = (np.arange(2 * half + 1) - half) * h
