@@ -53,6 +53,7 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 import numpy as np
 
@@ -166,7 +167,7 @@ def _pairwise_profile(body: VectorPoly) -> _RadialProfile:
                     b, cb, db, _ = members[j]
                     # the pair (a, b) stands for (b, a) too off the diagonal
                     w = ca * cb if i == j else 2 * ca * cb
-                    key = tuple(x + y for x, y in zip(a, b))
+                    key = tuple(map(add, a, b))
                     pairing[key] = pairing.get(key, 0) + da * db * w
                     # exact halving: da + db = 2 da on the diagonal, w is even off it
                     flux[key] = flux.get(key, 0) + (da + db) * w // 2

@@ -151,14 +151,27 @@ def _degree_profile(n: int, weights: Iterable[tuple[tuple[int, ...], Fraction]])
 
     c_d is the sum of w_alpha times the rational part of the unit-sphere
     integral of x^alpha over the monomials of degree d; degrees whose sum
-    vanishes are dropped.
+    vanishes are dropped.  Gamma((a + 1)/2) = (a - 1)!! 2^(-a/2) pi^(1/2) for
+    even a, so that integral is prod_i (alpha_i - 1)!! times the one for
+    x_1^d over (d - 1)!!: each degree sums its weights times integers and
+    meets the Gamma formula once.
     """
     acc: dict[int, Fraction] = {}
     for alpha, w in weights:
         if w:
             d = sum(alpha)
-            acc[d] = acc.get(d, 0) + w * _sphere_monomial_rational(n, alpha)
-    return tuple((d, c) for d, c in sorted(acc.items()) if c)
+            acc[d] = acc.get(d, 0) + w * math.prod(map(_odd_double_factorial, alpha))
+    return tuple(
+        (d, c * _sphere_monomial_rational(n, (d,) + (0,) * (n - 1)) / _odd_double_factorial(d))
+        for d, c in sorted(acc.items())
+        if c
+    )
+
+
+@lru_cache(maxsize=256)
+def _odd_double_factorial(a: int) -> int:
+    """(a - 1)!! for even a >= 0, with (-1)!! = 1."""
+    return math.prod(range(a - 1, 0, -2))
 
 
 def _radial_integral(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import itertools
 import math
 import os
 import random
@@ -150,6 +151,18 @@ def test_exact_polynomials_match_the_termwise_oracle(p, r):
         ball += unit * r ** (n + sum(alpha)) / (n + sum(alpha))
     assert integrate_poly_sphere(p, r).exact == PiRational(sphere, n // 2)
     assert integrate_poly_ball(p, r).exact == PiRational(ball, n // 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_same_degree_monomials_match_the_termwise_oracle(n):
+    # each degree sums its monomials' weights before meeting the Gamma formula
+    alphas = [a for a in itertools.product(range(0, 11, 2), repeat=n) if sum(a) <= 12]
+    for alpha in alphas:
+        got = integrate_poly_sphere(MultiPoly(n, {alpha: 1})).exact
+        assert got == PiRational(sphere_monomial_oracle(n, alpha), n // 2), alpha
+    p = MultiPoly(n, {alpha: Fraction(k + 1, 3) for k, alpha in enumerate(alphas)})
+    want = sum(Fraction(k + 1, 3) * sphere_monomial_oracle(n, a) for k, a in enumerate(alphas))
+    assert integrate_poly_sphere(p).exact == PiRational(want, n // 2)
 
 
 class TestScaled:
