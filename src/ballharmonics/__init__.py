@@ -6,7 +6,7 @@ certifies the energy identities and concentration effects that make high
 dimensions behave the way they do.
 
 Submodules are imported lazily so that lightweight entry points (volume
-tables, shell widths) never pay for numpy or scipy.
+tables, shell widths) never pay for numpy, the only runtime dependency.
 """
 
 from __future__ import annotations

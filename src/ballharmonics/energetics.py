@@ -192,7 +192,7 @@ def _fischer_route(u, spec: QuadratureSpec) -> bool:
         spec.method == EXACT_METHOD
         and isinstance(u, HarmonicMap)
         and u.certified
-        and all(comp.is_exact for comp in u.body)
+        and u.body.is_exact
     )
 
 

@@ -363,7 +363,7 @@ class MultiPoly:
 class VectorPoly:
     """Immutable tuple of MultiPoly components sharing one ambient dimension."""
 
-    __slots__ = ("_components",)
+    __slots__ = ("_components", "_exact")
 
     def __init__(self, components: Iterable[MultiPoly]):
         comps = tuple(components)
@@ -373,9 +373,17 @@ class VectorPoly:
         if len(dims) != 1:
             raise DimensionError(f"components disagree on dimension: {sorted(dims)}")
         object.__setattr__(self, "_components", comps)
+        object.__setattr__(self, "_exact", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("VectorPoly is immutable")
+
+    @property
+    def is_exact(self) -> bool:
+        """True when every component is exact; read once per instance."""
+        if self._exact is None:
+            object.__setattr__(self, "_exact", all(comp.is_exact for comp in self._components))
+        return self._exact
 
     @property
     def components(self) -> tuple[MultiPoly, ...]:

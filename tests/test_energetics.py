@@ -308,6 +308,19 @@ def test_fischer_profile_of_a_mixed_map():
     assert dirichlet_energy_result(u, 1).exact.coeff == 3
 
 
+def test_fischer_route_reads_exactness_once_per_body(monkeypatch):
+    # concentration_fraction asks for two energies of one map; each component's
+    # coefficients are scanned once, not once per energy
+    scans = []
+    scan = MultiPoly.is_exact.fget
+    monkeypatch.setattr(MultiPoly, "is_exact", property(lambda p: scans.append(p) or scan(p)))
+    u = identity_map(6)
+    scans.clear()
+    concentration_fraction(u, Fraction(9, 10))
+    surface_energy_total_result(u, 1)
+    assert len(scans) == 6
+
+
 # -- the pairwise quadrature profile ---------------------------------------------
 
 

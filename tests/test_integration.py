@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import binom
 
 from ballharmonics.energetics import dirichlet_energy_result, surface_energy_total_result
 from ballharmonics.exactmath import PiRational
@@ -544,6 +543,30 @@ class TestEvaluator:
         assert found == [0, 0, 0]
 
 
+def _binomial_interval(confidence, trials, p):
+    """Central interval of Binomial(trials, p): its quantiles at (1 -/+ confidence) / 2.
+
+    The lower end is the least k with P(X <= k) >= tail, the upper end the
+    least k with P(X > k) <= tail; tail sums are taken with ``math.fsum``.
+    """
+    tail = (1 - confidence) / 2
+    pmf = [
+        math.exp(math.log(math.comb(trials, k)) + k * math.log(p) + (trials - k) * math.log1p(-p))
+        for k in range(trials + 1)
+    ]
+    lo = next(k for k in range(trials + 1) if math.fsum(pmf[: k + 1]) >= tail)
+    hi = next(k for k in range(trials, -1, -1) if math.fsum(pmf[k:]) > tail)
+    return lo, hi
+
+
+def test_binomial_interval_bounds():
+    # the two intervals the calibration test reads, and the edges of the law
+    assert _binomial_interval(1 - 1e-6, 1800, math.erf(1 / math.sqrt(2))) == (1131, 1324)
+    assert _binomial_interval(1 - 1e-6, 1800, math.erf(3 / math.sqrt(2))) == (1781, 1800)
+    assert _binomial_interval(0.5, 1, 0.5) == (0, 1)
+    assert _binomial_interval(0.9, 10, 0.5) == (2, 8)
+
+
 def test_error_bars_cover_at_their_nominal_rates():
     # 300 seeds x 4096 samples for each of six monomials (exponents up to 6,
     # odd ones with integral 0), each case on its own seeds so the 1800
@@ -567,7 +590,7 @@ def test_error_bars_cover_at_their_nominal_rates():
                 within[k] += abs(result.value - exact) <= k * result.standard_error
     trials = seeds * len(cases)
     for k, hits in within.items():
-        lo, hi = binom.interval(1 - 1e-6, trials, math.erf(k / math.sqrt(2)))
+        lo, hi = _binomial_interval(1 - 1e-6, trials, math.erf(k / math.sqrt(2)))
         assert lo <= hits <= hi, (k, hits / trials)
 
 

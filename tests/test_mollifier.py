@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,21 @@ from ballharmonics.polynomials import MultiPoly, VectorPoly, as_vector
 SPEC2 = MollifierSpec(dimension=2, delta=0.25)
 
 
+def _run_fresh(script):
+    """Run a script in a fresh interpreter with this checkout's src first on the path."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestKernel:
     def test_normalisation_on_grid(self):
         field = kernel_field(SPEC2, 1 / 128)
@@ -62,6 +78,19 @@ class TestKernel:
         m_quarter = MollifierSpec(dimension=2, delta=0.25).second_moment()
         assert m_half > 0
         assert m_quarter == pytest.approx(m_half / 4, rel=1e-10)
+
+    @pytest.mark.parametrize("power", range(5))
+    def test_radial_integral_within_one_ulp_of_mpmath(self, power):
+        # powers n - 1 and n + 1 for n <= 3, against a 40-digit value
+        with mpmath.workdps(40):
+            exact = mpmath.quad(lambda t: t**power * mpmath.exp(-1 / (1 - t * t)), [0, 1])
+            error = abs(mpmath.mpf(mollifier._radial_bump_integral(power)) - exact)
+        assert error <= math.ulp(float(exact))
+
+    def test_radial_integral_guard_fires_on_a_coarse_rule(self, monkeypatch):
+        monkeypatch.setattr(mollifier, "_TANH_SINH_STEP", 1 / 2)
+        with pytest.raises(ArithmeticError, match="exceeds 1e-10"):
+            mollifier._radial_bump_integral(2)
 
     def test_delta_validation(self):
         with pytest.raises(ValueError):
@@ -296,17 +325,20 @@ class TestMeanValueRoute:
             "mean_value_check(zonal_solid_harmonic(2, 3), spec, [(0.25, 0.0)], spacing=1 / 64)\n"
             "print('scipy.signal' in sys.modules)\n"
         )
-        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path),
-            timeout=120,
+        assert _run_fresh(script) == "False\n"
+
+    def test_suite_and_mollify_load_no_scipy(self, tmp_path):
+        # the kernel constants come from a tanh-sinh rule, not scipy's quad
+        out = tmp_path / "mollify.csv"
+        script = (
+            "import sys\n"
+            "import ballharmonics.suite\n"
+            "from ballharmonics.cli import main\n"
+            f"code = main(['mollify', '--out', {str(out)!r}])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert _run_fresh(script) == "0 []\n"
+        assert out.read_text().count("\n") > 1
 
 
 class TestScaling:

@@ -117,6 +117,18 @@ def test_no_nested_function_refers_to_itself(path):
     assert not hits, f"{path.name}: {hits}"
 
 
+@pytest.mark.parametrize("path", SOURCES + SCRIPTS + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_scipy_import(path):
+    # numpy is the only numerical dependency; the kernel's radial integral is a tanh-sinh rule
+    roots = set()
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    assert "scipy" not in roots, path.name
+
+
 def test_test_oracles_are_imported_by_the_tests():
     imported = {
         alias.name
