@@ -17,14 +17,21 @@ Monte Carlo measure (the profile of the constant 1) are all read that way.
 Monte Carlo route: a counter-based Philox generator split into one substream
 per 32768-sample block (``Philox(key=seed).jumped(block)``), with per-block
 partial sums reduced in block order via ``math.fsum`` and per-block centred
-sums of squares merged in block order for the variance.  A block forms only
-the coordinates its terms read, and powers by squaring.  Results are a pure
-function of (seed, samples); the worker count changes wall time only.
+sums of squares merged in block order for the variance.  A point is z / |z|
+for a standard normal z in R^n, and a block draws only the k axes its terms
+read: a (count, k) normal array, then one chi^2(n - k) variate per sample
+for the unread part of |z|^2 (Muller 1959; Marsaglia 1972), then, on the
+ball, the uniform radii.  When n - k <= 1 it draws all n normals, since a
+chi^2(1) variate costs more than a normal column.  Powers are taken by
+squaring.  A homogeneous polynomial is sampled on the unit domain, its
+r^degree carried exactly in the measure.  Results are a pure function of
+(seed, samples); the worker count changes wall time only.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -179,12 +186,12 @@ def _radial_integral(
 ) -> IntegralResult:
     """A profile's integrand over the sphere or the ball of radius r, exactly.
 
-    Over the sphere the degree-d part gives c_d r^(n - 1 + d), times r^lift;
-    over the ball it gives c_d r^(n + d) / (n + d).
+    Over the sphere the degree-d part gives c_d r^(n - 1 + d), over the ball
+    c_d r^(n + d) / (n + d); either times r^lift.
     """
     rq = as_fraction(r)
     if ball:
-        terms = (c * rq ** (n + d) / (n + d) for d, c in profile)
+        terms = (c * rq ** (n + d + lift) / (n + d) for d, c in profile)
     else:
         terms = (c * rq ** (n - 1 + d + lift) for d, c in profile)
     return IntegralResult.from_exact(PiRational(sum(terms, Fraction(0)), n // 2))
@@ -282,29 +289,46 @@ def _mc_integral(
     radius: float,
     spec: QuadratureSpec,
     domain: str,
+    degree: int | None = None,
 ) -> IntegralResult:
     """Monte Carlo integral of combine(values) over the sphere or ball of radius r in R^n.
 
     values[j] holds polys[j] at a block's sample points, built from only the
-    coordinates some term reads, with powers by squaring.  The mean times the
-    domain's exact measure (a float radius is an exact binary rational) is
-    rounded once, so a constant with an exact sample sum (an integer, a
-    dyadic fraction) gives float(exact), error 0.
+    coordinates some term reads, with powers by squaring.  A block draws the
+    k read axes' normals in ascending axis order, then one chi^2(n - k)
+    variate per sample standing for the unread part of |z|^2, then (ball
+    only) the uniform radii; when n - k <= 1 it draws all n normals instead.
+    The mean times the domain's exact measure (a float radius is an exact
+    binary rational) is rounded once, so a constant with an exact sample sum
+    (an integer, a dyadic fraction) gives float(exact), error 0.  When
+    combine(values) is homogeneous of ``degree``, the points lie on the unit
+    domain and the measure carries radius^degree exactly, so no sample
+    overflows or underflows at an extreme radius.
     """
     rows = [
         [(float(c), tuple((a, e) for a, e in enumerate(exps) if e)) for exps, c in p.terms()]
         for p in polys
     ]
     axes = sorted({a for terms in rows for _, factors in terms for a, _ in factors})
+    unread = n - len(axes)
     ball = domain == "ball"
-    measure = _radial_integral(n, _degree_profile(n, [((0,) * n, 1)]), radius, ball).exact
+    one = _degree_profile(n, [((0,) * n, 1)])
+    measure = _radial_integral(n, one, radius, ball, lift=degree or 0).exact
+    if degree is not None:
+        radius = 1.0  # radius^degree rides in the measure
 
     def block_values(gen: np.random.Generator, count: int) -> np.ndarray:
-        z = gen.standard_normal((count, n))
-        norms = np.linalg.norm(z, axis=1)
+        if unread >= 2:
+            z = gen.standard_normal((count, len(axes)))
+            cols = z.T
+            norms = np.sqrt(gen.chisquare(unread, count) + np.einsum("ij,ij->i", z, z))
+        else:
+            z = gen.standard_normal((count, n))
+            cols = [z[:, a] for a in axes]
+            norms = np.linalg.norm(z, axis=1)
         norms[norms == 0.0] = 1.0  # probability-zero guard
         scale = (radius * gen.random(count) ** (1.0 / n) if ball else radius) / norms
-        powers = {(a, 1): scale * z[:, a] for a in axes}
+        powers = {(a, 1): scale * col for a, col in zip(axes, cols)}
         values = np.zeros((len(rows), count))
         for row, terms in zip(values, rows):
             for c, factors in terms:
@@ -319,7 +343,7 @@ def _mc_integral(
     return IntegralResult(
         value=float(measure.scaled(as_fraction(mean))),
         log_abs_value=log_abs,
-        standard_error=float(measure) * stderr,
+        standard_error=float(measure) * stderr if stderr else 0.0,
         method=MC_METHOD,
         samples=spec.samples,
     )
@@ -333,6 +357,14 @@ def _integrate_poly(p: MultiPoly, radius, spec: QuadratureSpec, domain: str) -> 
     if spec.method == EXACT_METHOD:
         even = ((exps, as_fraction(c)) for exps, c in p.terms() if not any(e % 2 for e in exps))
         return _radial_integral(n, _degree_profile(n, even), radius, ball=domain == "ball")
+    if p.is_homogeneous():
+        return _mc_integral(n, [p], itemgetter(0), r, spec, domain, p.total_degree())
+    top = p.total_degree() * math.log(r)
+    if not math.log(sys.float_info.min) <= top <= math.log(sys.float_info.max):
+        raise ValueError(
+            f"Monte Carlo on a polynomial of mixed degree needs radius^{p.total_degree()} "
+            f"inside the float range, got radius {r!r}"
+        )
     return _mc_integral(n, [p], itemgetter(0), r, spec, domain)
 
 

@@ -228,6 +228,41 @@ class TestIntegrate:
         exact = math.pi / 4 * 1e308
         assert abs(payload["value"] - exact) <= 4 * payload["standard_error"]
 
+    @pytest.mark.parametrize("domain", ["sphere", "ball"])
+    @pytest.mark.parametrize("radius", ["1e-300", "1e300"])
+    def test_monte_carlo_at_an_extreme_radius(self, radius, domain):
+        # every sample underflowed to 0 at 1e-300 (log_abs_value -inf, exit 0)
+        # and overflowed at 1e300 (RuntimeWarnings, exit 2); a homogeneous
+        # integrand is sampled on the unit domain and r^(n - 1 + d) or r^(n + d)
+        # rides in the exact measure, so its log is the exact route's up to
+        # the unit-domain estimate's own error
+        def log_abs(method, r):
+            proc = run_cli(
+                "integrate", "--poly", "x1^2", "--dimension", "3", "--domain", domain,
+                "--method", method, "--radius", r,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == ""
+            return json.loads(proc.stdout)["log_abs_value"]
+
+        got = log_abs("monte-carlo", radius) - log_abs("exact", radius)
+        assert math.isfinite(got)
+        assert got == pytest.approx(log_abs("monte-carlo", "1") - log_abs("exact", "1"), abs=1e-9)
+        assert abs(got) < 0.01
+
+    @pytest.mark.parametrize("radius", ["1e-300", "1e300"])
+    def test_monte_carlo_of_mixed_degree_beyond_the_float_range(self, radius):
+        # 1 + x1^2 at 1e-300 printed the constant's integral alone, exit 0;
+        # at 1e300 numpy warned of overflow before the run exited 2
+        proc = run_cli(
+            "integrate", "--poly", "x1^2 + 1", "--dimension", "3",
+            "--method", "monte-carlo", "--radius", radius,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: Monte Carlo on a polynomial of mixed degree")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
     def test_zero_denominator_is_usage_error(self):
         proc = run_cli("integrate", "--poly", "1/0*x1")
         assert proc.returncode == 2

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ballharmonics import integration
 from ballharmonics.energetics import dirichlet_energy_result, surface_energy_total_result
 from ballharmonics.exactmath import PiRational
 from ballharmonics.harmonics import identity_map
@@ -390,6 +391,13 @@ class TestMonteCarlo:
             scaled = _mc_blocks(samples, 6, 1, block_values(math.ldexp(1.0, k)))
             assert scaled == tuple(math.ldexp(x, k) for x in base)
 
+    def test_constant_beyond_the_float_range_keeps_a_zero_error(self):
+        # its measure rounds to inf, and inf times a zero error bar gave nan
+        three = MultiPoly.constant(3, 3)
+        result = integrate_poly_ball(three, 1e300, self.spec(samples=1000))
+        assert (result.value, result.standard_error) == (math.inf, 0.0)
+        assert result.log_abs_value == pytest.approx(integrate_poly_ball(three, 1e300).log_abs_value)
+
     @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0])
     def test_radius_must_be_positive_and_finite(self, radius):
         # an infinite radius used to sample inf/nan points and report value inf
@@ -435,14 +443,22 @@ def _reference_mc(polys, combine, radius, spec, domain):
 
     The same seeded points as the library's evaluator, formed as one
     (count, n) array, each monomial a product of ``pts[:, a] ** e`` over all
-    axes.
+    axes.  Like the library, a block draws normals for the k axes some term
+    reads and one chi^2(n - k) variate for the rest of |z|^2 when n - k >= 2,
+    and all n normals otherwise; unread axes stay 0.
     """
     n = polys[0].dimension
     ball = domain == "ball"
+    axes = sorted({a for p in polys for exps, _ in p.terms() for a, e in enumerate(exps) if e})
 
     def block_values(gen, count):
-        z = gen.standard_normal((count, n))
-        norms = np.linalg.norm(z, axis=1)
+        if n - len(axes) >= 2:
+            z = np.zeros((count, n))
+            z[:, axes] = gen.standard_normal((count, len(axes)))
+            norms = np.sqrt(gen.chisquare(n - len(axes), count) + np.sum(z * z, axis=1))
+        else:
+            z = gen.standard_normal((count, n))
+            norms = np.linalg.norm(z, axis=1)
         norms[norms == 0.0] = 1.0
         radii = radius * gen.random(count) ** (1.0 / n) if ball else radius
         pts = (radii / norms)[:, None] * z
@@ -463,7 +479,11 @@ def _reference_mc(polys, combine, radius, spec, domain):
 
 
 def _sweep_polys(n):
-    """A monomial, an exact and a float multi-term poly and a constant in R^n, exponents <= 8."""
+    """A monomial, an exact and a float multi-term poly and a constant in R^n, exponents <= 8.
+
+    From n = 3 on, a sparse poly that reads at most n - 2 axes follows, so the
+    sweep reaches the chi^2 draw.
+    """
     rng = random.Random(n)
     monomial = MultiPoly(n, {tuple((a + n) % 8 + 1 for a in range(n)): Fraction(-3, 7)})
     exact = MultiPoly(
@@ -474,7 +494,16 @@ def _sweep_polys(n):
     floats = MultiPoly(
         n, {tuple(rng.randint(0, 8) for _ in range(n)): rng.uniform(-2, 2) for _ in range(5)}
     )
-    return [monomial, exact, floats, MultiPoly.constant(n, Fraction(5, 3))]
+    constant = MultiPoly.constant(n, Fraction(5, 3))
+    if n < 3:
+        return [monomial, exact, floats, constant]
+    read = rng.sample(range(n), min(3, n - 2))
+    sparse = MultiPoly(
+        n,
+        {tuple(rng.randint(0, 8) if a in read else 0 for a in range(n)): rng.uniform(-2, 2)
+         for _ in range(4)},
+    )
+    return [monomial, exact, floats, constant, sparse]
 
 
 class TestEvaluator:
@@ -543,6 +572,103 @@ class TestEvaluator:
         assert found == [0, 0, 0]
 
 
+_EVERY_AXIS = MultiPoly(3, {(2, 0, 0): 1, (0, 1, 1): -2, (1, 1, 2): Fraction(1, 3)})
+_ONE_UNREAD = MultiPoly(4, {(4, 0, 0, 0): 1, (0, 2, 2, 0): Fraction(1, 2)})
+
+
+class _RecordingGenerator:
+    """A generator that logs (method, shape of the result) for every draw."""
+
+    def __init__(self, gen, log):
+        self.gen, self.log = gen, log
+
+    def __getattr__(self, name):
+        method = getattr(self.gen, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.log.append((name, np.shape(out)))
+            return out
+
+        return draw
+
+
+class TestDraw:
+    """A block draws the read axes plus one chi^2 variate when two or more axes go unread."""
+
+    @staticmethod
+    def draws(monkeypatch, integrate, p, samples):
+        log = []
+        substream = integration._substream
+        monkeypatch.setattr(
+            integration, "_substream", lambda seed, block: _RecordingGenerator(substream(seed, block), log)
+        )
+        integrate(p, 1.0, QuadratureSpec("monte_carlo", samples, 5))
+        return log
+
+    @pytest.mark.parametrize("integrate", [integrate_poly_sphere, integrate_poly_ball])
+    def test_read_axes_and_one_chi_square(self, monkeypatch, integrate):
+        p = MultiPoly(200, {(2, 4) + (0,) * 198: 1})
+        samples = BLOCK_SIZE + 10
+        log = self.draws(monkeypatch, integrate, p, samples)
+        want = []
+        for count in (BLOCK_SIZE, 10):
+            want += [("standard_normal", (count, 2)), ("chisquare", (count,))]
+            want += [("random", (count,))] * (integrate is integrate_poly_ball)
+        assert log == want
+        normals = sum(math.prod(shape) for name, shape in log if name == "standard_normal")
+        assert normals == samples * 2
+
+    @pytest.mark.parametrize(
+        "n, alpha",
+        [(3, (2, 2, 0)), (3, (2, 2, 2)), (4, (4, 0, 2, 2)), (1, (0,)), (2, (2, 0))],
+    )
+    def test_whole_array_when_at_most_one_axis_is_unread(self, monkeypatch, n, alpha):
+        log = self.draws(monkeypatch, integrate_poly_sphere, MultiPoly(n, {alpha: 1}), 1000)
+        assert log == [("standard_normal", (1000, n))]
+
+    @pytest.mark.parametrize("integrate", [integrate_poly_sphere, integrate_poly_ball])
+    @pytest.mark.parametrize("n", [50, 100, 200])
+    def test_high_dimensions_within_five_sigma(self, n, integrate):
+        for j, alpha in enumerate([(2,), (2, 2), (4,)]):
+            p = MultiPoly(n, {alpha + (0,) * (n - len(alpha)): 1})
+            exact = integrate(p, 1).value
+            result = integrate(p, 1.0, QuadratureSpec("monte_carlo", 20_000, n + j))
+            assert abs(result.value - exact) <= 5 * result.standard_error, (alpha, result)
+        one = MultiPoly.constant(n, 1)
+        result = integrate(one, 1.0, QuadratureSpec("monte_carlo", 4096, n))
+        assert (result.value, result.standard_error) == (float(integrate(one, 1).exact), 0.0)
+
+    def test_workers_give_the_same_bits(self):
+        p = MultiPoly(
+            8, {(0, 4, 0, 0, 0, 2, 0, 0): Fraction(1, 3), (0, 1, 0, 0, 0, 3, 0, 0): -2, (0,) * 8: 1}
+        )
+        for integrate in (integrate_poly_sphere, integrate_poly_ball):
+            one, two = (
+                integrate(p, 0.9, QuadratureSpec("monte_carlo", 2 * BLOCK_SIZE + 5, 13, workers))
+                for workers in (1, 2)
+            )
+            assert one.value.hex() == two.value.hex()
+            assert one.standard_error.hex() == two.standard_error.hex()
+
+    # taken before the chi^2 draw existed: a block that leaves at most one
+    # axis unread draws exactly as it did then
+    @pytest.mark.parametrize(
+        "p, integrate, radius, value, error",
+        [
+            (_EVERY_AXIS, integrate_poly_sphere, 1.0, "0x1.0bb3e9b6d6107p+2", "0x1.dfd140d8630a1p-6"),
+            (_EVERY_AXIS, integrate_poly_sphere, 0.7, "0x1.010f3b5818492p+0", "0x1.ccace01c3e0d0p-8"),
+            (_EVERY_AXIS, integrate_poly_ball, 1.0, "0x1.ab683b4e9e39ep-1", "0x1.ae39bdc43e723p-8"),
+            (_EVERY_AXIS, integrate_poly_ball, 0.7, "0x1.1f5065b3fa19dp-3", "0x1.212e4409b8bd4p-10"),
+            (_ONE_UNREAD, integrate_poly_sphere, 1.0, "0x1.71d1595849db1p+1", "0x1.de6cf8799b7efp-7"),
+            (_ONE_UNREAD, integrate_poly_ball, 1.0, "0x1.6fdd53b25a4d5p-2", "0x1.26cab546b0951p-9"),
+        ],
+    )
+    def test_unchanged_path_keeps_its_bits(self, p, integrate, radius, value, error):
+        result = integrate(p, radius, QuadratureSpec("monte_carlo", 2 * BLOCK_SIZE + 5, 17))
+        assert (result.value.hex(), result.standard_error.hex()) == (value, error)
+
+
 def _binomial_interval(confidence, trials, p):
     """Central interval of Binomial(trials, p): its quantiles at (1 -/+ confidence) / 2.
 
@@ -561,6 +687,8 @@ def _binomial_interval(confidence, trials, p):
 
 def test_binomial_interval_bounds():
     # the two intervals the calibration test reads, and the edges of the law
+    assert _binomial_interval(1 - 1e-6, 2100, math.erf(1 / math.sqrt(2))) == (1328, 1536)
+    assert _binomial_interval(1 - 1e-6, 2100, math.erf(3 / math.sqrt(2))) == (2079, 2100)
     assert _binomial_interval(1 - 1e-6, 1800, math.erf(1 / math.sqrt(2))) == (1131, 1324)
     assert _binomial_interval(1 - 1e-6, 1800, math.erf(3 / math.sqrt(2))) == (1781, 1800)
     assert _binomial_interval(0.5, 1, 0.5) == (0, 1)
@@ -568,10 +696,11 @@ def test_binomial_interval_bounds():
 
 
 def test_error_bars_cover_at_their_nominal_rates():
-    # 300 seeds x 4096 samples for each of six monomials (exponents up to 6,
-    # odd ones with integral 0), each case on its own seeds so the 1800
-    # trials are independent; the counts inside 1 and 3 standard errors must
-    # lie in the central 1 - 1e-6 interval of their binomial laws
+    # 300 seeds x 4096 samples for each of seven monomials (exponents up to 6,
+    # odd ones with integral 0, the last in R^100 on the chi^2 draw), each
+    # case on its own seeds so the 2100 trials are independent; the counts
+    # inside 1 and 3 standard errors must lie in the central 1 - 1e-6
+    # interval of their binomial laws
     cases = [
         (integrate_poly_sphere, MultiPoly(2, {(6, 0): 1})),
         (integrate_poly_ball, MultiPoly(2, {(4, 2): 3})),
@@ -579,6 +708,7 @@ def test_error_bars_cover_at_their_nominal_rates():
         (integrate_poly_ball, MultiPoly(3, {(0, 6, 0): Fraction(1, 2)})),
         (integrate_poly_sphere, MultiPoly(5, {(2, 0, 0, 4, 0): -1})),
         (integrate_poly_ball, MultiPoly(5, {(0, 3, 0, 0, 3): 2})),
+        (integrate_poly_ball, MultiPoly(100, {(4, 2) + (0,) * 98: 1})),
     ]
     seeds = 300
     within = {1: 0, 3: 0}
