@@ -10,12 +10,11 @@ usage: python3 scripts/mollifier_convergence.py [--delta 0.25] [--degree 4] [--o
 """
 
 import argparse
-import math
 import pathlib
 from fractions import Fraction
 
 from ballharmonics.harmonics import zonal_solid_harmonic
-from ballharmonics.mollifier import MollifierSpec, mean_value_check
+from ballharmonics.mollifier import MollifierSpec, mean_value_convergence
 from ballharmonics.polynomials import MultiPoly
 from ballharmonics.reporting import render_csv
 from ballharmonics.suite import MEAN_VALUE_POINTS
@@ -35,25 +34,22 @@ def main() -> None:
     control = MultiPoly(2, {(2, 0): Fraction(1), (0, 2): Fraction(1)})
     moment = spec.second_moment()
 
-    rows = []
-    previous: dict[str, float] = {}
-    for h in SPACINGS:
-        line = {"spacing": h}
-        for label, u in (("harmonic", harmonic), ("control", control)):
-            defect = mean_value_check(u, spec, MEAN_VALUE_POINTS, spacing=h).sup_error
-            order = None
-            if label in previous:
-                order = math.log(previous[label] / defect) / math.log(2)
-            line[label] = defect
-            line[f"{label}_order"] = order
-            previous[label] = defect
-        rows.append(
-            (line["spacing"], line["harmonic"], line["harmonic_order"],
-             line["control"], line["control_order"])
+    harmonic_run, control_run = (
+        mean_value_convergence(u, spec, MEAN_VALUE_POINTS, SPACINGS) for u in (harmonic, control)
+    )
+    rows = list(
+        zip(
+            harmonic_run.spacings,
+            harmonic_run.sup_errors,
+            (None, *harmonic_run.orders),
+            control_run.sup_errors,
+            (None, *control_run.orders),
         )
-        order_txt = "" if line["harmonic_order"] is None else f" (order {line['harmonic_order']:.2f})"
-        print(f"h = {h:<10g} harmonic defect {line['harmonic']:.3e}{order_txt}"
-              f"  control defect {line['control']:.6f}")
+    )
+    for h, harmonic_defect, harmonic_order, control_defect, _ in rows:
+        order_txt = "" if harmonic_order is None else f" (order {harmonic_order:.2f})"
+        print(f"h = {h:<10g} harmonic defect {harmonic_defect:.3e}{order_txt}"
+              f"  control defect {control_defect:.6f}")
 
     print(f"kernel second moment: {moment:.6f} "
           f"(control defect converges here, gap {abs(rows[-1][3] - moment):.2e})")

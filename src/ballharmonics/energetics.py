@@ -37,11 +37,13 @@ exact routes compute E, total and normal; the route follows from the input:
     O(#degrees).  Nothing here uses that u is harmonic: it is plain
     quadrature of the stated integrands.
 
-Monte Carlo specs evaluate the partials d_k u^i, or the pairings, at the
-sample points and sum their squares there; no route forms a squared
-polynomial.  The Pohozaev and Green identities in :mod:`identities` pass the
-bare body, so they stay on quadrature: with the Fischer route on both sides
-their residuals would vanish by construction.  Energies scale quadratically
+Every energy, and the flux of :mod:`identities`, is one (density, domain,
+lift) read through ``_energy``; Monte Carlo specs sum the squares of the
+partials d_k u^i or pairings, or the products u^i <x, grad u^i>, at the
+sample points, and :mod:`integration` alone decides how r enters.  No route
+forms a squared polynomial.  The Pohozaev and Green identities in
+:mod:`identities` pass the bare body, so they stay on quadrature: with the
+Fischer route on both sides their residuals would vanish by construction.  Energies scale quadratically
 in the map and decay like r^(n + 2k - 2) per homogeneous degree-k component;
 the fitting helpers below measure that decay from log-log samples.
 """
@@ -54,8 +56,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
-
-import numpy as np
 
 from .exactmath import as_fraction
 from .harmonics import HarmonicMap
@@ -90,7 +90,6 @@ class _RadialProfile:
     sum_i <x, grad u^i>^2 and ``flux`` is sum_i u^i <x, grad u^i>.
     """
 
-    dimension: int
     grad: _Profile
     pairing: _Profile
     flux: _Profile
@@ -132,7 +131,6 @@ def _fischer_radial(body: VectorPoly) -> _RadialProfile:
     n = body.dimension
     profile = _fischer_profile(body)
     return _RadialProfile(
-        dimension=n,
         grad=tuple((2 * d - 2, d * (n + 2 * d - 2) * s) for d, s in profile),
         pairing=tuple((2 * d, d * d * s) for d, s in profile),
         flux=tuple((2 * d, d * s) for d, s in profile),
@@ -179,7 +177,7 @@ def _pairwise_profile(body: VectorPoly) -> _RadialProfile:
     def by_degree(weights: dict[tuple, int]) -> _Profile:
         return tuple((d, c / den**2) for d, c in _degree_profile(n, weights.items()))
 
-    return _RadialProfile(n, by_degree(grad), by_degree(pairing), by_degree(flux))
+    return _RadialProfile(by_degree(grad), by_degree(pairing), by_degree(flux))
 
 
 def _fischer_route(u, spec: QuadratureSpec) -> bool:
@@ -196,42 +194,46 @@ def _fischer_route(u, spec: QuadratureSpec) -> bool:
     )
 
 
-def _exact_profile(u, spec: QuadratureSpec) -> _RadialProfile | None:
-    """u's radial profile on the exact spec; None on a Monte Carlo spec.
+def _exact_profile(u, spec: QuadratureSpec) -> _RadialProfile:
+    """u's radial profile on the exact spec.
 
     Fischer for certified exact maps, pairwise quadrature for everything else.
     """
-    if spec.method != EXACT_METHOD:
-        return None
     if _fischer_route(u, spec):
         return _fischer_radial(u.body)
     return _pairwise_profile(map_body(u))
 
 
-def _sum_of_squares(values: np.ndarray) -> np.ndarray:
-    return np.sum(values * values, axis=0)
+# density -> (the rows a Monte Carlo block evaluates, the form that combines them)
+_MC_ROWS = {
+    "grad": lambda body: ([d for c in body for d in gradient(c) if not d.is_zero], "squares"),
+    "pairing": lambda body: (radial_pairing(body), "squares"),
+    "flux": lambda body: ((*body, *radial_pairing(body)), "products"),
+}
 
 
-def _mc_grad_norm_sq(u, r: float, spec: QuadratureSpec, domain: str) -> IntegralResult:
-    """|grad u|^2 over the ball or sphere of radius r, sampled from the partials."""
+def _check_radius(r) -> None:
+    if not 0.0 < float(r) <= 1.0:
+        raise ValueError(f"radius must lie in (0, 1], got {r!r}")
+
+
+def _energy(u, r, spec: QuadratureSpec, density: str, ball=False, lift=0) -> IntegralResult:
+    """A ``_RadialProfile`` field of u over the sphere or ball of radius r, times r^lift.
+
+    The exact spec reads u's radial profile at r, Monte Carlo samples the
+    density's rows; on both routes :mod:`integration` alone decides how r enters.
+    """
+    _check_radius(r)
     body = map_body(u)
-    partials = [d for comp in body for d in gradient(comp) if not d.is_zero]
-    return _mc_integral(body.dimension, partials, _sum_of_squares, r, spec, domain)
-
-
-def _check_radius(r, upper: float = 1.0) -> float:
-    rf = float(r)
-    if not 0.0 < rf <= upper:
-        raise ValueError(f"radius must lie in (0, {upper:g}], got {r!r}")
-    return rf
+    n = body.dimension
+    if spec.method == EXACT_METHOD:
+        return _radial_integral(n, getattr(_exact_profile(u, spec), density), r, ball, lift)
+    rows, form = _MC_ROWS[density](body)
+    return _mc_integral(n, rows, form, r, spec, ball, lift)
 
 
 def dirichlet_energy_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralResult:
-    rf = _check_radius(r)
-    profile = _exact_profile(u, spec)
-    if profile is not None:
-        return _radial_integral(profile.dimension, profile.grad, r, ball=True)
-    return _mc_grad_norm_sq(u, rf, spec, "ball")
+    return _energy(u, r, spec, "grad", ball=True)
 
 
 def dirichlet_energy(u, r=1, spec: QuadratureSpec = EXACT) -> float:
@@ -241,23 +243,12 @@ def dirichlet_energy(u, r=1, spec: QuadratureSpec = EXACT) -> float:
 
 def surface_energy_total_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralResult:
     """total(r): the integral of |grad u|^2 over the sphere of radius r <= 1."""
-    rf = _check_radius(r)
-    profile = _exact_profile(u, spec)
-    if profile is not None:
-        return _radial_integral(profile.dimension, profile.grad, r)
-    return _mc_grad_norm_sq(u, rf, spec, "sphere")
+    return _energy(u, r, spec, "grad")
 
 
 def normal_energy_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralResult:
     """normal(r): the integral of |du/dnu|^2 over the sphere of radius r <= 1."""
-    rf = _check_radius(r)
-    profile = _exact_profile(u, spec)
-    if profile is not None:
-        return _radial_integral(profile.dimension, profile.pairing, r, lift=-2)
-    body = map_body(u)
-    pairings = radial_pairing(body)
-    raw = _mc_integral(body.dimension, pairings, _sum_of_squares, rf, spec, "sphere")
-    return raw.scaled(as_fraction(r) ** -2)
+    return _energy(u, r, spec, "pairing", lift=-2)
 
 
 def surface_dirichlet_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralResult:

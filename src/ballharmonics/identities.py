@@ -15,10 +15,10 @@ profile of :mod:`energetics` (the flux sum_i u^i <x, grad u^i> included),
 which never forms a squared polynomial and does not assume harmonicity; the
 two identities then hold with *exactly* zero residual for rational harmonic
 maps, float coefficients being taken at their exact binary values.  Monte
-Carlo specs evaluate the partials, pairings and components at the sample
-points and reproduce the identities to sampling accuracy.  Residuals are
-normalised by max(|lhs|, |rhs|, E(r)) so that the n = 2 inner identity
-(whose lhs vanishes identically) is still meaningfully scored.
+Carlo specs take every side, the flux included, through the one radial law
+of :mod:`integration` and reproduce the identities to sampling accuracy.
+Residuals are normalised by max(|lhs|, |rhs|, E(r)) so that the n = 2 inner
+identity (whose lhs vanishes identically) is still meaningfully scored.
 
 Identity checks refuse maps whose ``certified`` flag is False: the algebra
 behind the identities needs the Laplacian to vanish, and this package only
@@ -31,10 +31,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .energetics import (
-    _exact_profile,
+    _energy,
     dirichlet_energy_result,
     normal_energy_result,
     surface_dirichlet_result,
@@ -43,8 +41,8 @@ from .energetics import (
 from .exactmath import PiRational, as_fraction
 from .geometry import _safe_exp, unit_ball_volume
 from .harmonics import HarmonicMap
-from .integration import EXACT, IntegralResult, QuadratureSpec, _mc_integral, _radial_integral
-from .polynomials import VectorPoly, radial_pairing
+from .integration import EXACT, IntegralResult, QuadratureSpec
+from .polynomials import VectorPoly
 
 POHOZAEV = "pohozaev"
 GREEN = "green"
@@ -77,28 +75,16 @@ def _require_certified(u: HarmonicMap) -> None:
         )
 
 
-def _sum_of_products(values: np.ndarray) -> np.ndarray:
-    """sum_i u^i <x, grad u^i> from rows holding the components, then their pairings."""
-    m = len(values) // 2
-    return np.sum(values[:m] * values[m:], axis=0)
-
-
 def _flux_result(body: VectorPoly, r, spec: QuadratureSpec) -> IntegralResult:
-    """(1/r) times the sphere integral of sum_i u^i <x, grad u^i> at radius r.
-
-    The exact spec reads the flux off the pairwise radial profile; Monte
-    Carlo evaluates the components and their pairings at the sample points.
-    """
-    profile = _exact_profile(body, spec)
-    if profile is not None:
-        return _radial_integral(profile.dimension, profile.flux, r, lift=-1)
-    rows = (*body, *radial_pairing(body))
-    raw = _mc_integral(body.dimension, rows, _sum_of_products, float(r), spec, "sphere")
-    return raw.scaled(1 / as_fraction(r))
+    """(1/r) times the sphere integral of sum_i u^i <x, grad u^i> at radius r."""
+    return _energy(body, r, spec, "flux", lift=-1)
 
 
 def _normalized(lhs: IntegralResult, rhs: IntegralResult, scale: IntegralResult) -> tuple[float, float]:
-    """(residual, normalized residual); exact when all three carry exact values."""
+    """(residual, normalized residual); exact when all three carry exact values.
+
+    A float side that underflows to 0 with a finite log is refused: it would score 0.
+    """
     if lhs.exact is not None and rhs.exact is not None and scale.exact is not None:
         res = lhs.exact - rhs.exact
         if res.is_zero:
@@ -108,6 +94,12 @@ def _normalized(lhs: IntegralResult, rhs: IntegralResult, scale: IntegralResult)
         )
         denom = PiRational(denom_coeff, res.power)
         return float(res), abs(float(res.ratio(denom)))
+    for side in (lhs, rhs, scale):
+        if side.value == 0.0 and side.log_abs_value > -math.inf:
+            raise ValueError(
+                f"a side of the identity underflows to 0.0 as a float (log |value| = "
+                f"{side.log_abs_value:.6g}), so its Monte Carlo residual cannot be scored"
+            )
     res = lhs.value - rhs.value
     denom = max(abs(lhs.value), abs(rhs.value), abs(scale.value))
     return res, (abs(res) / denom if denom > 0.0 else 0.0)

@@ -23,8 +23,10 @@ read: a (count, k) normal array, then one chi^2(n - k) variate per sample
 for the unread part of |z|^2 (Muller 1959; Marsaglia 1972), then, on the
 ball, the uniform radii.  When n - k <= 1 it draws all n normals, since a
 chi^2(1) variate costs more than a normal column.  Powers are taken by
-squaring.  A homogeneous polynomial is sampled on the unit domain, its
-r^degree carried exactly in the measure.  Results are a pure function of
+squaring.  Every Monte Carlo integral, polynomial or energy density, meets
+r in ``_mc_integral``: homogeneous rows are sampled on the unit domain, their
+power of r exact in the measure, and a mixed-degree integrand whose top power
+of r leaves the float range is refused.  Results are a pure function of
 (seed, samples); the worker count changes wall time only.
 """
 
@@ -282,40 +284,55 @@ def _power(powers: dict, a: int, e: int) -> np.ndarray:
     return powers[a, e]
 
 
-def _mc_integral(
-    n: int,
-    polys: Sequence[MultiPoly],
-    combine: Callable[[np.ndarray], np.ndarray],
-    radius: float,
-    spec: QuadratureSpec,
-    domain: str,
-    degree: int | None = None,
-) -> IntegralResult:
-    """Monte Carlo integral of combine(values) over the sphere or ball of radius r in R^n.
+# form -> (how a block combines the rows' values, integrand degree per row degree);
+# "products" reads rows u^1 .. u^m, then v^1 .. v^m, as sum_i u^i v^i
+_FORMS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], int]] = {
+    "value": (itemgetter(0), 1),
+    "squares": (lambda v: np.sum(v * v, axis=0), 2),
+    "products": (lambda v: np.sum(v[: len(v) // 2] * v[len(v) // 2 :], axis=0), 2),
+}
 
-    values[j] holds polys[j] at a block's sample points, built from only the
+
+def _mc_integral(
+    n: int, rows: Sequence[MultiPoly], form: str, radius, spec: QuadratureSpec, ball: bool, lift=0
+) -> IntegralResult:
+    """Monte Carlo integral of ``form`` of the rows over the radius-r sphere or ball, times r^lift.
+
+    values[j] holds rows[j] at a block's sample points, built from only the
     coordinates some term reads, with powers by squaring.  A block draws the
     k read axes' normals in ascending axis order, then one chi^2(n - k)
     variate per sample standing for the unread part of |z|^2, then (ball
     only) the uniform radii; when n - k <= 1 it draws all n normals instead.
-    The mean times the domain's exact measure (a float radius is an exact
-    binary rational) is rounded once, so a constant with an exact sample sum
-    (an integer, a dyadic fraction) gives float(exact), error 0.  When
-    combine(values) is homogeneous of ``degree``, the points lie on the unit
-    domain and the measure carries radius^degree exactly, so no sample
-    overflows or underflows at an extreme radius.
+    When every nonzero row is homogeneous of one degree e, the points lie on
+    the unit domain and the measure carries r^(lift + power e) exactly, so no
+    sample overflows or underflows at an extreme radius; a mixed-degree
+    integrand whose top power of r leaves the float range is refused.  The
+    mean times the exact measure (a float radius is an exact binary rational)
+    is rounded once, so a constant with an exact sample sum (an integer, a
+    dyadic fraction) gives float(exact), error 0.
     """
-    rows = [
+    combine, power = _FORMS[form]
+    r = float(radius)
+    terms_of = [
         [(float(c), tuple((a, e) for a, e in enumerate(exps) if e)) for exps, c in p.terms()]
-        for p in polys
+        for p in rows
     ]
-    axes = sorted({a for terms in rows for _, factors in terms for a, _ in factors})
+    axes = sorted({a for terms in terms_of for _, factors in terms for a, _ in factors})
     unread = n - len(axes)
-    ball = domain == "ball"
+    degrees = {sum(e for _, e in factors) for terms in terms_of for _, factors in terms}
+    if len(degrees) <= 1:
+        lift += power * max(degrees, default=0)
+        sample_radius = 1.0  # r^(power e) rides in the measure
+    else:
+        top = power * max(degrees)
+        if not math.log(sys.float_info.min) <= top * math.log(r) <= math.log(sys.float_info.max):
+            raise ValueError(
+                f"Monte Carlo on a polynomial of mixed degree needs radius^{top} "
+                f"inside the float range, got radius {r!r}"
+            )
+        sample_radius = r
     one = _degree_profile(n, [((0,) * n, 1)])
-    measure = _radial_integral(n, one, radius, ball, lift=degree or 0).exact
-    if degree is not None:
-        radius = 1.0  # radius^degree rides in the measure
+    measure = _radial_integral(n, one, r, ball, lift).exact
 
     def block_values(gen: np.random.Generator, count: int) -> np.ndarray:
         if unread >= 2:
@@ -327,10 +344,10 @@ def _mc_integral(
             cols = [z[:, a] for a in axes]
             norms = np.linalg.norm(z, axis=1)
         norms[norms == 0.0] = 1.0  # probability-zero guard
-        scale = (radius * gen.random(count) ** (1.0 / n) if ball else radius) / norms
+        scale = (sample_radius * gen.random(count) ** (1.0 / n) if ball else sample_radius) / norms
         powers = {(a, 1): scale * col for a, col in zip(axes, cols)}
-        values = np.zeros((len(rows), count))
-        for row, terms in zip(values, rows):
+        values = np.zeros((len(terms_of), count))
+        for row, terms in zip(values, terms_of):
             for c, factors in terms:
                 t = c * _power(powers, *factors[0]) if factors else c
                 for a, e in factors[1:]:
@@ -349,34 +366,26 @@ def _mc_integral(
     )
 
 
-def _integrate_poly(p: MultiPoly, radius, spec: QuadratureSpec, domain: str) -> IntegralResult:
+def _integrate_poly(p: MultiPoly, radius, spec: QuadratureSpec, ball: bool) -> IntegralResult:
     r = float(radius)
     if not 0 < r < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
     n = p.dimension
     if spec.method == EXACT_METHOD:
         even = ((exps, as_fraction(c)) for exps, c in p.terms() if not any(e % 2 for e in exps))
-        return _radial_integral(n, _degree_profile(n, even), radius, ball=domain == "ball")
-    if p.is_homogeneous():
-        return _mc_integral(n, [p], itemgetter(0), r, spec, domain, p.total_degree())
-    top = p.total_degree() * math.log(r)
-    if not math.log(sys.float_info.min) <= top <= math.log(sys.float_info.max):
-        raise ValueError(
-            f"Monte Carlo on a polynomial of mixed degree needs radius^{p.total_degree()} "
-            f"inside the float range, got radius {r!r}"
-        )
-    return _mc_integral(n, [p], itemgetter(0), r, spec, domain)
+        return _radial_integral(n, _degree_profile(n, even), radius, ball)
+    return _mc_integral(n, [p], "value", r, spec, ball)
 
 
 def integrate_poly_sphere(
     p: MultiPoly, radius=1, spec: QuadratureSpec = EXACT
 ) -> IntegralResult:
     """Integral of p over the sphere {|x| = radius} in R^(p.dimension)."""
-    return _integrate_poly(p, radius, spec, "sphere")
+    return _integrate_poly(p, radius, spec, ball=False)
 
 
 def integrate_poly_ball(
     p: MultiPoly, radius=1, spec: QuadratureSpec = EXACT
 ) -> IntegralResult:
     """Integral of p over the solid ball {|x| <= radius} in R^(p.dimension)."""
-    return _integrate_poly(p, radius, spec, "ball")
+    return _integrate_poly(p, radius, spec, ball=True)

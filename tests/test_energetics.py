@@ -407,3 +407,50 @@ def test_float_bodies_take_the_pairwise_profile_of_their_binary_values(body):
     # agrees to rounding
     for got, squared in zip(profiled(body, 0.7), materialised(body, 0.7)):
         assert float(got) == pytest.approx(float(squared), rel=1e-12)
+
+
+# -- one Monte Carlo radial law --------------------------------------------------
+
+MC = QuadratureSpec("monte_carlo", 10_000, 1)
+MC_QUANTITIES = (*QUANTITIES, _flux_result)
+SADDLE = VectorPoly([MultiPoly(3, {(2, 0, 0): 1, (0, 2, 0): -1})])
+
+
+def _mc_log_offset(quantity, body, r):
+    return quantity(body, r, MC).log_abs_value - quantity(body, r, EXACT).log_abs_value
+
+
+@pytest.mark.parametrize("quantity", MC_QUANTITIES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("r", [1e-300, 1e-160, 0.5])
+def test_monte_carlo_energies_of_a_homogeneous_body_carry_their_power_of_r_exactly(quantity, r):
+    # the points lie on the unit domain at every radius, so the estimate sits
+    # as far from the exact log as it does at r = 1; sampling at r itself read
+    # value 0 with log -inf at 1e-300, and the normal energy overflowed
+    assert _mc_log_offset(quantity, SADDLE, r) == pytest.approx(
+        _mc_log_offset(quantity, SADDLE, 1), abs=1e-9
+    )
+
+
+def test_monte_carlo_refuses_a_mixed_degree_map_whose_top_power_of_r_underflows():
+    # degrees 1 and 3: the partials' squares run from r^0 to r^4, and sampled
+    # at 1e-300 only the degree-1 part would survive
+    u = harmonic_sum([zonal_solid_harmonic(3, 1), zonal_solid_harmonic(3, 3)])
+    with pytest.raises(ValueError, match=r"mixed degree needs radius\^4 inside the float range"):
+        dirichlet_energy_result(u, 1e-300, MC)
+
+
+# (value, log_abs_value, standard_error) of zonal(3, 2) at r = 1, where sampling the unit
+# domain and sampling at r are the same arithmetic
+UNIT_RADIUS_BITS = {
+    dirichlet_energy_result: ("0x1.424e0c182d78ap+2", "0x1.9dda780e0b999p+0", "0x1.0c6e11745b98cp-5"),
+    surface_energy_total_result: ("0x1.91a3907a15916p+4", "0x1.9c8a1bfc7433dp+1", "0x1.ca324b52a7a8bp-4"),
+    normal_energy_result: ("0x1.3ea0ac92f16a5p+3", "0x1.262e4698af356p+1", "0x1.b2ead2eb87031p-4"),
+    _flux_result: ("0x1.3ea0ac92f16a5p+2", "0x1.9aea75398c9b4p+0", "0x1.b2ead2eb87031p-5"),
+}
+
+
+@pytest.mark.parametrize("quantity", MC_QUANTITIES, ids=lambda f: f.__name__)
+def test_monte_carlo_energies_at_unit_radius_keep_their_bits(quantity):
+    got = quantity(zonal_solid_harmonic(3, 2).body, 1, MC)
+    bits = (got.value.hex(), got.log_abs_value.hex(), got.standard_error.hex())
+    assert bits == UNIT_RADIUS_BITS[quantity]

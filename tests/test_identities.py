@@ -306,6 +306,14 @@ class TestMonteCarloRoute:
         self.close(mc.lhs, exact.lhs, energy.standard_error)
         self.close(mc.rhs, exact.rhs, flux.standard_error)
 
+    def test_residual_of_sides_that_underflow_is_refused(self):
+        # at 1e-300 both sides' floats are 0 while their logs stay finite; the
+        # residual once read 0.0, a pass that compared nothing
+        with pytest.raises(ValueError, match="underflows to 0.0"):
+            green_residual(zonal_solid_harmonic(3, 2), 1e-300, self.SPEC)
+        with pytest.raises(ValueError, match="underflows to 0.0"):
+            pohozaev_residual(zonal_solid_harmonic(2, 2), 1e-300, self.SPEC)
+
     def test_minimiser_bound(self):
         u = zonal_solid_harmonic(3, 2)
         energy = dirichlet_energy_result(u, 1, self.SPEC)

@@ -83,6 +83,21 @@ def test_unvalidated_constructor_stays_in_polynomials():
     assert users == {"polynomials.py"}, sorted(users)
 
 
+def test_radial_integrals_stay_in_integration_and_energetics():
+    # integration decides how a radius enters an integral and energetics._energy
+    # is the one reader of the energy densities: a module that samples or reads
+    # a profile on its own grows a second Monte Carlo route
+    callers = {
+        path.name
+        for path in SOURCES + SCRIPTS
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        in {"_mc_integral", "_radial_integral"}
+    }
+    assert callers == {"integration.py", "energetics.py"}, sorted(callers)
+
+
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
