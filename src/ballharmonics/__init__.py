@@ -29,7 +29,6 @@ _EXPORTS = {
     "parse_vector": "polynomials",
     "format_vector": "polynomials",
     "gradient": "polynomials",
-    "grad_norm_sq": "polynomials",
     "radial_pairing": "polynomials",
     "as_vector": "polynomials",
     # geometry
@@ -53,7 +52,6 @@ _EXPORTS = {
     "identity_map": "harmonics",
     "harmonic_sum": "harmonics",
     "zonal_solid_harmonic": "harmonics",
-    "almansi_decomposition": "harmonics",
     "harmonic_projection": "harmonics",
     "harmonic_space_dimension": "harmonics",
     "random_harmonic_polynomial": "harmonics",
@@ -79,8 +77,6 @@ _EXPORTS = {
     # mollifier lab
     "MollifierSpec": "mollifier",
     "GridField": "mollifier",
-    "sample_scalar_on_grid": "mollifier",
-    "direct_mollify_at": "mollifier",
     "MeanValueReport": "mollifier",
     "mean_value_check": "mollifier",
     "MeanValueConvergence": "mollifier",

@@ -113,7 +113,7 @@ def _fischer_profile(body: VectorPoly) -> _Profile:
         if d:
             num = c.numerator * (den // c.denominator)
             norms[d] = norms.get(d, 0) + math.prod(map(math.factorial, exps)) * num * num
-    area = _sphere_monomial_rational(n, (0,) * n)
+    area = _sphere_monomial_rational(n, 0)
     return tuple(
         (d, area * Fraction(norm, den * den) / math.prod(range(n, n + 2 * d - 1, 2)))
         for d, norm in sorted(norms.items())
@@ -262,12 +262,14 @@ def surface_dirichlet_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralRe
                 f"total - normal is non-negative pointwise"
             )
         return tangential
-    if tangential.value < -1e-12 * max(abs(total.value), 1.0):
-        raise ArithmeticError(
-            f"tangential surface energy came out negative ({tangential.value!r}); "
-            f"Monte Carlo error exceeded the sanity floor"
-        )
-    if tangential.value < 0.0:
+    # the sign rides on value even when it underflows to -0.0; sizes compare in logs
+    if math.copysign(1.0, tangential.value) < 0.0:
+        if tangential.log_abs_value > math.log(1e-12) + max(total.log_abs_value, 0.0):
+            raise ArithmeticError(
+                f"tangential surface energy came out negative ({tangential.value!r}, "
+                f"log |value| = {tangential.log_abs_value:.6g}); "
+                f"Monte Carlo error exceeded the sanity floor"
+            )
         return replace(tangential, value=0.0, log_abs_value=-math.inf)
     return tangential
 

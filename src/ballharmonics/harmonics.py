@@ -6,15 +6,6 @@ component (exactly, for exact coefficients).  Constructors here only ever
 return certified maps; the flag exists so that downstream identity checks can
 refuse maps whose harmonicity was never established.
 
-Zonal harmonics are built from the Gegenbauer three-term recurrence,
-homogenised on the formal pair (t, s) = (<x, axis>, |x|^2):
-
-    R_0 = 1,  R_1 = 2 lambda t,
-    k R_k = 2 (k - 1 + lambda) t R_{k-1} - (k - 2 + 2 lambda) s R_{k-2},
-
-with lambda = n/2 - 1.  For n = 2 (lambda = 0) the recurrence degenerates and
-the Chebyshev form R_k = 2 t R_{k-1} - s R_{k-2} with R_1 = t is used instead.
-
 Harmonic projection takes the closed form for the harmonic part h_0 of a
 homogeneous p of degree m in the Almansi decomposition p = sum_j |x|^(2j) h_j
 (Axler, Bourdon and Ramey, Harmonic Function Theory, ch. 5):
@@ -22,8 +13,11 @@ homogeneous p of degree m in the Almansi decomposition p = sum_j |x|^(2j) h_j
     h_0 = sum_j (-1)^j |x|^(2j) Delta^j p / (2^j j! prod_{i=1..j} (n + 2m - 2 - 2i)),
 
 summed by Horner's rule in |x|^2 from the iterated Laplacians, all in exact
-arithmetic.  :func:`almansi_decomposition` recovers every h_j recursively
-and stays as the independent oracle for that formula.
+arithmetic.  Random maps project a random homogeneous polynomial, and the
+degree-k zonal harmonic about a unit axis is lead(n, k) h_0(<x, axis>^k)
+(ibid.; lead in :func:`_zonal_lead`).  The tests hold the two to oracles:
+the recursive Almansi split in ``tests/oracles.py`` and the Gegenbauer
+three-term recurrence in ``tests/test_harmonics.py``.
 """
 
 from __future__ import annotations
@@ -101,43 +95,20 @@ def harmonic_sum(
 
 # -- zonal harmonics ----------------------------------------------------------
 
-_TS = dict  # {(t_power, s_power): Fraction}, a poly in the formal pair (t, s)
 
+def _zonal_lead(n: int, k: int) -> Fraction:
+    """lead(n, k) = 2^k (lambda)_k / k!, lambda = n/2 - 1: the Gegenbauer t^k coefficient.
 
-def _ts_scale(p: _TS, factor: Fraction) -> _TS:
-    return {k: c * factor for k, c in p.items()}
-
-
-def _ts_add_shifted(tp: _TS, which: int, scale: Fraction, acc: _TS) -> None:
-    """acc += scale * (t if which == 0 else s) * tp, in place."""
-    for (a, b), c in tp.items():
-        key = (a + 1, b) if which == 0 else (a, b + 1)
-        acc[key] = acc.get(key, Fraction(0)) + scale * c
-
-
-def _zonal_ts(n: int, k: int) -> _TS:
-    """Degree-k zonal kernel as a polynomial in (t, s) = (<x, a>, |x|^2)."""
-    if k == 0:
-        return {(0, 0): Fraction(1)}
+    Written in t = <x, axis> and s = |x|^2, the projection of t^k has t^k
+    coefficient 1, so lead(n, k) times it is the Gegenbauer solid harmonic;
+    n = 2 (lambda = 0) takes the Chebyshev 2^(k - 1), n = 1 or k = 0 takes 1.
+    """
+    if k == 0 or n == 1:
+        return Fraction(1)
+    if n == 2:
+        return Fraction(2 ** (k - 1))
     lam = Fraction(n, 2) - 1
-    if lam == 0:
-        prev2: _TS = {(0, 0): Fraction(1)}
-        prev1: _TS = {(1, 0): Fraction(1)}
-        for j in range(2, k + 1):
-            cur: _TS = {}
-            _ts_add_shifted(prev1, 0, Fraction(2), cur)
-            _ts_add_shifted(prev2, 1, Fraction(-1), cur)
-            prev2, prev1 = prev1, cur
-        return prev1
-    prev2 = {(0, 0): Fraction(1)}
-    prev1 = {(1, 0): 2 * lam}
-    for j in range(2, k + 1):
-        cur = {}
-        _ts_add_shifted(prev1, 0, Fraction(2) * (j - 1 + lam), cur)
-        _ts_add_shifted(prev2, 1, -(Fraction(j - 2) + 2 * lam), cur)
-        cur = _ts_scale(cur, Fraction(1, j))
-        prev2, prev1 = prev1, cur
-    return prev1
+    return 2**k * math.prod(lam + i for i in range(k)) / math.factorial(k)
 
 
 def zonal_solid_harmonic(
@@ -145,7 +116,8 @@ def zonal_solid_harmonic(
 ) -> HarmonicMap:
     """The degree-k harmonic polynomial symmetric about ``axis`` (default e1).
 
-    The axis must have exactly unit norm in exact arithmetic: rational
+    It is lead(n, k) times the harmonic projection of <x, axis>^k: the
+    Gegenbauer solid harmonic, or the Chebyshev one for n = 2.  The axis must have exactly unit norm in exact arithmetic: rational
     entries with sum of squares 1 (coordinate axes, (3/5, 4/5), ...).  That
     is what makes the result exactly harmonic and the certification exact.
     n = 1 admits only k <= 1; for k >= 2 there is no nonzero harmonic
@@ -168,42 +140,14 @@ def zonal_solid_harmonic(
             f"axis must have exactly unit norm; got |axis|^2 = {norm_sq}. "
             f"Use rational unit vectors such as a coordinate axis or (3/5, 4/5)."
         )
-    label = f"zonal(n={n}, k={k})"
-    if k == 0:
-        return make_harmonic_map(MultiPoly.constant(n, 1), label=label)
-    if n == 1:
-        if k >= 2:
-            raise ValueError(
-                "no nonzero degree-k harmonic polynomial exists in one variable for k >= 2"
-            )
-        return make_harmonic_map(MultiPoly.variable(1, 0) * axis_f[0], label=label)
-    t_poly = MultiPoly(
-        n,
-        {
-            tuple(1 if j == i else 0 for j in range(n)): a
-            for i, a in enumerate(axis_f)
-            if a != 0
-        },
+    if n == 1 and k >= 2:
+        raise ValueError(
+            "no nonzero degree-k harmonic polynomial exists in one variable for k >= 2"
+        )
+    t = MultiPoly(n, {tuple(int(j == i) for j in range(n)): a for i, a in enumerate(axis_f)})
+    return make_harmonic_map(
+        harmonic_projection(t**k) * _zonal_lead(n, k), label=f"zonal(n={n}, k={k})"
     )
-    s_poly = MultiPoly(
-        n,
-        {
-            tuple(2 if j == i else 0 for j in range(n)): Fraction(1)
-            for i in range(n)
-        },
-    )
-    # every term t^a s^b of the expansion has a + 2b = k
-    t_pows = [MultiPoly.constant(n, 1)]
-    s_pows = [MultiPoly.constant(n, 1)]
-    for _ in range(k):
-        t_pows.append(t_pows[-1] * t_poly)
-    for _ in range(k // 2):
-        s_pows.append(s_pows[-1] * s_poly)
-    total = MultiPoly(n)
-    for (a, b), c in sorted(_zonal_ts(n, k).items()):
-        term = t_pows[a] * s_pows[b] * c
-        total = total + term
-    return make_harmonic_map(total, label=label)
 
 
 # -- harmonic projection ------------------------------------------------------
@@ -213,37 +157,6 @@ def _radius_sq(n: int) -> MultiPoly:
     return MultiPoly(
         n, {tuple(2 if j == i else 0 for j in range(n)): Fraction(1) for i in range(n)}
     )
-
-
-def almansi_decomposition(p: MultiPoly) -> list[MultiPoly]:
-    """Harmonic parts [h_0, h_1, ...] with p = sum_j |x|^(2j) h_j.
-
-    Requires a homogeneous input (each h_j is then homogeneous of degree
-    deg(p) - 2j).  Exact for exact coefficients.
-    """
-    if not p.is_homogeneous():
-        raise ValueError("Almansi decomposition needs a homogeneous polynomial")
-    if p.is_zero:
-        return [p]
-    n = p.dimension
-    k = p.total_degree()
-    lap = p.laplacian()
-    if lap.is_zero:
-        return [p]
-    lower = almansi_decomposition(lap)
-    parts: list[MultiPoly] = [MultiPoly(n)] * (len(lower) + 1)
-    for j, g in enumerate(lower, start=1):
-        # Delta(|x|^(2j) h) = 2j (2k - 2j + n - 2) |x|^(2j-2) h for deg h = k - 2j
-        divisor = 2 * j * (2 * k - 2 * j + n - 2)
-        parts[j] = g * Fraction(1, divisor)
-    rest = p
-    r2 = _radius_sq(n)
-    r2j = MultiPoly.constant(n, 1)
-    for j in range(1, len(parts)):
-        r2j = r2j * r2
-        rest = rest - r2j * parts[j]
-    parts[0] = rest
-    return parts
 
 
 def harmonic_projection(p: MultiPoly) -> MultiPoly:

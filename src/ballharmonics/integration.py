@@ -121,35 +121,65 @@ class IntegralResult:
         return self.value / other.value
 
     def minus(self, other: "IntegralResult") -> "IntegralResult":
-        """This integral minus another; exact when both are, else errors add in quadrature."""
+        """This integral minus another; exact when both are, else errors add in quadrature.
+
+        When the float difference is 0.0 or not finite because a side's float
+        left the normal range while its log stayed finite, log |a - b| comes
+        from the two logs and signs, and ``value`` keeps the sign (-0.0 when
+        it underflows).
+        """
         if self.exact is not None and other.exact is not None:
             return IntegralResult.from_exact(self.exact - other.exact)
         value = self.value - other.value
+        log_abs = math.log(abs(value)) if value else -math.inf
+        if not (value and math.isfinite(value)) and (self._off_range() or other._off_range()):
+            value, log_abs = _log_difference(
+                (math.copysign(1.0, self.value), self.log_abs_value),
+                (-math.copysign(1.0, other.value), other.log_abs_value),
+            )
         return IntegralResult(
             value=value,
-            log_abs_value=math.log(abs(value)) if value else -math.inf,
+            log_abs_value=log_abs,
             standard_error=math.hypot(self.standard_error, other.standard_error),
             method=self.method,
             samples=self.samples,
         )
 
+    def _off_range(self) -> bool:
+        """True when the float has lost a magnitude that the log still holds."""
+        return self.log_abs_value > -math.inf and not (
+            sys.float_info.min <= abs(self.value) < math.inf
+        )
+
+
+def _log_difference(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
+    """(value, log |value|) of the sum of two (sign, log |term|) pairs, formed in logs."""
+    (sign, big), (other_sign, small) = sorted((a, b), key=itemgetter(1), reverse=True)
+    if sign == other_sign:
+        log_abs = big + math.log1p(math.exp(small - big))
+    elif small == big:
+        return 0.0, -math.inf
+    else:
+        log_abs = big + math.log(-math.expm1(small - big))
+    try:
+        magnitude = math.exp(log_abs)
+    except OverflowError:
+        magnitude = math.inf
+    return math.copysign(magnitude, sign), log_abs
+
 
 @lru_cache(maxsize=65536)
-def _sphere_monomial_rational(n: int, alpha: tuple[int, ...]) -> Fraction:
-    """Rational part of the unit-sphere integral of x^alpha (all alpha_i even)."""
-    num = Fraction(2)
-    # a zero exponent contributes Gamma(1/2) = pi^(1/2), rational part 1
-    half_powers = alpha.count(0)
-    for a in alpha:
-        if a:
-            rat, k = gamma_half(a + 1)  # Gamma((a+1)/2)
-            num *= rat
-            half_powers += k
-    den_rat, den_k = gamma_half(n + sum(alpha))  # Gamma((n + |alpha|)/2)
-    half_powers -= den_k
-    if half_powers != 2 * (n // 2):
+def _sphere_monomial_rational(n: int, d: int) -> Fraction:
+    """Rational part of 2^(1 - d/2) pi^(n/2) / Gamma((n + d)/2), for even d >= 0.
+
+    That is the unit-sphere integral of x^alpha over prod_i (alpha_i - 1)!!
+    for every even alpha of degree d, since Gamma((a + 1)/2) =
+    (a - 1)!! 2^(-a/2) pi^(1/2) for even a.
+    """
+    den_rat, den_k = gamma_half(n + d)  # Gamma((n + d)/2)
+    if n - den_k != 2 * (n // 2):
         raise ArithmeticError("pi half-powers must collapse to an integer power")
-    return num / den_rat
+    return Fraction(2, 2 ** (d // 2)) / den_rat
 
 
 _Profile = tuple[tuple[int, Fraction], ...]
@@ -160,10 +190,9 @@ def _degree_profile(n: int, weights: Iterable[tuple[tuple[int, ...], Fraction]])
 
     c_d is the sum of w_alpha times the rational part of the unit-sphere
     integral of x^alpha over the monomials of degree d; degrees whose sum
-    vanishes are dropped.  Gamma((a + 1)/2) = (a - 1)!! 2^(-a/2) pi^(1/2) for
-    even a, so that integral is prod_i (alpha_i - 1)!! times the one for
-    x_1^d over (d - 1)!!: each degree sums its weights times integers and
-    meets the Gamma formula once.
+    vanishes are dropped.  That integral is prod_i (alpha_i - 1)!! times one
+    factor per degree (:func:`_sphere_monomial_rational`), so each degree
+    sums its weights times integers and meets the Gamma formula once.
     """
     acc: dict[int, Fraction] = {}
     for alpha, w in weights:
@@ -171,9 +200,7 @@ def _degree_profile(n: int, weights: Iterable[tuple[tuple[int, ...], Fraction]])
             d = sum(alpha)
             acc[d] = acc.get(d, 0) + w * math.prod(map(_odd_double_factorial, alpha))
     return tuple(
-        (d, c * _sphere_monomial_rational(n, (d,) + (0,) * (n - 1)) / _odd_double_factorial(d))
-        for d, c in sorted(acc.items())
-        if c
+        (d, c * _sphere_monomial_rational(n, d)) for d, c in sorted(acc.items()) if c
     )
 
 

@@ -14,9 +14,11 @@ index arithmetic.  Mean-value checks read the defining sum
 (J_delta * u)(x) = sum_j J_delta(x - y_j) u(y_j) h^n at the requested nodes
 only, sampling u on the kernel's (2K+1)^n box around each node, so their
 storage is O(points * K^n) rather than O(h^-n).  The tests hold them to the
-same sum over the whole sampled square (:func:`sample_scalar_on_grid` and
-:func:`direct_mollify_at`, their oracle).  Kernel-gradient norms scale one
-unit-lattice profile of the bump's slope to every delta.
+same sum over the whole sampled square (``sample_scalar_on_grid`` and
+``direct_mollify_at``, their oracles in ``tests/oracles.py``).  A bare
+polynomial input is certified harmonic or not as ``make_harmonic_map``
+certifies it.  Kernel-gradient norms scale one unit-lattice profile of the
+bump's slope to every delta.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .energetics import _least_squares_line, map_body
+from .energetics import _least_squares_line
 from .geometry import sphere_area
-from .harmonics import HarmonicMap
+from .harmonics import HarmonicMap, make_harmonic_map
 from .polynomials import MultiPoly
 
 GRID_DIMENSION_CAP = 3
@@ -220,19 +222,6 @@ def _grid_axis(spacing: float, extent: float) -> np.ndarray:
     return (np.arange(2 * half + 1) - half) * spacing
 
 
-def sample_scalar_on_grid(p: MultiPoly, spacing: float, extent: float = 1.0) -> GridField:
-    """Sample p over [-extent, extent]^n at the given (dyadic) spacing."""
-    _check_grid_dimension(p.dimension)
-    axis = _grid_axis(spacing, extent)
-    axes = [axis] * p.dimension
-    return GridField(
-        dimension=p.dimension,
-        spacing=spacing,
-        origin=(float(axis[0]),) * p.dimension,
-        values=poly_on_grid(p, axes),
-    )
-
-
 def kernel_field(spec: MollifierSpec, spacing: float) -> GridField:
     """J_delta sampled on its support grid, offsets -K..K per axis."""
     if not spacing > 0:
@@ -269,15 +258,6 @@ def _convolution_sum(block: np.ndarray, kern: GridField) -> float:
     return float(np.sum(block * kern.values)) * kern.spacing**kern.dimension
 
 
-def direct_mollify_at(field: GridField, spec: MollifierSpec, index: Sequence[int]) -> float:
-    """The convolution sum at one node of a whole sampled field, by direct summation."""
-    kern = kernel_field(spec, field.spacing)
-    window = _kernel_window(index, field.values.shape, (kern.values.shape[0] - 1) // 2)
-    if window is None:
-        raise ValueError(f"index {tuple(index)} is inside the masked margin")
-    return _convolution_sum(field.values[window], kern)
-
-
 # -- mean-value checks ---------------------------------------------------------
 
 
@@ -302,11 +282,8 @@ class MeanValueReport:
 
 def _scalar_components(u) -> tuple[list[MultiPoly], bool, int]:
     """Components, harmonic-certainty, dimension for a map-like input."""
-    if isinstance(u, HarmonicMap):
-        return list(u.body), u.certified, u.dimension
-    body = map_body(u)
-    certified = all(comp.is_harmonic() for comp in body)
-    return list(body), certified, body.dimension
+    h = u if isinstance(u, HarmonicMap) else make_harmonic_map(u)
+    return list(h.body), h.certified, h.dimension
 
 
 def mean_value_check(
@@ -319,8 +296,8 @@ def mean_value_check(
     to its nearest grid node, and the snapped coordinates are what the
     report carries.  J_delta * u is the defining sum read at that node
     alone: u is sampled on the kernel's box of grid nodes around it, so the
-    value equals :func:`direct_mollify_at` on the whole sampled square to
-    the bit, without the square being formed.  A non-harmonic input is
+    value equals the direct sum over the whole sampled square to the bit,
+    without the square being formed.  A non-harmonic input is
     *not* an error: the defect is computed and the report is flagged
     ``not_a_counterexample`` because a nonzero defect for a non-harmonic
     function contradicts nothing.

@@ -464,17 +464,6 @@ def _support(p: MultiPoly) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
-def grad_norm_sq(u: VectorPoly | MultiPoly) -> MultiPoly:
-    """|grad u|^2 = sum over components and axes of squared partials."""
-    vec = as_vector(u)
-    acc: dict = {}
-    for comp in vec:
-        for axis in _support(comp):
-            for exps, c in comp.partial_derivative(axis).square()._terms.items():
-                acc[exps] = acc.get(exps, 0) + c
-    return MultiPoly(vec.dimension, acc)
-
-
 def radial_pairing(u: VectorPoly | MultiPoly) -> tuple[MultiPoly, ...]:
     """Per component, the Euler pairing <x, grad u^i>."""
     vec = as_vector(u)

@@ -1,0 +1,97 @@
+"""Reference implementations the tests hold the package to.
+
+Each one computes what a package function computes by a slower, more direct
+route, and no package code calls any of them:
+
+* :func:`grad_norm_sq` forms |grad u|^2 as a polynomial, which the energy
+  quadrature never does;
+* :func:`sample_scalar_on_grid` and :func:`direct_mollify_at` sample a
+  polynomial over the whole square [-1, 1]^n and read the convolution sum at
+  one node, where ``mollifier.mean_value_check`` samples only the kernel's
+  box around each point;
+* :func:`almansi_decomposition` recovers every harmonic part h_j of
+  p = sum_j |x|^(2j) h_j recursively, against the closed form of
+  ``harmonics.harmonic_projection``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from ballharmonics.harmonics import _radius_sq
+from ballharmonics.mollifier import (
+    GridField,
+    MollifierSpec,
+    _check_grid_dimension,
+    _convolution_sum,
+    _grid_axis,
+    _kernel_window,
+    kernel_field,
+    poly_on_grid,
+)
+from ballharmonics.polynomials import MultiPoly, VectorPoly, _support, as_vector
+
+
+def grad_norm_sq(u: VectorPoly | MultiPoly) -> MultiPoly:
+    """|grad u|^2 = sum over components and axes of squared partials."""
+    vec = as_vector(u)
+    acc: dict = {}
+    for comp in vec:
+        for axis in _support(comp):
+            for exps, c in comp.partial_derivative(axis).square()._terms.items():
+                acc[exps] = acc.get(exps, 0) + c
+    return MultiPoly(vec.dimension, acc)
+
+
+def sample_scalar_on_grid(p: MultiPoly, spacing: float, extent: float = 1.0) -> GridField:
+    """Sample p over [-extent, extent]^n at the given (dyadic) spacing."""
+    _check_grid_dimension(p.dimension)
+    axis = _grid_axis(spacing, extent)
+    axes = [axis] * p.dimension
+    return GridField(
+        dimension=p.dimension,
+        spacing=spacing,
+        origin=(float(axis[0]),) * p.dimension,
+        values=poly_on_grid(p, axes),
+    )
+
+
+def direct_mollify_at(field: GridField, spec: MollifierSpec, index: Sequence[int]) -> float:
+    """The convolution sum at one node of a whole sampled field, by direct summation."""
+    kern = kernel_field(spec, field.spacing)
+    window = _kernel_window(index, field.values.shape, (kern.values.shape[0] - 1) // 2)
+    if window is None:
+        raise ValueError(f"index {tuple(index)} is inside the masked margin")
+    return _convolution_sum(field.values[window], kern)
+
+
+def almansi_decomposition(p: MultiPoly) -> list[MultiPoly]:
+    """Harmonic parts [h_0, h_1, ...] with p = sum_j |x|^(2j) h_j.
+
+    Requires a homogeneous input (each h_j is then homogeneous of degree
+    deg(p) - 2j).  Exact for exact coefficients.
+    """
+    if not p.is_homogeneous():
+        raise ValueError("Almansi decomposition needs a homogeneous polynomial")
+    if p.is_zero:
+        return [p]
+    n = p.dimension
+    k = p.total_degree()
+    lap = p.laplacian()
+    if lap.is_zero:
+        return [p]
+    lower = almansi_decomposition(lap)
+    parts: list[MultiPoly] = [MultiPoly(n)] * (len(lower) + 1)
+    for j, g in enumerate(lower, start=1):
+        # Delta(|x|^(2j) h) = 2j (2k - 2j + n - 2) |x|^(2j-2) h for deg h = k - 2j
+        divisor = 2 * j * (2 * k - 2 * j + n - 2)
+        parts[j] = g * Fraction(1, divisor)
+    rest = p
+    r2 = _radius_sq(n)
+    r2j = MultiPoly.constant(n, 1)
+    for j in range(1, len(parts)):
+        r2j = r2j * r2
+        rest = rest - r2j * parts[j]
+    parts[0] = rest
+    return parts

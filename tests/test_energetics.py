@@ -33,8 +33,16 @@ from ballharmonics.harmonics import (
     zonal_solid_harmonic,
 )
 from ballharmonics.identities import _flux_result
-from ballharmonics.integration import EXACT, QuadratureSpec, integrate_poly_ball, integrate_poly_sphere
-from ballharmonics.polynomials import MultiPoly, VectorPoly, grad_norm_sq, radial_pairing
+from ballharmonics.integration import (
+    EXACT,
+    IntegralResult,
+    QuadratureSpec,
+    integrate_poly_ball,
+    integrate_poly_sphere,
+)
+from ballharmonics.polynomials import MultiPoly, VectorPoly, radial_pairing
+
+from oracles import grad_norm_sq
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
@@ -437,6 +445,34 @@ def test_monte_carlo_refuses_a_mixed_degree_map_whose_top_power_of_r_underflows(
     u = harmonic_sum([zonal_solid_harmonic(3, 1), zonal_solid_harmonic(3, 3)])
     with pytest.raises(ValueError, match=r"mixed degree needs radius\^4 inside the float range"):
         dirichlet_energy_result(u, 1e-300, MC)
+
+
+def test_monte_carlo_tangential_energy_keeps_its_log_when_both_sides_underflow():
+    # total and normal both read 0.0 at 1e-300; their difference once read
+    # value 0.0 with log -inf
+    body = zonal_solid_harmonic(3, 2).body
+    tangential = surface_dirichlet_result(body, 1e-300, MC)
+    assert tangential.value == 0.0 and math.isfinite(tangential.log_abs_value)
+    assert _mc_log_offset(surface_dirichlet_result, body, 1e-300) == pytest.approx(
+        _mc_log_offset(surface_dirichlet_result, body, 1), abs=1e-9
+    )
+
+
+def test_underflowed_negative_tangential_energy_is_clamped(monkeypatch):
+    # normal above total by Monte Carlo noise, both underflowed: value -0.0
+    # carries the sign, and the tangential energy is clamped as at r = 1
+    def fake(log_abs):
+        return lambda u, r, spec: IntegralResult(math.exp(log_abs), log_abs, 0.0, "monte_carlo", 10)
+
+    monkeypatch.setattr(energetics, "surface_energy_total_result", fake(-2760.0))
+    monkeypatch.setattr(energetics, "normal_energy_result", fake(-2759.9))
+    clamped = surface_dirichlet_result(SADDLE, 1e-300, MC)
+    assert (clamped.value, math.copysign(1.0, clamped.value)) == (0.0, 1.0)
+    assert clamped.log_abs_value == -math.inf
+    monkeypatch.setattr(energetics, "surface_energy_total_result", fake(-20.0))
+    monkeypatch.setattr(energetics, "normal_energy_result", fake(-19.0))
+    with pytest.raises(ArithmeticError, match="sanity floor"):
+        surface_dirichlet_result(SADDLE, 1e-9, MC)
 
 
 # (value, log_abs_value, standard_error) of zonal(3, 2) at r = 1, where sampling the unit

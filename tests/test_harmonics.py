@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from ballharmonics import harmonics
 from ballharmonics.harmonics import (
     HarmonicMap,
-    almansi_decomposition,
     harmonic_projection,
     harmonic_space_dimension,
     harmonic_sum,
@@ -19,6 +19,8 @@ from ballharmonics.harmonics import (
     zonal_solid_harmonic,
 )
 from ballharmonics.polynomials import MultiPoly, VectorPoly
+
+from oracles import almansi_decomposition
 
 
 def P(n, terms):
@@ -74,6 +76,61 @@ class TestZonal:
         assert zonal_solid_harmonic(1, 1).degree == 1
         with pytest.raises(ValueError):
             zonal_solid_harmonic(1, 2)
+
+
+def _zonal_recurrence(n, k, axis):
+    """The degree-k zonal harmonic about ``axis`` by its three-term recurrence.
+
+    Homogenised on t = <x, axis> and s = |x|^2: Gegenbauer for n >= 3, with
+    lambda = n/2 - 1,
+
+        R_0 = 1,  R_1 = 2 lambda t,
+        j R_j = 2 (j - 1 + lambda) t R_(j-1) - (j - 2 + 2 lambda) s R_(j-2),
+
+    and for n = 2 (lambda = 0) the Chebyshev form R_1 = t,
+    R_j = 2 t R_(j-1) - s R_(j-2).
+    """
+    t = P(n, {tuple(int(j == i) for j in range(n)): a for i, a in enumerate(axis) if a})
+    s = P(n, {tuple(2 * int(j == i) for j in range(n)): 1 for i in range(n)})
+    lam = Fraction(n, 2) - 1
+    prev, cur = MultiPoly.constant(n, 1), t * (2 * lam if lam else 1)
+    if k == 0:
+        return prev
+    for j in range(2, k + 1):
+        if lam:
+            nxt = (t * cur * (2 * (j - 1 + lam)) - s * prev * (j - 2 + 2 * lam)) * Fraction(1, j)
+        else:
+            nxt = t * cur * 2 - s * prev
+        prev, cur = cur, nxt
+    return cur
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_zonal_matches_recurrence_oracle(n):
+    # the harmonic projection of lead(n, k) t^k against the recurrence, term for term
+    axes = [(1,), (Fraction(3, 5), Fraction(4, 5)), (Fraction(2, 3), Fraction(1, 3), Fraction(2, 3))]
+    for axis in axes:
+        if len(axis) > n:
+            continue
+        axis = axis + (0,) * (n - len(axis))
+        for k in range(10):
+            expected = _zonal_recurrence(n, k, axis)
+            assert zonal_solid_harmonic(n, k, axis).body[0].terms() == expected.terms()
+
+
+def test_zonal_and_random_maps_go_through_harmonic_projection(monkeypatch):
+    calls = []
+    original = harmonics.harmonic_projection
+
+    def spy(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(harmonics, "harmonic_projection", spy)
+    zonal_solid_harmonic(3, 4)
+    assert calls == [MultiPoly.variable(3, 0) ** 4]
+    random_harmonic_polynomial(3, 2, 0)
+    assert len(calls) >= 2 and all(p.total_degree() == 2 for p in calls[1:])
 
 
 class TestAlmansi:

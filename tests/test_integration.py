@@ -248,6 +248,25 @@ class TestMinus:
         assert (diff.method, diff.samples) == ("monte_carlo", 100)
         assert a.minus(a).log_abs_value == -math.inf
 
+    def test_float_route_keeps_the_log_of_sides_out_of_float_range(self):
+        # the float difference of two underflowed sides once read 0.0 with log -inf
+        tiny = IntegralResult(
+            value=0.0, log_abs_value=-2760.0, standard_error=0.0,
+            method="monte_carlo", samples=100,
+        )
+        less_tiny = dataclasses.replace(tiny, log_abs_value=-2759.0)
+        gap = -2759.0 + math.log1p(-math.exp(-1.0))
+        down, up = tiny.minus(less_tiny), less_tiny.minus(tiny)
+        assert (down.value, math.copysign(1.0, down.value)) == (0.0, -1.0)
+        assert (up.value, math.copysign(1.0, up.value)) == (0.0, 1.0)
+        assert down.log_abs_value == pytest.approx(gap, abs=1e-12)
+        assert up.log_abs_value == down.log_abs_value
+        assert tiny.minus(tiny).log_abs_value == -math.inf
+        huge = dataclasses.replace(tiny, value=math.inf, log_abs_value=800.0)
+        diff = huge.minus(dataclasses.replace(huge, log_abs_value=799.0))
+        assert diff.value == math.inf
+        assert diff.log_abs_value == pytest.approx(800.0 + math.log1p(-math.exp(-1.0)), abs=1e-12)
+
 
 class TestMonteCarlo:
     def spec(self, samples=200_000, seed=21, workers=1):

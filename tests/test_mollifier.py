@@ -24,14 +24,14 @@ from ballharmonics.harmonics import (
 from ballharmonics.mollifier import (
     GRID_DIMENSION_CAP,
     MollifierSpec,
-    direct_mollify_at,
     kernel_field,
     mean_value_check,
     mean_value_convergence,
     mollifier_gradient_scaling,
-    sample_scalar_on_grid,
 )
 from ballharmonics.polynomials import MultiPoly, VectorPoly, as_vector
+
+from oracles import direct_mollify_at, sample_scalar_on_grid
 
 
 SPEC2 = MollifierSpec(dimension=2, delta=0.25)
@@ -292,10 +292,16 @@ class TestMeanValueRoute:
         assert report.sup_error == max(report.errors)
 
     def test_never_forms_the_whole_field(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the whole sampled field was formed")
+        # u is sampled on the kernel's box around each point, which never
+        # spans the whole square [-1, 1] along an axis
+        original = mollifier.poly_on_grid
 
-        monkeypatch.setattr(mollifier, "sample_scalar_on_grid", refuse)
+        def box_only(p, axes):
+            if any(a[0] <= -1.0 and a[-1] >= 1.0 for a in axes):
+                raise AssertionError("the whole sampled field was formed")
+            return original(p, axes)
+
+        monkeypatch.setattr(mollifier, "poly_on_grid", box_only)
         u2 = random_harmonic_polynomial(2, 4, 19)
         assert mean_value_check(u2, SPEC2, TestMeanValue.POINTS, spacing=1 / 256).sup_error < 1e-6
         spec3 = MollifierSpec(dimension=3, delta=0.25)

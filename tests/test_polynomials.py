@@ -13,12 +13,13 @@ from ballharmonics.polynomials import (
     VectorPoly,
     format_poly,
     format_vector,
-    grad_norm_sq,
     gradient,
     parse_poly,
     parse_vector,
     radial_pairing,
 )
+
+from oracles import grad_norm_sq
 
 
 def P(n, terms):

@@ -15,14 +15,6 @@ SOURCES = sorted((ROOT / "src" / "ballharmonics").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
-# exports the package no longer calls, kept as the tests' reference implementations
-TEST_ORACLES = {
-    "grad_norm_sq",
-    "direct_mollify_at",
-    "sample_scalar_on_grid",
-    "almansi_decomposition",
-}
-
 
 def _parse(path: pathlib.Path) -> ast.AST:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -64,11 +56,8 @@ def test_every_export_is_reached_by_the_package_or_a_script():
     reached: set[str] = set()
     for path in [p for p in SOURCES if p.name != "__init__.py"] + SCRIPTS:
         reached |= _reads_outside_own_definition(_parse(path))
-    dead = sorted(set(_EXPORTS) - reached - TEST_ORACLES)
+    dead = sorted(set(_EXPORTS) - reached)
     assert not dead, f"exports that no module or script reaches: {dead}"
-    assert TEST_ORACLES <= set(_EXPORTS)
-    used = sorted(TEST_ORACLES & reached)
-    assert not used, f"no longer test-only, drop from TEST_ORACLES: {used}"
 
 
 def test_unvalidated_constructor_stays_in_polynomials():
@@ -142,17 +131,6 @@ def test_no_scipy_import(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             roots.add(node.module.split(".")[0])
     assert "scipy" not in roots, path.name
-
-
-def test_test_oracles_are_imported_by_the_tests():
-    imported = {
-        alias.name
-        for path in TESTS
-        for node in ast.walk(_parse(path))
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert TEST_ORACLES <= imported, sorted(TEST_ORACLES - imported)
 
 
 def test_identity_criteria_pass_under_optimize():
