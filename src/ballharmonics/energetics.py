@@ -8,44 +8,41 @@ For a map u: R^n -> R^m the quantities are
     H(r)        total(r) - normal(r), the tangential surface energy.
 
 The normal derivative on the sphere of radius r is <x, grad u^i> / r, so
-normal(r) is r^-2 times the sphere integral of sum_i <x, grad u^i>^2.  Two
-exact routes compute E, total and normal; the route follows from the input:
+normal(r) is r^-2 times the sphere integral of sum_i <x, grad u^i>^2.
 
-  * Fischer route, for a certified HarmonicMap with exact coefficients and
-    the exact spec.  For harmonic p of degree d the integral of p^2 over
-    S^(n-1) is |S^(n-1)| [p, p] / (n (n+2) ... (n+2d-2)), with the Fischer
-    product [p, p] = sum_alpha alpha! p_alpha^2 (Axler, Bourdon and Ramey,
-    Harmonic Function Theory, ch. 5).  Parts of different degree are
-    orthogonal on spheres and <x, grad u_d> = d u_d, so with S_d the
-    unit-sphere integral of |u_d|^2:
+On the exact spec every energy comes from one radial profile of the body, for
+any input: certified maps, bare polynomials and float coefficients (taken at
+their exact binary values) alike.  It rests on Wick's theorem: for a standard
+Gaussian g in R^n and polynomials p, q,
 
-        E(r)      = sum_d d S_d r^(n + 2d - 2),
-        total(r)  = sum_d d (n + 2d - 2) S_d r^(n + 2d - 3),
-        normal(r) = sum_d d^2 S_d r^(n + 2d - 3),
+    E[p(g) q(g)] = [e^(Delta/2) p, e^(Delta/2) q],
 
-    costing O(terms) once per map and O(#degrees) per radius.
-  * Pairwise quadrature route, for every other input on the exact spec (bare
-    polynomials, uncertified maps, float coefficients at their exact binary
-    values).  The monomial quadrature of :mod:`integration` (Folland) is
-    applied to the bilinear forms pair by pair: for terms p_a x^a and p_b x^b
-    of one component, |grad u|^2 gets p_a p_b sum_k a_k b_k I(a + b - 2 e_k),
-    sum_i <x, grad u^i>^2 gets |a| |b| p_a p_b I(a + b) and the flux sum_i
-    u^i <x, grad u^i> gets (|a| + |b|)/2 p_a p_b I(a + b), with I the
-    unit-sphere monomial integral.  Only pairs with a = b mod 2 in every
-    coordinate are visited, since every other pair integrates to zero.  The
-    sums are kept per integrand degree, so each radius again costs
-    O(#degrees).  Nothing here uses that u is harmonic: it is plain
-    quadrature of the stated integrands.
+with the Fischer product [a, b] = sum_alpha alpha! a_alpha b_alpha (Janson,
+Gaussian Hilbert Spaces, ch. 3).  In polar coordinates the unit-sphere
+integral of a form of degree D is its Gaussian mean times a factor of n and D
+alone (:func:`_sphere_monomial_rational`).  Let w_j = e^(Delta/2) u_j for
+each homogeneous part u_j of a component.  Summed over ordered pairs (i, j)
+of parts of one parity (other pairs integrate to zero), the densities are
+
+    |grad u|^2              at degree i + j - 2:  sum_alpha |alpha| alpha! w_i,alpha w_j,alpha,
+    sum_i <x, grad u^i>^2   at degree i + j:      i j [w_i, w_j],
+    sum_i u^i <x, grad u^i> at degree i + j:      (i + j)/2 [w_i, w_j],
+
+the first since Delta commutes with the partials, the other two by Euler's
+identity <x, grad u_j> = j u_j.  This is exact quadrature of the stated
+integrands and does not assume that u is harmonic.  On a harmonic part it is
+short: w_j = u_j, and two harmonic parts of different degree share no
+monomial, so a harmonic map costs the Fischer norm of each part, the closed
+form of Axler, Bourdon and Ramey (Harmonic Function Theory, ch. 5).  The
+profile is kept per integrand degree, so each radius costs O(#degrees).
 
 Every energy, and the flux of :mod:`identities`, is one (density, domain,
 lift) read through ``_energy``; Monte Carlo specs sum the squares of the
 partials d_k u^i or pairings, or the products u^i <x, grad u^i>, at the
 sample points, and :mod:`integration` alone decides how r enters.  No route
-forms a squared polynomial.  The Pohozaev and Green identities in
-:mod:`identities` pass the bare body, so they stay on quadrature: with the
-Fischer route on both sides their residuals would vanish by construction.  Energies scale quadratically
-in the map and decay like r^(n + 2k - 2) per homogeneous degree-k component;
-the fitting helpers below measure that decay from log-log samples.
+forms a squared polynomial.  Energies scale quadratically in the map and
+decay like r^(n + 2k - 2) per homogeneous degree-k component; the fitting
+helpers below measure that decay from log-log samples.
 """
 
 from __future__ import annotations
@@ -55,7 +52,6 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 
 from .exactmath import as_fraction
 from .harmonics import HarmonicMap
@@ -65,12 +61,11 @@ from .integration import (
     IntegralResult,
     QuadratureSpec,
     _Profile,
-    _degree_profile,
     _mc_integral,
     _radial_integral,
     _sphere_monomial_rational,
 )
-from .polynomials import VectorPoly, as_vector, gradient, radial_pairing
+from .polynomials import VectorPoly, _laplacian_terms, as_vector, gradient, radial_pairing
 
 
 def map_body(u) -> VectorPoly:
@@ -96,112 +91,99 @@ class _RadialProfile:
 
 
 @lru_cache(maxsize=512)
-def _fischer_profile(body: VectorPoly) -> _Profile:
-    """(d, S_d) for each degree d >= 1 of a harmonic body with exact coefficients.
+def _radial_profile(body: VectorPoly) -> _RadialProfile:
+    """The radial profile of any body, by the Fischer sums of the module docstring.
 
-    S_d is the rational part of the unit-sphere integral of sum_i |u^i_d|^2,
-    from the Fischer norm [p, p] = sum_alpha alpha! p_alpha^2 of the
-    degree-d parts: the integral of p^2 is |S^(n-1)| [p, p] / (n (n+2) ...
-    (n+2d-2)) for harmonic p.  Degree 0 carries no energy and is skipped.
-    """
-    n = body.dimension
-    terms = [(exps, as_fraction(c)) for comp in body for exps, c in comp.terms()]
-    den = math.lcm(*(c.denominator for _, c in terms))
-    norms: dict[int, int] = {}
-    for exps, c in terms:
-        d = sum(exps)
-        if d:
-            num = c.numerator * (den // c.denominator)
-            norms[d] = norms.get(d, 0) + math.prod(map(math.factorial, exps)) * num * num
-    area = _sphere_monomial_rational(n, 0)
-    return tuple(
-        (d, area * Fraction(norm, den * den) / math.prod(range(n, n + 2 * d - 1, 2)))
-        for d, norm in sorted(norms.items())
-    )
-
-
-def _fischer_radial(body: VectorPoly) -> _RadialProfile:
-    """The radial profile of a harmonic body, read off its Fischer profile.
-
-    Euler's identity <x, grad u_d> = d u_d and the orthogonality of different
-    degrees give the unit-sphere integrals d (n + 2d - 2) S_d of |grad u_d|^2
-    at integrand degree 2d - 2 (the r-derivative of E), and d^2 S_d of the
-    pairing square and d S_d of the flux at degree 2d.
-    """
-    n = body.dimension
-    profile = _fischer_profile(body)
-    return _RadialProfile(
-        grad=tuple((2 * d - 2, d * (n + 2 * d - 2) * s) for d, s in profile),
-        pairing=tuple((2 * d, d * d * s) for d, s in profile),
-        flux=tuple((2 * d, d * s) for d, s in profile),
-    )
-
-
-@lru_cache(maxsize=512)
-def _pairwise_profile(body: VectorPoly) -> _RadialProfile:
-    """The radial profile of any body, by pairwise quadrature.
-
-    One pass over the term pairs (a, b) of each component, visiting only
-    pairs with a = b mod 2 in every coordinate (all others integrate to zero
-    over spheres).  Coefficients are taken exactly (a float at its binary
-    value) and brought to a common denominator, so the pair weights are
-    integers, summed per monomial before each monomial is integrated once.
+    Coefficients are brought to integer numerators over one denominator den.
+    A part whose first Laplacian vanishes (always so at degree <= 1) has
+    w_j = u_j, and it shares no monomial with the other such parts of its
+    component, so it adds its Fischer norm straight into a per-degree sum.
+    Every other part is heat-flowed, w_j = sum_t Delta^t u_j / (2^t t!), to
+    integers over den 2^T T! (T the most heat steps that any part needs), and
+    paired with the parts of its parity.  Each degree D meets
+    :func:`_sphere_monomial_rational` once.
     """
     n = body.dimension
     comps = [[(exps, as_fraction(c)) for exps, c in comp.terms()] for comp in body]
     den = math.lcm(*(c.denominator for comp in comps for _, c in comp))
-    grad: dict[tuple, int] = {}
-    pairing: dict[tuple, int] = {}
-    flux: dict[tuple, int] = {}
+    norms: dict[int, int] = {}  # degree d -> Fischer norm of the harmonic degree-d parts
+    mixed = []  # per component with a non-harmonic part: degree j -> [u_j, Delta u_j, ...]
     for comp in comps:
-        classes: dict[tuple, list] = {}
+        parts: dict[int, dict] = {}
         for exps, c in comp:
-            support = tuple(k for k, e in enumerate(exps) if e)
-            term = (exps, c.numerator * (den // c.denominator), sum(exps), support)
-            classes.setdefault(tuple(e & 1 for e in exps), []).append(term)
-        for members in classes.values():
-            for i, (a, ca, da, support) in enumerate(members):
-                for j in range(i, len(members)):
-                    b, cb, db, _ = members[j]
-                    # the pair (a, b) stands for (b, a) too off the diagonal
-                    w = ca * cb if i == j else 2 * ca * cb
-                    key = tuple(map(add, a, b))
-                    pairing[key] = pairing.get(key, 0) + da * db * w
-                    # exact halving: da + db = 2 da on the diagonal, w is even off it
-                    flux[key] = flux.get(key, 0) + (da + db) * w // 2
-                    for k in support:
-                        if b[k]:
-                            g = key[:k] + (key[k] - 2,) + key[k + 1 :]
-                            grad[g] = grad.get(g, 0) + a[k] * b[k] * w
+            parts.setdefault(sum(exps), {})[exps] = c.numerator * (den // c.denominator)
+        series = {j: _laplacians(u) if j > 1 else [u] for j, u in parts.items()}
+        for j, s in series.items():
+            if len(s) == 1:
+                norms[j] = norms.get(j, 0) + _fischer_norm(s[0], j)
+        if any(len(s) > 1 for s in series.values()):
+            mixed.append(series)
+    steps = max((len(s) - 1 for series in mixed for s in series.values()), default=0)
+    scale = 2**steps * math.factorial(steps)
+    # Euler's identity on a harmonic part: |alpha| = d, i j = d^2 and (i + j)/2 = d
+    grad = {2 * d - 2: d * c * scale**2 for d, c in norms.items()}
+    pairing = {2 * d: d * d * c * scale**2 for d, c in norms.items()}
+    flux = {2 * d: d * c * scale**2 for d, c in norms.items()}
+    for series in mixed:
+        heated = {j: _heat(s, scale) for j, s in series.items()}
+        degrees = sorted(series)
+        for x, i in enumerate(degrees):
+            for j in degrees[x:]:
+                if (j - i) % 2 or len(series[i]) == len(series[j]) == 1:
+                    continue
+                f, g = _fischer_sums(heated[i], heated[j])
+                # off the diagonal the pair (i, j) stands for (j, i) too
+                m = 1 if i == j else 2
+                grad[i + j - 2] = grad.get(i + j - 2, 0) + m * g
+                pairing[i + j] = pairing.get(i + j, 0) + m * i * j * f
+                flux[i + j] = flux.get(i + j, 0) + m * (i + j) // 2 * f
+    unit = Fraction(1, (den * scale) ** 2)
 
-    def by_degree(weights: dict[tuple, int]) -> _Profile:
-        return tuple((d, c / den**2) for d, c in _degree_profile(n, weights.items()))
+    def by_degree(sums: dict[int, int]) -> _Profile:
+        return tuple(
+            (d, unit * c * _sphere_monomial_rational(n, d)) for d, c in sorted(sums.items()) if c
+        )
 
     return _RadialProfile(by_degree(grad), by_degree(pairing), by_degree(flux))
 
 
-def _fischer_route(u, spec: QuadratureSpec) -> bool:
-    """True when u's energies may be read off its Fischer profile.
-
-    That needs harmonic components (certified), exact coefficients and an
-    exact spec.
-    """
-    return (
-        spec.method == EXACT_METHOD
-        and isinstance(u, HarmonicMap)
-        and u.certified
-        and u.body.is_exact
-    )
+def _laplacians(u: dict) -> list[dict]:
+    """[u, Delta u, Delta^2 u, ...] of an integer-coefficient part, up to the last nonzero one."""
+    out = [u]
+    while lap := {e: c for e, c in _laplacian_terms(out[-1]).items() if c}:
+        out.append(lap)
+    return out
 
 
-def _exact_profile(u, spec: QuadratureSpec) -> _RadialProfile:
-    """u's radial profile on the exact spec.
+def _heat(series: list[dict], scale: int) -> dict:
+    """scale e^(Delta/2) u = sum_t scale / (2^t t!) Delta^t u, from u's Laplacian series."""
+    w: dict = {}
+    for t, lap in enumerate(series):
+        weight = scale // (2**t * math.factorial(t))
+        for exps, c in lap.items():
+            w[exps] = w.get(exps, 0) + weight * c
+    return w
 
-    Fischer for certified exact maps, pairwise quadrature for everything else.
-    """
-    if _fischer_route(u, spec):
-        return _fischer_radial(u.body)
-    return _pairwise_profile(map_body(u))
+
+def _fischer_norm(u: dict, degree: int) -> int:
+    """sum alpha! u_alpha^2 over a degree-d part; alpha! = 1 at degree <= 1."""
+    if degree <= 1:
+        return sum(c * c for c in u.values())
+    return sum(math.prod(map(math.factorial, alpha)) * c * c for alpha, c in u.items())
+
+
+def _fischer_sums(a: dict, b: dict) -> tuple[int, int]:
+    """sum alpha! a_alpha b_alpha and sum |alpha| alpha! a_alpha b_alpha."""
+    if len(b) < len(a):
+        a, b = b, a
+    f = g = 0
+    for alpha, c in a.items():
+        other = b.get(alpha)
+        if other:
+            term = math.prod(map(math.factorial, alpha)) * c * other
+            f += term
+            g += sum(alpha) * term
+    return f, g
 
 
 # density -> (the rows a Monte Carlo block evaluates, the form that combines them)
@@ -227,7 +209,7 @@ def _energy(u, r, spec: QuadratureSpec, density: str, ball=False, lift=0) -> Int
     body = map_body(u)
     n = body.dimension
     if spec.method == EXACT_METHOD:
-        return _radial_integral(n, getattr(_exact_profile(u, spec), density), r, ball, lift)
+        return _radial_integral(n, getattr(_radial_profile(body), density), r, ball, lift)
     rows, form = _MC_ROWS[density](body)
     return _mc_integral(n, rows, form, r, spec, ball, lift)
 

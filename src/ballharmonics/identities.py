@@ -7,16 +7,18 @@ For a certified harmonic map u and radius r in (0, 1]:
     sum_i u^i <x, grad u^i>,
   * minimiser bound (n >= 3, u non-constant): E(1) < 2/(n-2) H(1),
 
-with E, total, normal and H as in :mod:`energetics`.  Both identities pass
-the bare body, so their sides come from quadrature of the stated integrands,
-never from the Fischer product, and each compares two independent
-computations.  On the exact spec that quadrature is the pairwise radial
-profile of :mod:`energetics` (the flux sum_i u^i <x, grad u^i> included),
-which never forms a squared polynomial and does not assume harmonicity; the
-two identities then hold with *exactly* zero residual for rational harmonic
-maps, float coefficients being taken at their exact binary values.  Monte
-Carlo specs take every side, the flux included, through the one radial law
-of :mod:`integration` and reproduce the identities to sampling accuracy.
+with E, total, normal and H as in :mod:`energetics`.  On the exact spec
+every side is exact quadrature of its stated integrand, read off the one
+radial profile of :mod:`energetics`, which never forms a squared polynomial
+and does not assume harmonicity.  The two sides of an identity agree
+through the Gamma ratio S(n, 2d) / S(n, 2d - 2) = 1 / (n + 2d - 2) of the
+sphere factors (:func:`integration._sphere_monomial_rational`).  On a
+harmonic map, though, the arithmetic of both sides reduces to the Fischer
+algebra, so they are not independent computations.  The identities hold
+with *exactly* zero residual for rational harmonic maps, float coefficients
+being taken at their exact binary values.  Monte Carlo specs take every
+side, the flux included, through the one radial law of :mod:`integration`
+and reproduce the identities to sampling accuracy.
 Residuals are normalised by max(|lhs|, |rhs|, E(r)) so that the n = 2 inner
 identity (whose lhs vanishes identically) is still meaningfully scored.
 
@@ -42,7 +44,6 @@ from .exactmath import PiRational, as_fraction
 from .geometry import _safe_exp, unit_ball_volume
 from .harmonics import HarmonicMap
 from .integration import EXACT, IntegralResult, QuadratureSpec
-from .polynomials import VectorPoly
 
 POHOZAEV = "pohozaev"
 GREEN = "green"
@@ -75,9 +76,9 @@ def _require_certified(u: HarmonicMap) -> None:
         )
 
 
-def _flux_result(body: VectorPoly, r, spec: QuadratureSpec) -> IntegralResult:
+def _flux_result(u, r, spec: QuadratureSpec) -> IntegralResult:
     """(1/r) times the sphere integral of sum_i u^i <x, grad u^i> at radius r."""
-    return _energy(body, r, spec, "flux", lift=-1)
+    return _energy(u, r, spec, "flux", lift=-1)
 
 
 def _normalized(lhs: IntegralResult, rhs: IntegralResult, scale: IntegralResult) -> tuple[float, float]:
@@ -111,10 +112,9 @@ def pohozaev_residual(
     """Residual of (n - 2) E(r) = r total(r) - 2 r normal(r)."""
     _require_certified(u)
     n = u.dimension
-    # bare body: quadrature, not the Fischer profile, or the residual is 0 by construction
-    energy = dirichlet_energy_result(u.body, r, spec)
-    total = surface_energy_total_result(u.body, r, spec)
-    normal = normal_energy_result(u.body, r, spec)
+    energy = dirichlet_energy_result(u, r, spec)
+    total = surface_energy_total_result(u, r, spec)
+    normal = normal_energy_result(u, r, spec)
     r_exact = as_fraction(r)
     lhs = energy.scaled(n - 2)
     rhs = total.scaled(r_exact).minus(normal.scaled(2 * r_exact))
@@ -137,9 +137,8 @@ def green_residual(
     """Residual of E(r) = (1/r) * integral over the sphere of sum_i u^i <x, grad u^i>."""
     _require_certified(u)
     n = u.dimension
-    # bare body: quadrature, not the Fischer profile, so the two sides stay independent
-    lhs = dirichlet_energy_result(u.body, r, spec)
-    rhs = _flux_result(u.body, r, spec)
+    lhs = dirichlet_energy_result(u, r, spec)
+    rhs = _flux_result(u, r, spec)
     residual, normalized = _normalized(lhs, rhs, lhs)
     return ResidualReport(
         identity_name=GREEN,

@@ -290,16 +290,7 @@ class MultiPoly:
         return MultiPoly._canonical(self._dimension, out)
 
     def laplacian(self) -> "MultiPoly":
-        out: dict[Exponents, Coeff] = {}
-        for exps, c in self._terms.items():
-            if max(exps) < 2:
-                continue
-            for axis, e in enumerate(exps):
-                if e < 2:
-                    continue
-                key = exps[:axis] + (e - 2,) + exps[axis + 1 :]
-                out[key] = out.get(key, 0) + c * (e * (e - 1))
-        return MultiPoly._canonical(self._dimension, out)
+        return MultiPoly._canonical(self._dimension, _laplacian_terms(self._terms))
 
     def is_harmonic(self, tol: float | None = None) -> bool:
         """True iff the Laplacian vanishes.
@@ -360,10 +351,24 @@ class MultiPoly:
         return format_poly(self)
 
 
+def _laplacian_terms(terms: Mapping[Exponents, Coeff]) -> dict[Exponents, Coeff]:
+    """The Laplacian of exponent -> coefficient terms, merged but not canonical (zeros kept)."""
+    out: dict[Exponents, Coeff] = {}
+    for exps, c in terms.items():
+        if max(exps) < 2:
+            continue
+        for axis, e in enumerate(exps):
+            if e < 2:
+                continue
+            key = exps[:axis] + (e - 2,) + exps[axis + 1 :]
+            out[key] = out.get(key, 0) + c * (e * (e - 1))
+    return out
+
+
 class VectorPoly:
     """Immutable tuple of MultiPoly components sharing one ambient dimension."""
 
-    __slots__ = ("_components", "_exact")
+    __slots__ = ("_components",)
 
     def __init__(self, components: Iterable[MultiPoly]):
         comps = tuple(components)
@@ -373,17 +378,9 @@ class VectorPoly:
         if len(dims) != 1:
             raise DimensionError(f"components disagree on dimension: {sorted(dims)}")
         object.__setattr__(self, "_components", comps)
-        object.__setattr__(self, "_exact", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("VectorPoly is immutable")
-
-    @property
-    def is_exact(self) -> bool:
-        """True when every component is exact; read once per instance."""
-        if self._exact is None:
-            object.__setattr__(self, "_exact", all(comp.is_exact for comp in self._components))
-        return self._exact
 
     @property
     def components(self) -> tuple[MultiPoly, ...]:

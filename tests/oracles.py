@@ -4,7 +4,11 @@ Each one computes what a package function computes by a slower, more direct
 route, and no package code calls any of them:
 
 * :func:`grad_norm_sq` forms |grad u|^2 as a polynomial, which the energy
-  quadrature never does;
+  quadrature never does, and :func:`materialised` integrates it and the
+  other squared energy densities monomial by monomial;
+* :func:`fischer_profile` gives the sphere norms of a harmonic map's parts
+  by the closed form of Axler, Bourdon and Ramey, where the package pairs
+  heat-flowed parts by Wick's theorem and assumes no harmonicity;
 * :func:`sample_scalar_on_grid` and :func:`direct_mollify_at` sample a
   polynomial over the whole square [-1, 1]^n and read the convolution sum at
   one node, where ``mollifier.mean_value_check`` samples only the kernel's
@@ -16,10 +20,17 @@ route, and no package code calls any of them:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
+from ballharmonics.exactmath import as_fraction
 from ballharmonics.harmonics import _radius_sq
+from ballharmonics.integration import (
+    _sphere_monomial_rational,
+    integrate_poly_ball,
+    integrate_poly_sphere,
+)
 from ballharmonics.mollifier import (
     GridField,
     MollifierSpec,
@@ -30,7 +41,7 @@ from ballharmonics.mollifier import (
     kernel_field,
     poly_on_grid,
 )
-from ballharmonics.polynomials import MultiPoly, VectorPoly, _support, as_vector
+from ballharmonics.polynomials import MultiPoly, VectorPoly, _support, as_vector, radial_pairing
 
 
 def grad_norm_sq(u: VectorPoly | MultiPoly) -> MultiPoly:
@@ -42,6 +53,44 @@ def grad_norm_sq(u: VectorPoly | MultiPoly) -> MultiPoly:
             for exps, c in comp.partial_derivative(axis).square()._terms.items():
                 acc[exps] = acc.get(exps, 0) + c
     return MultiPoly(vec.dimension, acc)
+
+
+def materialised(body: VectorPoly, r) -> tuple:
+    """E, total, normal and the Green flux at r, from the squared polynomials."""
+    rq = Fraction(r)
+    pairings = radial_pairing(body)
+    pairing_sq = sum((p * p for p in pairings), MultiPoly(body.dimension))
+    flux = sum((c * p for c, p in zip(body, pairings)), MultiPoly(body.dimension))
+    return (
+        integrate_poly_ball(grad_norm_sq(body), r).exact,
+        integrate_poly_sphere(grad_norm_sq(body), r).exact,
+        integrate_poly_sphere(pairing_sq, r).exact.scaled(rq**-2),
+        integrate_poly_sphere(flux, r).exact.scaled(1 / rq),
+    )
+
+
+def fischer_profile(body: VectorPoly) -> tuple[tuple[int, Fraction], ...]:
+    """(d, S_d) for each degree d >= 1 of a harmonic body with exact coefficients.
+
+    S_d is the rational part of the unit-sphere integral of sum_i |u^i_d|^2:
+    for harmonic p of degree d the integral of p^2 is |S^(n-1)| [p, p] /
+    (n (n+2) ... (n+2d-2)), with the Fischer norm [p, p] = sum_alpha alpha!
+    p_alpha^2 (Axler, Bourdon and Ramey, Harmonic Function Theory, ch. 5).
+    Degree 0 carries no energy and is skipped.
+    """
+    n = body.dimension
+    norms: dict[int, Fraction] = {}
+    for comp in body:
+        for exps, c in comp.terms():
+            d = sum(exps)
+            if d:
+                norm = math.prod(map(math.factorial, exps)) * as_fraction(c) ** 2
+                norms[d] = norms.get(d, 0) + norm
+    area = _sphere_monomial_rational(n, 0)
+    return tuple(
+        (d, area * norm / math.prod(range(n, n + 2 * d - 1, 2)))
+        for d, norm in sorted(norms.items())
+    )
 
 
 def sample_scalar_on_grid(p: MultiPoly, spacing: float, extent: float = 1.0) -> GridField:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ballharmonics import energetics
 from ballharmonics.energetics import (
-    _fischer_route,
     concentration_fraction,
     dirichlet_energy,
     dirichlet_energy_result,
@@ -33,16 +32,10 @@ from ballharmonics.harmonics import (
     zonal_solid_harmonic,
 )
 from ballharmonics.identities import _flux_result
-from ballharmonics.integration import (
-    EXACT,
-    IntegralResult,
-    QuadratureSpec,
-    integrate_poly_ball,
-    integrate_poly_sphere,
-)
-from ballharmonics.polynomials import MultiPoly, VectorPoly, radial_pairing
+from ballharmonics.integration import EXACT, IntegralResult, QuadratureSpec
+from ballharmonics.polynomials import MultiPoly, VectorPoly
 
-from oracles import grad_norm_sq
+from oracles import fischer_profile, materialised
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
@@ -242,7 +235,7 @@ class TestDecayBoundEdges:
         assert report.worst_margin == want
 
 
-# -- the Fischer route ---------------------------------------------------------
+# -- harmonic maps against the Fischer closed form -----------------------------
 
 QUANTITIES = (dirichlet_energy_result, surface_energy_total_result, normal_energy_result)
 
@@ -282,54 +275,74 @@ radii = st.one_of(
 )
 
 
+def fischer_energies(u, r):
+    """E, total and normal at r from the closed form of :func:`oracles.fischer_profile`.
+
+    With S_d the unit-sphere integral of |u_d|^2, Euler's identity and the
+    orthogonality of degrees give E(r) = sum_d d S_d r^(n + 2d - 2), total(r)
+    = sum_d d (n + 2d - 2) S_d r^(n + 2d - 3) and normal(r) = sum_d d^2 S_d
+    r^(n + 2d - 3).
+    """
+    n, rq = u.dimension, as_fraction(r)
+    profile = fischer_profile(u.body)
+
+    def read(weight, shift):
+        terms = (weight(d) * s * rq ** (n + 2 * d - shift) for d, s in profile)
+        return PiRational(sum(terms, Fraction(0)), n // 2)
+
+    return read(lambda d: d, 2), read(lambda d: d * (n + 2 * d - 2), 3), read(lambda d: d * d, 3)
+
+
 @given(certified_exact_maps(), radii)
 @settings(max_examples=80, deadline=None)
-def test_property_fischer_route_equals_quadrature(u, r):
-    assert u.certified and _fischer_route(u, EXACT)
-    for quantity in QUANTITIES:
-        fischer = quantity(u, r).exact
-        quadrature = quantity(u.body, r).exact
-        assert fischer == quadrature, (quantity.__name__, u.body, r)
+def test_property_certified_maps_equal_the_fischer_closed_form(u, r):
+    assert u.certified
+    got = tuple(quantity(u, r).exact for quantity in QUANTITIES)
+    assert got == fischer_energies(u, r), (u.body, r)
 
 
-def test_fischer_route_only_for_exact_certified_maps_and_exact_spec(monkeypatch):
+def test_monte_carlo_never_reads_the_profile_and_every_exact_input_does(monkeypatch):
     def refuse(body):
-        raise AssertionError("the Fischer profile was consulted")
+        raise AssertionError("the exact profile was consulted")
 
     u = zonal_solid_harmonic(3, 2)
     mc = QuadratureSpec(method="monte_carlo", samples=1000, seed=3)
     uncertified = HarmonicMap(body=u.body, degree=2, certified=False)
     lowered = make_harmonic_map(u.body[0].lowered())
-    monkeypatch.setattr(energetics, "_fischer_profile", refuse)
+    inputs = (u, u.body, u.body[0], uncertified, lowered)
+    # certification and exactness pick no route: every input reads one profile
+    for quantity, want in zip(QUANTITIES, fischer_energies(u, 1)):
+        assert [quantity(v, 1).exact for v in inputs] == [want] * len(inputs)
+    monkeypatch.setattr(energetics, "_radial_profile", refuse)
     for quantity in QUANTITIES:
-        for args in ((u.body, 1), (u.body[0], 1), (uncertified, 1), (lowered, 1), (u, 1, mc)):
-            quantity(*args)
-    assert lowered.certified and not _fischer_route(lowered, EXACT)
+        for v in inputs:
+            quantity(v, 1, mc)
+    with pytest.raises(AssertionError, match="exact profile"):
+        dirichlet_energy_result(lowered, 1)
 
 
 def test_fischer_profile_of_a_mixed_map():
     # u = x1 + (x1^2 - x2^2) in the plane: [x1, x1] = 1 and
     # [x1^2 - x2^2, x1^2 - x2^2] = 4, so S_1 = 2 pi / 2 = pi and S_2 = 2 pi * 4 / (2 * 4) = pi
     u = make_harmonic_map(MultiPoly(2, {(1, 0): 1, (2, 0): 1, (0, 2): -1}))
-    assert energetics._fischer_profile(u.body) == ((1, Fraction(1)), (2, Fraction(1)))
+    assert fischer_profile(u.body) == ((1, Fraction(1)), (2, Fraction(1)))
+    # |grad u|^2 has the degree-0 part 1 * (2 + 0) * S_1 and the degree-2 part 2 * (2 + 2) * S_2
+    assert energetics._radial_profile(u.body).grad == ((0, Fraction(2)), (2, Fraction(8)))
     # E(1) = 1 * S_1 + 2 * S_2 = 3 pi
     assert dirichlet_energy_result(u, 1).exact.coeff == 3
 
 
-def test_fischer_route_reads_exactness_once_per_body(monkeypatch):
-    # concentration_fraction asks for two energies of one map; each component's
-    # coefficients are scanned once, not once per energy
-    scans = []
-    scan = MultiPoly.is_exact.fget
-    monkeypatch.setattr(MultiPoly, "is_exact", property(lambda p: scans.append(p) or scan(p)))
+def test_profile_is_built_once_per_body():
+    # concentration_fraction asks for two energies of one map, and the total
+    # surface energy a third: all three read one cached profile
+    energetics._radial_profile.cache_clear()
     u = identity_map(6)
-    scans.clear()
     concentration_fraction(u, Fraction(9, 10))
     surface_energy_total_result(u, 1)
-    assert len(scans) == 6
+    assert energetics._radial_profile.cache_info().misses == 1
 
 
-# -- the pairwise quadrature profile ---------------------------------------------
+# -- the profile of any body ------------------------------------------------------
 
 
 @st.composite
@@ -347,20 +360,6 @@ def exact_bodies(draw):
     return VectorPoly(draw(st.lists(exact_polynomials(n), min_size=1, max_size=3)))
 
 
-def materialised(body, r):
-    """E, total, normal and the Green flux from the squared polynomials."""
-    rq = Fraction(r)
-    pairings = radial_pairing(body)
-    pairing_sq = sum((p * p for p in pairings), MultiPoly(body.dimension))
-    flux = sum((c * p for c, p in zip(body, pairings)), MultiPoly(body.dimension))
-    return (
-        integrate_poly_ball(grad_norm_sq(body), r).exact,
-        integrate_poly_sphere(grad_norm_sq(body), r).exact,
-        integrate_poly_sphere(pairing_sq, r).exact.scaled(rq**-2),
-        integrate_poly_sphere(flux, r).exact.scaled(1 / rq),
-    )
-
-
 def profiled(body, r):
     return (
         dirichlet_energy_result(body, r).exact,
@@ -372,12 +371,11 @@ def profiled(body, r):
 
 @given(exact_bodies(), radii)
 @settings(max_examples=80, deadline=None)
-def test_property_pairwise_profile_equals_materialised_quadrature(body, r):
-    assert energetics._exact_profile(body, EXACT) == energetics._pairwise_profile(body)
+def test_property_profile_equals_materialised_quadrature(body, r):
     assert profiled(body, r) == materialised(body, r)
 
 
-def test_pairwise_profile_does_not_assume_harmonicity():
+def test_profile_does_not_assume_harmonicity():
     # u = x1^2 in R^3 is not harmonic: |grad u|^2 = 4 x1^2, <x, grad u> = 2 x1^2,
     # and over the unit sphere x1^2 integrates to 4 pi/3, x1^4 to 4 pi/5
     body = VectorPoly([MultiPoly(3, {(2, 0, 0): 1})])
@@ -404,12 +402,14 @@ FLOAT_BODIES = {
 
 
 @pytest.mark.parametrize("body", FLOAT_BODIES.values(), ids=FLOAT_BODIES.keys())
-def test_float_bodies_take_the_pairwise_profile_of_their_binary_values(body):
+def test_float_bodies_take_the_profile_of_their_binary_values(body):
     assert not any(comp.is_exact for comp in body)
     exact_body = VectorPoly(
         [MultiPoly(c.dimension, {e: as_fraction(x) for e, x in c.terms()}) for c in body]
     )
-    assert energetics._exact_profile(body, EXACT) == energetics._pairwise_profile(exact_body)
+    # the two bodies compare equal, so the cache would hand one the other's profile
+    build = energetics._radial_profile.__wrapped__
+    assert build(body) == build(exact_body)
     assert profiled(body, 0.7) == profiled(exact_body, 0.7)
     # squaring the float polynomials, as these bodies were once integrated,
     # agrees to rounding

@@ -32,6 +32,8 @@ from ballharmonics.identities import (
 from ballharmonics.integration import EXACT, QuadratureSpec
 from ballharmonics.polynomials import MultiPoly, VectorPoly
 
+from oracles import materialised
+
 
 def rational_maps(n, seed=3):
     yield identity_map(n)
@@ -59,25 +61,29 @@ def test_green_exactly_zero_on_rational_maps(n, r):
         assert report.normalized_residual == 0.0
 
 
-def test_identities_stay_off_the_fischer_route(monkeypatch):
-    # both identities compare quadrature of the squared integrands with the
-    # flux or energy; the Fischer profile would make the two sides one formula
-    def refuse(body):
-        raise AssertionError("the Fischer profile was consulted")
-
-    monkeypatch.setattr(energetics, "_fischer_profile", refuse)
-    for n in (2, 3, 5):
-        for u in rational_maps(n):
-            for r in (Fraction(3, 10), 0.7, 1):
-                assert pohozaev_residual(u, r).normalized_residual == 0.0
-                assert green_residual(u, r).normalized_residual == 0.0
-    with pytest.raises(AssertionError, match="Fischer"):
-        minimiser_bound_check(identity_map(3))
+@pytest.mark.parametrize("n", [50, 100])
+def test_identities_exact_in_high_dimension(n):
+    # a harmonic part pairs only with itself, so the profile of zonal(n, 4)
+    # costs its Fischer norm, not a sum over pairs of its ~n^2/2 terms
+    u = zonal_solid_harmonic(n, 4)
+    assert pohozaev_residual(u, 1).normalized_residual == 0.0
+    assert green_residual(u, Fraction(7, 10)).normalized_residual == 0.0
+    assert minimiser_bound_check(u).margin_ratio == float(Fraction(2 * (n + 2), n - 2))
+    if n == 100:
+        # a non-harmonic body takes the heat step e^(Delta/2) at high n too
+        body = VectorPoly([MultiPoly(n, {(4,) + (0,) * (n - 1): 1, (1, 1) + (0,) * (n - 2): 1})])
+        got = (
+            dirichlet_energy_result(body, Fraction(7, 10)).exact,
+            surface_energy_total_result(body, Fraction(7, 10)).exact,
+            normal_energy_result(body, Fraction(7, 10)).exact,
+            _flux_result(body, Fraction(7, 10), EXACT).exact,
+        )
+        assert got == materialised(body, Fraction(7, 10))
 
 
 def test_identity_scan_never_materialises_a_square(monkeypatch):
-    # the exact spec reads the Fischer or pairwise radial profile and Monte
-    # Carlo evaluates partials, pairings and components at the sample points:
+    # the exact spec reads the radial profile's Fischer sums and Monte Carlo
+    # evaluates partials, pairings and components at the sample points:
     # neither forms |grad u|^2, sum_i <x, grad u^i>^2 or the flux as a polynomial
     def refuse(*args):
         raise AssertionError("a squared polynomial was materialised")
@@ -110,8 +116,8 @@ def test_monte_carlo_stays_off_the_profile_and_float_bodies_take_it(monkeypatch)
         consulted.append(body)
         return profile(body)
 
-    profile = energetics._pairwise_profile
-    monkeypatch.setattr(energetics, "_pairwise_profile", spy)
+    profile = energetics._radial_profile
+    monkeypatch.setattr(energetics, "_radial_profile", spy)
     u = zonal_solid_harmonic(3, 2)
     mc = QuadratureSpec(method="monte_carlo", samples=2000, seed=3)
     for quantity in (dirichlet_energy_result, surface_energy_total_result, normal_energy_result):

@@ -16,6 +16,9 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def _parse(path: pathlib.Path) -> ast.AST:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -51,13 +54,30 @@ def test_sources_found():
     assert len(SOURCES) > 10
 
 
-def test_every_export_is_reached_by_the_package_or_a_script():
-    # a public name that only its own tests call is dead weight
+def _module_level_definitions(path: pathlib.Path) -> list[str]:
+    """Names of the functions and classes a module defines at top level, dunders aside."""
+    return [
+        node.name
+        for node in _parse(path).body
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def test_every_export_and_definition_is_reached_by_the_package_or_a_script():
+    # a public name, or a module-level def or class, that only tests call is dead weight
     reached: set[str] = set()
     for path in [p for p in SOURCES if p.name != "__init__.py"] + SCRIPTS:
         reached |= _reads_outside_own_definition(_parse(path))
     dead = sorted(set(_EXPORTS) - reached)
     assert not dead, f"exports that no module or script reaches: {dead}"
+    dead = [
+        f"{path.name}:{name}"
+        for path in SOURCES
+        for name in _module_level_definitions(path)
+        if name not in reached
+    ]
+    assert not dead, f"definitions that no module or script reaches: {dead}"
 
 
 def test_unvalidated_constructor_stays_in_polynomials():
@@ -85,9 +105,6 @@ def test_radial_integrals_stay_in_integration_and_energetics():
         in {"_mc_integral", "_radial_integral"}
     }
     assert callers == {"integration.py", "energetics.py"}, sorted(callers)
-
-
-_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _self_referencing_nested_functions(tree: ast.AST) -> list[str]:
