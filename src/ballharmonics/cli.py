@@ -388,8 +388,7 @@ def _cmd_decay(options: dict[str, Any]) -> int:
 
 
 def _cmd_identities(options: dict[str, Any]) -> int:
-    from .identities import green_residual, minimiser_bound_check, pohozaev_residual
-    from .harmonics import standard_maps
+    from .identities import MINIMISER_BOUND, identity_scan
 
     suite_name = options["suite"]
     if suite_name == "default":
@@ -404,20 +403,11 @@ def _cmd_identities(options: dict[str, Any]) -> int:
     tolerance = options["tolerance"]
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise UsageError(f"--tolerance must be finite and non-negative, got {tolerance!r}")
-    reports = []
-    margins_ok = True
-    worst = 0.0
-    for n in range(lo, hi + 1):
-        for u in standard_maps(n, options["seed"], *caps):
-            for r in options["radii"]:
-                for check in (pohozaev_residual, green_residual):
-                    rep = check(u, r)
-                    worst = max(worst, rep.normalized_residual)
-                    reports.append(rep)
-            if n >= 3 and u.degree != 0:
-                rep = minimiser_bound_check(u)
-                margins_ok = margins_ok and rep.margin_ratio > 1.0
-                reports.append(rep)
+    reports = list(identity_scan(range(lo, hi + 1), options["seed"], options["radii"], *caps))
+    margins = [rep.margin_ratio for rep in reports if rep.identity_name == MINIMISER_BOUND]
+    residuals = [rep.normalized_residual for rep in reports if rep.identity_name != MINIMISER_BOUND]
+    margins_ok = all(margin > 1.0 for margin in margins)
+    worst = max([0.0] + residuals)
     residuals_ok = worst <= tolerance
     payload = {
         "config": run_config("identities", _report_options(options)),

@@ -268,14 +268,6 @@ class EnergyProfile:
     samples: tuple[tuple[float, float, float], ...]  # (r, E, log E)
     method: QuadratureSpec
 
-    @property
-    def radii(self) -> tuple[float, ...]:
-        return tuple(s[0] for s in self.samples)
-
-    @property
-    def energies(self) -> tuple[float, ...]:
-        return tuple(s[1] for s in self.samples)
-
 
 @dataclass(frozen=True)
 class DecayFit:

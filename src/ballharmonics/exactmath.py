@@ -89,10 +89,6 @@ class PiRational:
     coeff: Fraction
     power: int
 
-    @staticmethod
-    def zero(power: int = 0) -> "PiRational":
-        return PiRational(Fraction(0), power)
-
     @property
     def is_zero(self) -> bool:
         return self.coeff == 0

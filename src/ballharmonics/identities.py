@@ -25,6 +25,10 @@ identity (whose lhs vanishes identically) is still meaningfully scored.
 Identity checks refuse maps whose ``certified`` flag is False: the algebra
 behind the identities needs the Laplacian to vanish, and this package only
 asserts what it has verified.
+
+:func:`identity_scan` runs all three checks over the standard map family,
+and it is the only such loop: the suite's criteria 03, 04 and 08 and the
+``identities`` command read its reports.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator, Sequence
 
 from .energetics import (
     _energy,
@@ -42,7 +47,7 @@ from .energetics import (
 )
 from .exactmath import PiRational, as_fraction
 from .geometry import _safe_exp, unit_ball_volume
-from .harmonics import HarmonicMap
+from .harmonics import HarmonicMap, standard_maps
 from .integration import EXACT, IntegralResult, QuadratureSpec
 
 POHOZAEV = "pohozaev"
@@ -185,6 +190,30 @@ def minimiser_bound_check(u: HarmonicMap, spec: QuadratureSpec = EXACT) -> Resid
         constant=float(c1),
         map_label=u.label,
     )
+
+
+def identity_scan(
+    dims: Iterable[int],
+    seed: int,
+    radii: Sequence = (0.3, 0.7, 1.0),
+    max_zonal: int = 5,
+    max_random: int = 4,
+) -> Iterator[ResidualReport]:
+    """Every identity check over the ``standard_maps`` family of each dimension.
+
+    Per map: the inner then the boundary identity at each radius, then the
+    minimiser bound when n >= 3 and the map is not constant.  Criteria 03,
+    04 and 08 of the suite and the ``identities`` command read this one
+    stream; filtering it by ``identity_name`` keeps each check's order
+    (dimension, then map, then radius).
+    """
+    for n in dims:
+        for u in standard_maps(n, seed, max_zonal, max_random):
+            for r in radii:
+                yield pohozaev_residual(u, r)
+                yield green_residual(u, r)
+            if n >= 3 and u.degree != 0:
+                yield minimiser_bound_check(u)
 
 
 # -- dimension scan of the identity-map quantities ------------------------------

@@ -120,11 +120,6 @@ class MollifierSpec:
         scale = self.normalization * self.delta ** (-self.dimension)
         return scale * _bump_radial(np.asarray(radii) / self.delta)
 
-    def gradient_magnitude_at_radii(self, radii: np.ndarray) -> np.ndarray:
-        """|grad J_delta| as a function of |x| (radial profile, so exact)."""
-        scale = self.normalization * self.delta ** (-self.dimension - 1)
-        return scale * np.abs(_bump_radial_slope(np.asarray(radii) / self.delta))
-
     def second_moment(self) -> float:
         """Integral of |x|^2 J_delta(x) dx = delta^2 * (unit-profile moment)."""
         return self.delta**2 * _bump_second_moment(self.dimension)
@@ -138,17 +133,6 @@ class GridField:
     spacing: float
     origin: tuple[float, ...]
     values: np.ndarray
-
-    def axis_coordinates(self, axis: int) -> np.ndarray:
-        count = self.values.shape[axis]
-        return self.origin[axis] + self.spacing * np.arange(count)
-
-    def index_of(self, point: Sequence[float]) -> tuple[int, ...]:
-        """Nearest node index; raises if the point leaves the grid."""
-        return _nearest_node(point, self.origin, self.spacing, self.values.shape)
-
-    def coordinate_of(self, index: Sequence[int]) -> tuple[float, ...]:
-        return _node_coordinate(index, self.origin, self.spacing)
 
 
 def _nearest_node(
@@ -450,8 +434,8 @@ def mollifier_gradient_scaling(
     slopes = _unit_slope_magnitudes(n, int(nodes_per_delta))
     norms = []
     for d in ds:
-        # |grad J_delta| = c_n delta^(-n-1) |slope(|x| / delta)|, as in
-        # MollifierSpec.gradient_magnitude_at_radii
+        # |grad J_delta|(x) = c_n delta^(-n-1) |slope(|x| / delta)|: the unit
+        # profile's slopes, rescaled for each delta
         mags = spec.normalization * d ** (-n - 1) * slopes
         total = float(np.sum(mags**q)) * (d / nodes_per_delta) ** n
         norms.append(total ** (1.0 / q))

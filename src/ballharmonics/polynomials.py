@@ -2,10 +2,11 @@
 
 A polynomial in n variables is a mapping from exponent tuples (length n, one
 entry per variable) to coefficients.  Coefficients are ``Fraction`` so that
-differentiation, Laplacians and harmonicity checks are exact; an explicit
-:meth:`MultiPoly.lowered` call produces a float-coefficient copy, and nothing
-else ever introduces floats into a poly.  Instances are immutable, hashable
-and safe to share across threads.
+differentiation, Laplacians and harmonicity checks are exact.  Floats enter a
+poly only as given: float coefficients passed to the constructor, decimals in
+``parse_poly`` text, and float scalars in ring operations, which make the
+result's coefficients floats.  Instances are immutable, hashable and safe to
+share across threads.
 
 Canonical form: zero coefficients are never stored, and for float polys any
 coefficient below 1e-14 relative to the largest float coefficient is pruned
@@ -255,24 +256,6 @@ class MultiPoly:
             e >>= 1
         return result
 
-    def square(self) -> "MultiPoly":
-        """self * self using symmetry (about half the coefficient products)."""
-        items = list(self._terms.items())
-        out: dict[Exponents, Coeff] = {}
-        for i, (ea, ca) in enumerate(items):
-            key = tuple(2 * x for x in ea)
-            out[key] = out.get(key, 0) + ca * ca
-            for eb, cb in items[i + 1 :]:
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, 0) + 2 * ca * cb
-        return MultiPoly._canonical(self._dimension, out)
-
-    def lowered(self) -> "MultiPoly":
-        """Float-coefficient copy.  The only sanctioned exact-to-float step."""
-        return MultiPoly._canonical(
-            self._dimension, {e: float(c) for e, c in self._terms.items()}
-        )
-
     # -- calculus ---------------------------------------------------------
 
     def partial_derivative(self, axis: int) -> "MultiPoly":
@@ -381,10 +364,6 @@ class VectorPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("VectorPoly is immutable")
-
-    @property
-    def components(self) -> tuple[MultiPoly, ...]:
-        return self._components
 
     @property
     def dimension(self) -> int:

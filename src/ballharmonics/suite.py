@@ -6,6 +6,10 @@ alone and reports are byte-identical across runs with one (seed, workers)
 configuration.  Each check is the only definition of its acceptance
 criterion: tests/test_acceptance.py asserts on the returned result and adds
 nothing but runtime budgets, so a passing suite means a passing gate.
+
+Criteria 03, 04 and 08 read one identity scan (:func:`identity_reports`,
+``identities.identity_scan`` over :data:`IDENTITY_DIMS`), which
+:func:`run_suite` runs once and hands to each of the three checks.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -40,9 +45,12 @@ from .harmonics import (
     zonal_solid_harmonic,
 )
 from .identities import (
-    green_residual,
+    GREEN,
+    MINIMISER_BOUND,
+    POHOZAEV,
+    ResidualReport,
+    identity_scan,
     minimiser_bound_check,
-    pohozaev_residual,
     volume_decay_chain,
 )
 from .integration import QuadratureSpec, integrate_poly_sphere
@@ -116,22 +124,26 @@ def check_identity_energy() -> CheckResult:
     )
 
 
-# -- 3 and 4: variational identities ---------------------------------------------
+# -- 3 and 4: variational identities, from the scan that 8 reads too -------------
+
+IDENTITY_DIMS = range(2, 11)
 
 
-def _identity_scan(kind: str, seed: int) -> CheckResult:
-    check = pohozaev_residual if kind == "pohozaev" else green_residual
+def identity_reports(seed: int) -> tuple[ResidualReport, ...]:
+    return tuple(identity_scan(IDENTITY_DIMS, seed))
+
+
+def _residual_check(kind: str, reports: Sequence[ResidualReport]) -> CheckResult:
     worst = 0.0
     worst_at = ""
     count = 0
-    for n in range(2, 11):
-        for u in standard_maps(n, seed):
-            for r in (0.3, 0.7, 1.0):
-                report = check(u, r)
-                count += 1
-                if report.normalized_residual > worst:
-                    worst = report.normalized_residual
-                    worst_at = f"{u.label} r={r:g}"
+    for report in reports:
+        if report.identity_name != kind:
+            continue
+        count += 1
+        if report.normalized_residual > worst:
+            worst = report.normalized_residual
+            worst_at = f"{report.map_label} r={report.radius:g}"
     return _result(
         f"{kind}-identity",
         worst < 1e-10,
@@ -141,12 +153,12 @@ def _identity_scan(kind: str, seed: int) -> CheckResult:
     )
 
 
-def check_pohozaev(seed: int) -> CheckResult:
-    return _identity_scan("pohozaev", seed)
+def check_pohozaev(reports: Sequence[ResidualReport]) -> CheckResult:
+    return _residual_check(POHOZAEV, reports)
 
 
-def check_green(seed: int) -> CheckResult:
-    return _identity_scan("green", seed)
+def check_green(reports: Sequence[ResidualReport]) -> CheckResult:
+    return _residual_check(GREEN, reports)
 
 
 # -- 5: decay law ----------------------------------------------------------------
@@ -262,21 +274,16 @@ def check_concentration() -> CheckResult:
 # -- 8: minimiser bound ----------------------------------------------------------
 
 
-def check_minimiser_bound(seed: int) -> CheckResult:
+def check_minimiser_bound(reports: Sequence[ResidualReport]) -> CheckResult:
     worst = 0.0
     for n in range(3, 51):
         report = minimiser_bound_check(identity_map(n))
         want = 2.0 * (n - 1) / (n - 2)
         worst = max(worst, abs(report.margin_ratio - want) / want)
-    margins_ok = True
-    worst_margin = math.inf
-    for n in range(3, 11):
-        for u in standard_maps(n, seed):
-            if u.degree == 0:
-                continue  # constants are excluded by the bound's hypothesis
-            report = minimiser_bound_check(u)
-            margins_ok = margins_ok and report.margin_ratio > 1.0
-            worst_margin = min(worst_margin, report.margin_ratio)
+    # the scan checks the bound on every non-constant map with n >= 3
+    margins = [r.margin_ratio for r in reports if r.identity_name == MINIMISER_BOUND]
+    margins_ok = all(m > 1.0 for m in margins)
+    worst_margin = min(margins, default=math.inf)
     return _result(
         "minimiser-bound",
         worst < 1e-12 and margins_ok,
@@ -460,15 +467,16 @@ def check_scope_notes() -> CheckResult:
 
 
 def run_suite(seed: int = 7, workers: int = 1) -> SuiteReport:
+    scan = identity_reports(seed)
     checks = (
         check_volume_peak(),
         check_identity_energy(),
-        check_pohozaev(seed),
-        check_green(seed),
+        check_pohozaev(scan),
+        check_green(scan),
         check_decay_fit(seed),
         check_dyadic_contraction(seed),
         check_concentration(),
-        check_minimiser_bound(seed),
+        check_minimiser_bound(scan),
         check_c1_rate(),
         check_mean_value(seed),
         check_mc_oracle(seed, workers),

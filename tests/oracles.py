@@ -3,16 +3,22 @@
 Each one computes what a package function computes by a slower, more direct
 route, and no package code calls any of them:
 
-* :func:`grad_norm_sq` forms |grad u|^2 as a polynomial, which the energy
-  quadrature never does, and :func:`materialised` integrates it and the
-  other squared energy densities monomial by monomial;
+* :func:`square` and :func:`grad_norm_sq` form p^2 and |grad u|^2 as
+  polynomials, which the energy quadrature never does, and
+  :func:`materialised` integrates |grad u|^2 and the other squared energy
+  densities monomial by monomial;
+* :func:`lowered` makes the float-coefficient twin of an exact poly;
 * :func:`fischer_profile` gives the sphere norms of a harmonic map's parts
   by the closed form of Axler, Bourdon and Ramey, where the package pairs
   heat-flowed parts by Wick's theorem and assumes no harmonicity;
 * :func:`sample_scalar_on_grid` and :func:`direct_mollify_at` sample a
   polynomial over the whole square [-1, 1]^n and read the convolution sum at
   one node, where ``mollifier.mean_value_check`` samples only the kernel's
-  box around each point;
+  box around each point; :func:`axis_coordinates`, :func:`index_of` and
+  :func:`coordinate_of` address the nodes of such a field;
+* :func:`gradient_magnitude_at_radii` evaluates |grad J_delta| at given
+  radii, where ``mollifier.mollifier_gradient_scaling`` rescales one unit
+  profile for every delta;
 * :func:`almansi_decomposition` recovers every harmonic part h_j of
   p = sum_j |x|^(2j) h_j recursively, against the closed form of
   ``harmonics.harmonic_projection``.
@@ -24,6 +30,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from ballharmonics.exactmath import as_fraction
 from ballharmonics.harmonics import _radius_sq
 from ballharmonics.integration import (
@@ -34,14 +42,35 @@ from ballharmonics.integration import (
 from ballharmonics.mollifier import (
     GridField,
     MollifierSpec,
+    _bump_radial_slope,
     _check_grid_dimension,
     _convolution_sum,
     _grid_axis,
     _kernel_window,
+    _nearest_node,
+    _node_coordinate,
     kernel_field,
     poly_on_grid,
 )
 from ballharmonics.polynomials import MultiPoly, VectorPoly, _support, as_vector, radial_pairing
+
+
+def square(p: MultiPoly) -> MultiPoly:
+    """p * p using symmetry (about half the coefficient products)."""
+    items = p.terms()
+    out: dict = {}
+    for i, (ea, ca) in enumerate(items):
+        key = tuple(2 * x for x in ea)
+        out[key] = out.get(key, 0) + ca * ca
+        for eb, cb in items[i + 1 :]:
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, 0) + 2 * ca * cb
+    return MultiPoly(p.dimension, out)
+
+
+def lowered(p: MultiPoly) -> MultiPoly:
+    """The float-coefficient copy of p."""
+    return MultiPoly(p.dimension, {e: float(c) for e, c in p.terms()})
 
 
 def grad_norm_sq(u: VectorPoly | MultiPoly) -> MultiPoly:
@@ -50,7 +79,7 @@ def grad_norm_sq(u: VectorPoly | MultiPoly) -> MultiPoly:
     acc: dict = {}
     for comp in vec:
         for axis in _support(comp):
-            for exps, c in comp.partial_derivative(axis).square()._terms.items():
+            for exps, c in square(comp.partial_derivative(axis)).terms():
                 acc[exps] = acc.get(exps, 0) + c
     return MultiPoly(vec.dimension, acc)
 
@@ -104,6 +133,26 @@ def sample_scalar_on_grid(p: MultiPoly, spacing: float, extent: float = 1.0) -> 
         origin=(float(axis[0]),) * p.dimension,
         values=poly_on_grid(p, axes),
     )
+
+
+def axis_coordinates(field: GridField, axis: int):
+    """The node coordinates of a field along one axis."""
+    return field.origin[axis] + field.spacing * np.arange(field.values.shape[axis])
+
+
+def index_of(field: GridField, point: Sequence[float]) -> tuple[int, ...]:
+    """Nearest node index; raises if the point leaves the grid."""
+    return _nearest_node(point, field.origin, field.spacing, field.values.shape)
+
+
+def coordinate_of(field: GridField, index: Sequence[int]) -> tuple[float, ...]:
+    return _node_coordinate(index, field.origin, field.spacing)
+
+
+def gradient_magnitude_at_radii(spec: MollifierSpec, radii):
+    """|grad J_delta| as a function of |x| (radial profile, so exact)."""
+    scale = spec.normalization * spec.delta ** (-spec.dimension - 1)
+    return scale * np.abs(_bump_radial_slope(np.asarray(radii) / spec.delta))
 
 
 def direct_mollify_at(field: GridField, spec: MollifierSpec, index: Sequence[int]) -> float:

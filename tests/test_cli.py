@@ -13,7 +13,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from ballharmonics import suite
 from ballharmonics.cli import main
+from ballharmonics.reporting import render_json
 
 CLI = [sys.executable, "-m", "ballharmonics.cli"]
 
@@ -189,6 +191,20 @@ class TestIdentities:
     def test_bad_suite_name(self):
         proc = run_cli("identities", "--suite", "nope")
         assert proc.returncode == 2
+
+    def test_default_run_is_the_suites_identity_scan(self):
+        # criteria 03, 04 and 08 and a default run read one scan, not two loops
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["identities", "--seed", "7"]) == 0
+        payload = json.loads(out.getvalue())
+        scan = suite.identity_reports(7)
+        assert payload["reports"] == json.loads(render_json(scan))
+        worst = max(
+            check(scan).details["worst_normalized_residual"]
+            for check in (suite.check_pohozaev, suite.check_green)
+        )
+        assert payload["max_normalized_residual"] == worst
 
 
 class TestIntegrate:

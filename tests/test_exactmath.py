@@ -79,7 +79,7 @@ class TestPiRational:
             a + b
 
     def test_zero_is_absorbing_for_power(self):
-        z = PiRational.zero(3)
+        z = PiRational(Fraction(0), 3)
         a = PiRational(Fraction(5), 1)
         assert (z + a).coeff == Fraction(5)
         assert (a - a).is_zero

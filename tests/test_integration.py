@@ -54,8 +54,8 @@ def monomial(n, alpha):
         (3, (2, 0, 0), PiRational(Fraction(4, 3), 1)),
         (3, (2, 2, 0), PiRational(Fraction(4, 15), 1)),
         (4, (2, 2, 0, 0), PiRational(Fraction(1, 12), 2)),
-        (2, (1, 0), PiRational.zero(1)),  # odd exponent kills the integral
-        (5, (1, 2, 0, 0, 0), PiRational.zero(2)),
+        (2, (1, 0), PiRational(Fraction(0), 1)),  # odd exponent kills the integral
+        (5, (1, 2, 0, 0, 0), PiRational(Fraction(0), 2)),
     ],
 )
 def test_sphere_monomials_known(n, alpha, expected):

@@ -31,7 +31,14 @@ from ballharmonics.mollifier import (
 )
 from ballharmonics.polynomials import MultiPoly, VectorPoly, as_vector
 
-from oracles import direct_mollify_at, sample_scalar_on_grid
+from oracles import (
+    axis_coordinates,
+    coordinate_of,
+    direct_mollify_at,
+    gradient_magnitude_at_radii,
+    index_of,
+    sample_scalar_on_grid,
+)
 
 
 SPEC2 = MollifierSpec(dimension=2, delta=0.25)
@@ -62,13 +69,13 @@ class TestKernel:
         # J_delta(0) = delta^(-n) J(0)
         fa = kernel_field(MollifierSpec(dimension=2, delta=0.5), 1 / 128)
         fb = kernel_field(MollifierSpec(dimension=2, delta=0.25), 1 / 128)
-        ca = fa.values[fa.index_of((0.0, 0.0))]
-        cb = fb.values[fb.index_of((0.0, 0.0))]
+        ca = fa.values[index_of(fa, (0.0, 0.0))]
+        cb = fb.values[index_of(fb, (0.0, 0.0))]
         assert cb / ca == pytest.approx(4.0, rel=1e-12)
 
     def test_support_radius(self):
         field = kernel_field(SPEC2, 1 / 64)
-        axis = field.axis_coordinates(0)
+        axis = axis_coordinates(field, 0)
         assert axis[0] == pytest.approx(-0.25) and axis[-1] == pytest.approx(0.25)
         # vanishes on the support boundary
         assert field.values[0, 0] == 0.0
@@ -111,7 +118,7 @@ class TestConvolution:
         for spacing, budget in ((1 / 64, 1e-5), (1 / 128, 1e-6)):
             field = sample_scalar_on_grid(one, spacing, extent=1.0)
             for point in self.POINTS:
-                smoothed = direct_mollify_at(field, SPEC2, field.index_of(point))
+                smoothed = direct_mollify_at(field, SPEC2, index_of(field, point))
                 assert abs(smoothed - 1.0) < budget
 
     def test_linear_functions_preserved(self):
@@ -119,7 +126,7 @@ class TestConvolution:
         p = MultiPoly(2, {(1, 0): 1, (0, 1): Fraction(-1, 2)})
         field = sample_scalar_on_grid(p, 1 / 128, extent=1.0)
         for point in self.POINTS:
-            smoothed = direct_mollify_at(field, SPEC2, field.index_of(point))
+            smoothed = direct_mollify_at(field, SPEC2, index_of(field, point))
             assert smoothed == pytest.approx(float(p.evaluate(point)), abs=1e-6)
 
     def test_margin_is_masked(self):
@@ -127,10 +134,10 @@ class TestConvolution:
         field = sample_scalar_on_grid(MultiPoly.constant(2, 1), 1 / 32, extent=1.0)
         for point in ((-1.0, -1.0), (0.0, 1.0), (-0.75 - 1 / 32, 0.0)):
             with pytest.raises(ValueError, match="masked margin"):
-                direct_mollify_at(field, SPEC2, field.index_of(point))
+                direct_mollify_at(field, SPEC2, index_of(field, point))
         # the last node outside the margin sums the whole footprint, as the centre does
-        edge = direct_mollify_at(field, SPEC2, field.index_of((-0.75, 0.0)))
-        assert edge == pytest.approx(direct_mollify_at(field, SPEC2, field.index_of((0.0, 0.0))))
+        edge = direct_mollify_at(field, SPEC2, index_of(field, (-0.75, 0.0)))
+        assert edge == pytest.approx(direct_mollify_at(field, SPEC2, index_of(field, (0.0, 0.0))))
 
 
 class TestMeanValue:
@@ -279,8 +286,8 @@ class TestMeanValueRoute:
         for i, comp in enumerate(comps):
             field = sample_scalar_on_grid(comp, spacing)
             for j, pt in enumerate(points):
-                idx = field.index_of(pt)
-                node = field.coordinate_of(idx)
+                idx = index_of(field, pt)
+                node = coordinate_of(field, idx)
                 assert report.points[j] == node
                 assert report.values[j][i] == float(comp.evaluate(node))
                 direct = direct_mollify_at(field, spec, idx)
@@ -389,7 +396,7 @@ def per_delta_norms(spec, q, deltas, nodes_per_delta=64):
         total = np.zeros((1,) * n)
         for g in np.meshgrid(*[axis] * n, indexing="ij", sparse=True):
             total = total + g * g
-        mags = per_delta.gradient_magnitude_at_radii(np.sqrt(total))
+        mags = gradient_magnitude_at_radii(per_delta, np.sqrt(total))
         norms.append((float(np.sum(mags**q)) * h**n) ** (1.0 / q))
     return norms
 

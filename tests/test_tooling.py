@@ -5,9 +5,11 @@ import os
 import pathlib
 import subprocess
 import sys
+from types import FunctionType
 
 import pytest
 
+import ballharmonics
 from ballharmonics import _EXPORTS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -23,14 +25,14 @@ def _parse(path: pathlib.Path) -> ast.AST:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _reads_outside_own_definition(tree: ast.AST) -> set[str]:
+def _reads_outside_own_definition(tree: ast.AST, attributes_only: bool = False) -> set[str]:
     """Names read as a bare name or an attribute, except inside the def or class of that name."""
     reads: set[str] = set()
 
     def visit(node: ast.AST, enclosing: frozenset) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             enclosing = enclosing | {node.name}
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and not attributes_only:
             if node.id not in enclosing:
                 reads.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -64,11 +66,23 @@ def _module_level_definitions(path: pathlib.Path) -> list[str]:
     ]
 
 
+def _public_methods() -> list[tuple[str, str]]:
+    """(class, attribute) for each method and property of an exported class, dunders aside."""
+    kinds = (FunctionType, property, staticmethod, classmethod)
+    return [
+        (name, attr)
+        for name in _EXPORTS
+        if isinstance(cls := getattr(ballharmonics, name), type)
+        for attr, value in vars(cls).items()
+        if not attr.startswith("_") and isinstance(value, kinds)
+    ]
+
+
 def test_every_export_and_definition_is_reached_by_the_package_or_a_script():
-    # a public name, or a module-level def or class, that only tests call is dead weight
-    reached: set[str] = set()
-    for path in [p for p in SOURCES if p.name != "__init__.py"] + SCRIPTS:
-        reached |= _reads_outside_own_definition(_parse(path))
+    # a public name, a module-level def or class, or a public method of an
+    # exported class that only tests call is dead weight
+    trees = [_parse(p) for p in SOURCES if p.name != "__init__.py"] + [_parse(p) for p in SCRIPTS]
+    reached: set[str] = set().union(*map(_reads_outside_own_definition, trees))
     dead = sorted(set(_EXPORTS) - reached)
     assert not dead, f"exports that no module or script reaches: {dead}"
     dead = [
@@ -78,6 +92,10 @@ def test_every_export_and_definition_is_reached_by_the_package_or_a_script():
         if name not in reached
     ]
     assert not dead, f"definitions that no module or script reaches: {dead}"
+    # a method is reached through an attribute, so a local of the same name does not count
+    attributes = set().union(*(_reads_outside_own_definition(t, attributes_only=True) for t in trees))
+    dead = [f"{cls}.{attr}" for cls, attr in _public_methods() if attr not in attributes]
+    assert not dead, f"methods that no module or script reaches: {dead}"
 
 
 def test_unvalidated_constructor_stays_in_polynomials():
@@ -105,6 +123,18 @@ def test_radial_integrals_stay_in_integration_and_energetics():
         in {"_mc_integral", "_radial_integral"}
     }
     assert callers == {"integration.py", "energetics.py"}, sorted(callers)
+
+
+def test_one_identity_scan():
+    # identities.identity_scan is the one loop over maps, radii and identities:
+    # the suite's criteria 03, 04 and 08 and the identities command read its reports
+    residuals = {"pohozaev_residual", "green_residual"}
+    readers = {
+        path.name for path in SOURCES if residuals & _reads_outside_own_definition(_parse(path))
+    }
+    assert readers == {"identities.py"}, sorted(readers)
+    cli = ROOT / "src" / "ballharmonics" / "cli.py"
+    assert "standard_maps" not in _reads_outside_own_definition(_parse(cli))
 
 
 def _self_referencing_nested_functions(tree: ast.AST) -> list[str]:
@@ -151,13 +181,14 @@ def test_no_scipy_import(path):
 
 
 def test_identity_criteria_pass_under_optimize():
-    # `python -O` strips assert statements; criteria 03, 04 and 09 must
+    # `python -O` strips assert statements; criteria 03, 04 and 08 must
     # still pass, and fast enough to run on every test run
     script = (
         "from ballharmonics import suite\n"
         "print(__debug__)\n"
+        "scan = suite.identity_reports(7)\n"
         "for name in ('check_pohozaev', 'check_green', 'check_minimiser_bound'):\n"
-        "    print(name, getattr(suite, name)(7).passed)\n"
+        "    print(name, getattr(suite, name)(scan).passed)\n"
     )
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
