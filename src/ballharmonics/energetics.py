@@ -65,7 +65,14 @@ from .integration import (
     _radial_integral,
     _sphere_monomial_rational,
 )
-from .polynomials import VectorPoly, _laplacian_terms, as_vector, gradient, radial_pairing
+from .polynomials import (
+    VectorPoly,
+    _integer_terms,
+    _laplacians,
+    as_vector,
+    gradient,
+    radial_pairing,
+)
 
 
 def map_body(u) -> VectorPoly:
@@ -90,11 +97,15 @@ class _RadialProfile:
     flux: _Profile
 
 
-@lru_cache(maxsize=512)
+# Every caller reads one map's profile back to back (energies at a few radii),
+# so four entries keep every hit; a longer cache only keeps old maps alive
+# (identity_map(200) holds 200 exponent tuples of length 200).
+@lru_cache(maxsize=4)
 def _radial_profile(body: VectorPoly) -> _RadialProfile:
     """The radial profile of any body, by the Fischer sums of the module docstring.
 
-    Coefficients are brought to integer numerators over one denominator den.
+    The components come as integer numerators over one denominator den
+    (:func:`polynomials._integer_terms`).
     A part whose first Laplacian vanishes (always so at degree <= 1) has
     w_j = u_j, and it shares no monomial with the other such parts of its
     component, so it adds its Fischer norm straight into a per-degree sum.
@@ -104,14 +115,13 @@ def _radial_profile(body: VectorPoly) -> _RadialProfile:
     :func:`_sphere_monomial_rational` once.
     """
     n = body.dimension
-    comps = [[(exps, as_fraction(c)) for exps, c in comp.terms()] for comp in body]
-    den = math.lcm(*(c.denominator for comp in comps for _, c in comp))
+    den, comps = _integer_terms(*body)
     norms: dict[int, int] = {}  # degree d -> Fischer norm of the harmonic degree-d parts
     mixed = []  # per component with a non-harmonic part: degree j -> [u_j, Delta u_j, ...]
     for comp in comps:
         parts: dict[int, dict] = {}
-        for exps, c in comp:
-            parts.setdefault(sum(exps), {})[exps] = c.numerator * (den // c.denominator)
+        for exps, c in comp.items():
+            parts.setdefault(sum(exps), {})[exps] = c
         series = {j: _laplacians(u) if j > 1 else [u] for j, u in parts.items()}
         for j, s in series.items():
             if len(s) == 1:
@@ -145,14 +155,6 @@ def _radial_profile(body: VectorPoly) -> _RadialProfile:
         )
 
     return _RadialProfile(by_degree(grad), by_degree(pairing), by_degree(flux))
-
-
-def _laplacians(u: dict) -> list[dict]:
-    """[u, Delta u, Delta^2 u, ...] of an integer-coefficient part, up to the last nonzero one."""
-    out = [u]
-    while lap := {e: c for e, c in _laplacian_terms(out[-1]).items() if c}:
-        out.append(lap)
-    return out
 
 
 def _heat(series: list[dict], scale: int) -> dict:

@@ -1,4 +1,4 @@
-"""Harmonic polynomial maps on R^n: constructors, projection, certification.
+"""Harmonic polynomial maps on R^n: constructors and certification.
 
 A :class:`HarmonicMap` wraps a vector of polynomials together with a
 ``certified`` flag that is set by actually checking the Laplacian of every
@@ -6,17 +6,12 @@ component (exactly, for exact coefficients).  Constructors here only ever
 return certified maps; the flag exists so that downstream identity checks can
 refuse maps whose harmonicity was never established.
 
-Harmonic projection takes the closed form for the harmonic part h_0 of a
-homogeneous p of degree m in the Almansi decomposition p = sum_j |x|^(2j) h_j
-(Axler, Bourdon and Ramey, Harmonic Function Theory, ch. 5):
-
-    h_0 = sum_j (-1)^j |x|^(2j) Delta^j p / (2^j j! prod_{i=1..j} (n + 2m - 2 - 2i)),
-
-summed by Horner's rule in |x|^2 from the iterated Laplacians, all in exact
-arithmetic.  Random maps project a random homogeneous polynomial, and the
-degree-k zonal harmonic about a unit axis is lead(n, k) h_0(<x, axis>^k)
-(ibid.; lead in :func:`_zonal_lead`).  The tests hold the two to oracles:
-the recursive Almansi split in ``tests/oracles.py`` and the Gegenbauer
+Random maps project a random homogeneous polynomial onto its harmonic part
+h_0 in the Almansi decomposition (:func:`polynomials.harmonic_projection`,
+re-exported here), and the degree-k zonal harmonic about a unit axis is
+lead(n, k) h_0(<x, axis>^k) (Axler, Bourdon and Ramey, Harmonic Function
+Theory, ch. 5; lead in :func:`_zonal_lead`).  The tests hold the two to
+oracles: the recursive Almansi split in ``tests/oracles.py`` and the Gegenbauer
 three-term recurrence in ``tests/test_harmonics.py``.
 """
 
@@ -30,7 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .exactmath import as_fraction
-from .polynomials import MultiPoly, VectorPoly, as_vector
+from .polynomials import MultiPoly, VectorPoly, as_vector, harmonic_projection
 
 
 @dataclass(frozen=True)
@@ -59,12 +54,8 @@ def make_harmonic_map(body: VectorPoly | MultiPoly, label: str = "") -> Harmonic
     """Wrap a polynomial (vector) after checking harmonicity of each component."""
     vec = as_vector(body)
     certified = all(comp.is_harmonic() for comp in vec)
-    homogeneous = all(comp.is_homogeneous() for comp in vec)
-    degrees = {comp.total_degree() for comp in vec if not comp.is_zero}
-    if homogeneous and len(degrees) <= 1:
-        degree: int | None = degrees.pop() if degrees else 0
-    else:
-        degree = None
+    degrees = {sum(exps) for comp in vec for exps, _ in comp.terms()}
+    degree = None if len(degrees) > 1 else max(degrees, default=0)
     return HarmonicMap(body=vec, degree=degree, certified=certified, label=label)
 
 
@@ -150,37 +141,7 @@ def zonal_solid_harmonic(
     )
 
 
-# -- harmonic projection ------------------------------------------------------
-
-
-def _radius_sq(n: int) -> MultiPoly:
-    return MultiPoly(
-        n, {tuple(2 if j == i else 0 for j in range(n)): Fraction(1) for i in range(n)}
-    )
-
-
-def harmonic_projection(p: MultiPoly) -> MultiPoly:
-    """The harmonic component h_0 of p in its Almansi decomposition.
-
-    General (non-homogeneous) inputs are split into homogeneous parts first;
-    already-harmonic inputs are returned unchanged, exactly.
-    """
-    if p.is_zero or p.laplacian().is_zero:
-        return p
-    n = p.dimension
-    r2 = _radius_sq(n)
-    total = MultiPoly(n)
-    for m, comp in sorted(p.homogeneous_components().items()):
-        laps = [comp]  # Delta^j comp for j = 0, 1, ... while it is nonzero
-        while not (lap := laps[-1].laplacian()).is_zero:
-            laps.append(lap)
-        # Horner in |x|^2: the coefficient of |x|^(2j) Delta^j comp is the one
-        # of j - 1 times -1 / (2j (n + 2m - 2 - 2j))
-        h = laps[-1]
-        for j in range(len(laps) - 1, 0, -1):
-            h = laps[j - 1] + r2 * (h * Fraction(-1, 2 * j * (n + 2 * m - 2 - 2 * j)))
-        total = total + h
-    return total
+# -- harmonic spaces ----------------------------------------------------------
 
 
 def harmonic_space_dimension(n: int, k: int) -> int:
@@ -230,14 +191,7 @@ def random_harmonic_polynomial(n: int, k: int, seed: int) -> HarmonicMap:
         coeffs = gen.integers(-9, 10, size=len(monomials))
         if not np.any(coeffs):
             continue
-        p = MultiPoly(
-            n,
-            {
-                m: Fraction(int(c))
-                for m, c in zip(monomials, coeffs)
-                if c
-            },
-        )
+        p = MultiPoly(n, {m: int(c) for m, c in zip(monomials, coeffs) if c})
         h = harmonic_projection(p)
         if not h.is_zero:
             return make_harmonic_map(h, label=label)

@@ -16,6 +16,14 @@ evaluation and printing follow that order deterministically.  The constructor
 validates its input once; ring operations and calculus on valid operands
 canonicalise their results but do not re-validate them.
 
+Exact algebra that runs many steps on one poly works on integer numerators
+over one common denominator (:func:`_integer_terms`) and forms a Fraction
+only for a result coefficient: the exact test of :meth:`MultiPoly.is_harmonic`,
+:func:`harmonic_projection` and the energy profile of ``energetics`` share
+that kernel with the Laplacian.  Floats enter it at their exact binary values,
+so :func:`harmonic_projection` of a poly with a float coefficient returns the
+exact projection of those values with each coefficient rounded to float once.
+
 The textual format is ``coeff * x1^a1 * x2^a2`` terms joined by `` + `` and
 `` - ``, rationals written ``p/q``.  ``parse_poly`` round-trips
 ``format_poly`` bit-exactly for exact-coefficient polys.
@@ -33,6 +41,7 @@ Coeff = Union[Fraction, float]
 Exponents = tuple  # tuple[int, ...], one entry per variable
 
 FLOAT_PRUNE_REL = 1e-14
+_ONE = Fraction(1)
 
 
 class DimensionError(ValueError):
@@ -43,11 +52,12 @@ def _grlex_key(term: tuple[Exponents, Coeff]) -> tuple:
     return (sum(term[0]), term[0])
 
 
-def _abs_float(c: Coeff) -> float:
+def _as_float(c: Coeff) -> float:
+    """float(c), or an infinity of c's sign where c is out of the float range."""
     try:
-        return abs(float(c))
+        return float(c)
     except OverflowError:
-        return math.inf
+        return math.inf if c > 0 else -math.inf
 
 
 class MultiPoly:
@@ -78,7 +88,7 @@ class MultiPoly:
                 c = Fraction(coeff)
             else:
                 raise TypeError(f"unsupported coefficient type {type(coeff).__name__}")
-            merged[exps] = merged.get(exps, 0) + c
+            merged[exps] = merged[exps] + c if exps in merged else c
         self._canonicalise(dimension, merged)
 
     @classmethod
@@ -108,8 +118,11 @@ class MultiPoly:
             }
         if len(acc) > 1:
             acc = dict(sorted(acc.items(), key=_grlex_key, reverse=True))
+        self._store(dimension, acc)
+
+    def _store(self, dimension: int, terms: dict[Exponents, Coeff]) -> None:
         object.__setattr__(self, "_dimension", dimension)
-        object.__setattr__(self, "_terms", acc)
+        object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -134,25 +147,6 @@ class MultiPoly:
         """True when every coefficient is a Fraction."""
         return all(isinstance(c, Fraction) for c in self._terms.values())
 
-    def total_degree(self) -> int:
-        """Maximal term degree; 0 for the zero polynomial."""
-        if not self._terms:
-            return 0
-        return max(sum(e) for e in self._terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self._terms}
-        return len(degs) <= 1
-
-    def homogeneous_components(self) -> dict[int, "MultiPoly"]:
-        """Split into degree -> homogeneous part (zero poly gives {})."""
-        buckets: dict[int, dict[Exponents, Coeff]] = {}
-        for exps, c in self._terms.items():
-            buckets.setdefault(sum(exps), {})[exps] = c
-        return {
-            d: MultiPoly._canonical(self._dimension, t) for d, t in sorted(buckets.items())
-        }
-
     @staticmethod
     def constant(dimension: int, value) -> "MultiPoly":
         v = value if isinstance(value, float) else Fraction(value)
@@ -164,7 +158,10 @@ class MultiPoly:
         if not 0 <= axis < dimension:
             raise DimensionError(f"axis {axis} out of range for dimension {dimension}")
         exps = (0,) * axis + (1,) + (0,) * (dimension - axis - 1)
-        return MultiPoly._canonical(dimension, {exps: Fraction(1)})
+        # one exact nonzero term is canonical as it stands
+        poly = object.__new__(MultiPoly)
+        poly._store(dimension, {exps: _ONE})
+        return poly
 
     # -- equality ---------------------------------------------------------
 
@@ -278,15 +275,16 @@ class MultiPoly:
     def is_harmonic(self, tol: float | None = None) -> bool:
         """True iff the Laplacian vanishes.
 
-        Exact-coefficient polys are checked exactly unless ``tol`` is given;
-        float polys (or an explicit ``tol``) compare every Laplacian
-        coefficient against the tolerance (default 1e-12).
+        Exact-coefficient polys are checked exactly unless ``tol`` is given,
+        on the integer numerators of :func:`_integer_terms`; float polys (or
+        an explicit ``tol``) compare every Laplacian coefficient against the
+        tolerance (default 1e-12).
         """
-        lap = self.laplacian()
-        if tol is None and lap.is_exact:
-            return lap.is_zero
+        if tol is None and self.is_exact:
+            _, (numerators,) = _integer_terms(self)
+            return not any(_laplacian_terms(numerators).values())
         bound = 1e-12 if tol is None else tol
-        return all(_abs_float(c) <= bound for _, c in lap.terms())
+        return all(abs(_as_float(c)) <= bound for _, c in self.laplacian().terms())
 
     # -- evaluation -------------------------------------------------------
 
@@ -346,6 +344,71 @@ def _laplacian_terms(terms: Mapping[Exponents, Coeff]) -> dict[Exponents, Coeff]
             key = exps[:axis] + (e - 2,) + exps[axis + 1 :]
             out[key] = out.get(key, 0) + c * (e * (e - 1))
     return out
+
+
+def _integer_terms(*polys: MultiPoly) -> tuple[int, list[dict[Exponents, int]]]:
+    """polys as integer numerators over one denominator: p_i = sum_e terms[i][e] x^e / den.
+
+    den is the least common denominator of all their coefficients; floats
+    enter at their exact binary values.
+    """
+    ratios = [{exps: c.as_integer_ratio() for exps, c in p._terms.items()} for p in polys]
+    den = math.lcm(*(q for r in ratios for _, q in r.values()))
+    return den, [{exps: a * (den // q) for exps, (a, q) in r.items()} for r in ratios]
+
+
+def _laplacians(u: dict[Exponents, int]) -> list[dict[Exponents, int]]:
+    """[u, Delta u, Delta^2 u, ...] of integer terms, up to the last nonzero one."""
+    out = [u]
+    while lap := {e: c for e, c in _laplacian_terms(out[-1]).items() if c}:
+        out.append(lap)
+    return out
+
+
+def harmonic_projection(p: MultiPoly) -> MultiPoly:
+    """The harmonic component h_0 of p in its Almansi decomposition.
+
+    For p homogeneous of degree m (Axler, Bourdon and Ramey, Harmonic
+    Function Theory, ch. 5),
+
+        h_0 = sum_j (-1)^j |x|^(2j) Delta^j p / (2^j j! prod_{i=1..j} (n + 2m - 2 - 2i));
+
+    general inputs are split into homogeneous parts first, and
+    already-harmonic inputs are returned unchanged, exactly.  The sum runs
+    on integer numerators: float coefficients enter at their exact binary
+    values, and where p has a float coefficient each output coefficient is
+    the exact projection rounded to float once (a float overflow raises
+    ValueError).
+    """
+    n = p.dimension
+    den, (numerators,) = _integer_terms(p)
+    parts: dict[int, dict] = {}
+    for exps, c in numerators.items():
+        parts.setdefault(sum(exps), {})[exps] = c
+    series = {m: _laplacians(part) for m, part in parts.items()}
+    if all(len(laps) == 1 for laps in series.values()):
+        return p
+    out: dict = {}
+    for m, laps in series.items():
+        # Horner in |x|^2 on h = H / S: with q_j = 2j (n + 2m - 2 - 2j), the
+        # step h <- Delta^(j-1) p - |x|^2 h / q_j is H <- Delta^(j-1) p S q_j
+        # - |x|^2 H and S <- S q_j, so H stays an integer poly
+        h, scale = laps[-1], 1
+        for j in range(len(laps) - 1, 0, -1):
+            scale *= 2 * j * (n + 2 * m - 2 - 2 * j)
+            nxt = {exps: c * scale for exps, c in laps[j - 1].items()}
+            for exps, c in h.items():
+                # times |x|^2: one exponent bump per axis
+                for axis in range(n):
+                    key = exps[:axis] + (exps[axis] + 2,) + exps[axis + 1 :]
+                    nxt[key] = nxt.get(key, 0) - c
+            h = nxt
+        for exps, c in h.items():
+            if c:
+                out[exps] = Fraction(c, den * scale)
+    if not p.is_exact:
+        out = {exps: _as_float(c) for exps, c in out.items()}
+    return MultiPoly._canonical(n, out)
 
 
 class VectorPoly:

@@ -21,7 +21,9 @@ route, and no package code calls any of them:
   profile for every delta;
 * :func:`almansi_decomposition` recovers every harmonic part h_j of
   p = sum_j |x|^(2j) h_j recursively, against the closed form of
-  ``harmonics.harmonic_projection``.
+  ``polynomials.harmonic_projection``; :func:`homogeneous_components`,
+  :func:`total_degree` and :func:`is_homogeneous` read a poly's degrees,
+  which the package reads in one walk where it needs them.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from typing import Sequence
 import numpy as np
 
 from ballharmonics.exactmath import as_fraction
-from ballharmonics.harmonics import _radius_sq
 from ballharmonics.integration import (
     _sphere_monomial_rational,
     integrate_poly_ball,
@@ -164,18 +165,40 @@ def direct_mollify_at(field: GridField, spec: MollifierSpec, index: Sequence[int
     return _convolution_sum(field.values[window], kern)
 
 
+def homogeneous_components(p: MultiPoly) -> dict[int, MultiPoly]:
+    """Degree -> homogeneous part of p, ascending (the zero poly gives {})."""
+    buckets: dict[int, dict] = {}
+    for exps, c in p.terms():
+        buckets.setdefault(sum(exps), {})[exps] = c
+    return {d: MultiPoly(p.dimension, t) for d, t in sorted(buckets.items())}
+
+
+def total_degree(p: MultiPoly) -> int:
+    """Largest term degree; 0 for the zero polynomial."""
+    return max((sum(e) for e, _ in p.terms()), default=0)
+
+
+def is_homogeneous(p: MultiPoly) -> bool:
+    return len(homogeneous_components(p)) <= 1
+
+
+def radius_sq(n: int) -> MultiPoly:
+    """|x|^2 in n variables."""
+    return MultiPoly(n, {tuple(2 * int(j == i) for j in range(n)): 1 for i in range(n)})
+
+
 def almansi_decomposition(p: MultiPoly) -> list[MultiPoly]:
     """Harmonic parts [h_0, h_1, ...] with p = sum_j |x|^(2j) h_j.
 
     Requires a homogeneous input (each h_j is then homogeneous of degree
     deg(p) - 2j).  Exact for exact coefficients.
     """
-    if not p.is_homogeneous():
+    if not is_homogeneous(p):
         raise ValueError("Almansi decomposition needs a homogeneous polynomial")
     if p.is_zero:
         return [p]
     n = p.dimension
-    k = p.total_degree()
+    k = total_degree(p)
     lap = p.laplacian()
     if lap.is_zero:
         return [p]
@@ -186,7 +209,7 @@ def almansi_decomposition(p: MultiPoly) -> list[MultiPoly]:
         divisor = 2 * j * (2 * k - 2 * j + n - 2)
         parts[j] = g * Fraction(1, divisor)
     rest = p
-    r2 = _radius_sq(n)
+    r2 = radius_sq(n)
     r2j = MultiPoly.constant(n, 1)
     for j in range(1, len(parts)):
         r2j = r2j * r2

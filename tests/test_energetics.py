@@ -1,6 +1,8 @@
 """Dirichlet energies, decay fits and dyadic contraction."""
 
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -340,6 +342,22 @@ def test_profile_is_built_once_per_body():
     concentration_fraction(u, Fraction(9, 10))
     surface_energy_total_result(u, 1)
     assert energetics._radial_profile.cache_info().misses == 1
+
+
+def test_profile_cache_does_not_keep_a_scan_of_maps_alive():
+    # the cache keys on the body, so every cached profile keeps its map alive;
+    # the identity maps of n = 2..80 take about 2.5 MB together
+    concentration_fraction(identity_map(2), Fraction(9, 10))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(2, 81):
+            concentration_fraction(identity_map(n), Fraction(9, 10))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**20
 
 
 # -- the profile of any body ------------------------------------------------------

@@ -6,6 +6,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ballharmonics import harmonics
 from ballharmonics.harmonics import (
@@ -18,9 +20,16 @@ from ballharmonics.harmonics import (
     random_harmonic_polynomial,
     zonal_solid_harmonic,
 )
+from ballharmonics.identities import pohozaev_residual
 from ballharmonics.polynomials import MultiPoly, VectorPoly
 
-from oracles import almansi_decomposition
+from oracles import (
+    almansi_decomposition,
+    homogeneous_components,
+    is_homogeneous,
+    radius_sq,
+    total_degree,
+)
 
 
 def P(n, terms):
@@ -60,7 +69,7 @@ class TestZonal:
         u = zonal_solid_harmonic(n, k)
         assert u.certified
         assert u.degree == k
-        assert u.body[0].is_homogeneous()
+        assert is_homogeneous(u.body[0])
 
     def test_rotated_axis_exact(self):
         # (3/5, 4/5) is exactly unit, so the rotated zonal stays exact
@@ -130,7 +139,7 @@ def test_zonal_and_random_maps_go_through_harmonic_projection(monkeypatch):
     zonal_solid_harmonic(3, 4)
     assert calls == [MultiPoly.variable(3, 0) ** 4]
     random_harmonic_polynomial(3, 2, 0)
-    assert len(calls) >= 2 and all(p.total_degree() == 2 for p in calls[1:])
+    assert len(calls) >= 2 and all(total_degree(p) == 2 for p in calls[1:])
 
 
 class TestAlmansi:
@@ -187,11 +196,73 @@ def test_projection_matches_almansi_oracle(n):
         for d in range(m + 1):
             mixed = mixed + MultiPoly(n, _random_terms(rng, n, d, 60 // (m + 1)))
         expected = MultiPoly(n)
-        for comp in mixed.homogeneous_components().values():
+        for comp in homogeneous_components(mixed).values():
             expected = expected + almansi_decomposition(comp)[0]
         projected = harmonic_projection(mixed)
         assert projected == expected
         assert projected.is_harmonic()
+
+
+@st.composite
+def polys_up_to_degree_six(draw, coeffs):
+    """A poly in n = 1..6 variables with up to 8 terms of degree <= 6, degrees mixed."""
+    n = draw(st.integers(1, 6))
+    # a multiset of at most 6 axes is one exponent tuple of degree <= 6
+    exponents = st.lists(st.integers(0, n - 1), max_size=6).map(
+        lambda axes: tuple(axes.count(i) for i in range(n))
+    )
+    return MultiPoly(n, draw(st.dictionaries(exponents, coeffs, max_size=8)))
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+
+
+@given(polys_up_to_degree_six(rationals))
+@settings(max_examples=60, deadline=None)
+def test_property_projection_kernel_matches_almansi_oracle(p):
+    # the integer Horner kernel against the recursive Fraction split, part by part
+    expected = MultiPoly(p.dimension)
+    for part in homogeneous_components(p).values():
+        expected = expected + almansi_decomposition(part)[0]
+    projected = harmonic_projection(p)
+    assert projected.terms() == expected.terms()
+    # the exact harmonicity test on integer numerators against the Fraction Laplacian
+    for q in (p, projected, *homogeneous_components(p).values()):
+        assert q.is_harmonic() == q.laplacian().is_zero
+    assert projected.is_harmonic()
+
+
+floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@given(polys_up_to_degree_six(floats.filter(bool)))
+@settings(max_examples=60, deadline=None)
+def test_property_float_projection_rounds_the_exact_projection_once(p):
+    exact = MultiPoly(p.dimension, {e: Fraction(c) for e, c in p.terms()})
+    expected = MultiPoly(
+        p.dimension, {e: float(c) for e, c in harmonic_projection(exact).terms()}
+    )
+    projected = harmonic_projection(p)
+    assert [(e, type(c), c) for e, c in projected.terms()] == [
+        (e, type(c), c) for e, c in expected.terms()
+    ]
+
+
+def test_float_projection_that_overflows_is_rejected():
+    # the exact projection has an x1^2 x2^2 coefficient of -1.5 * 1.7e308
+    p = P(2, {(4, 0): 1.7e308, (2, 2): -1.7e308})
+    with pytest.raises(ValueError, match="not finite"):
+        harmonic_projection(p)
+
+
+def test_certification_reads_the_maps_own_coefficients(monkeypatch):
+    # a projection that returns a non-harmonic poly must not yield a certified map:
+    # r^2 p is harmonic for no nonzero p
+    monkeypatch.setattr(harmonics, "harmonic_projection", lambda p: p * radius_sq(p.dimension))
+    for u in (random_harmonic_polynomial(3, 2, 0), zonal_solid_harmonic(3, 2)):
+        assert not u.certified
+        with pytest.raises(ValueError, match="certified"):
+            pohozaev_residual(u, 1)
 
 
 @pytest.mark.parametrize(
@@ -228,8 +299,8 @@ class TestRandomDraws:
     def test_always_certified_homogeneous(self, seed):
         u = random_harmonic_polynomial(4, 3, seed)
         assert u.certified
-        assert u.body[0].is_homogeneous()
-        assert u.body[0].total_degree() == 3
+        assert is_homogeneous(u.body[0])
+        assert total_degree(u.body[0]) == 3
         assert not u.body[0].is_zero
 
     def test_refuses_empty_space(self):
