@@ -76,7 +76,6 @@ _EXPORTS = {
     "volume_decay_chain": "identities",
     # mollifier lab
     "MollifierSpec": "mollifier",
-    "GridField": "mollifier",
     "MeanValueReport": "mollifier",
     "mean_value_check": "mollifier",
     "MeanValueConvergence": "mollifier",

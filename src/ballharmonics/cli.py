@@ -600,10 +600,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         options = _resolve_options(ns.command, ns)
         return _HANDLERS[ns.command](options)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

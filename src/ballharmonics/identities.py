@@ -257,15 +257,12 @@ def volume_decay_chain(n_min: int = 3, n_max: int = 50) -> VolumeDecayTable:
     if n_max < n_min:
         raise ValueError(f"empty range [{n_min}, {n_max}]")
     rows = []
-    sup_log = -math.inf
-    argmax_n, argmax_log = n_min, -math.inf
+    argmax_n, sup_log = n_min, -math.inf
     for n in range(n_min, n_max + 1):
         bv = unit_ball_volume(n)
         log_surface = math.log(n) + math.log(n - 1) + bv.log_volume
         if log_surface > sup_log:
-            sup_log = log_surface
-        if log_surface > argmax_log:
-            argmax_n, argmax_log = n, log_surface
+            argmax_n, sup_log = n, log_surface
         log_bound = math.log(2.0) + log_surface - math.log(n) - math.log(n - 2)
         rows.append(
             VolumeDecayRow(
@@ -283,7 +280,7 @@ def volume_decay_chain(n_min: int = 3, n_max: int = 50) -> VolumeDecayTable:
     return VolumeDecayTable(
         rows=tuple(rows),
         argmax_dimension=argmax_n,
-        max_surface_energy=_safe_exp(argmax_log),
+        max_surface_energy=_safe_exp(sup_log),
         argmax_is_interior=(n_min < argmax_n < n_max),
     )
 

@@ -8,14 +8,15 @@ function wherever the delta-ball fits inside the domain; convolving a
 non-harmonic function leaves a defect proportional to the kernel's second
 moment.  Both facts are checked on regular grids over [-1, 1]^n.
 
-Grids are dimension <= 3 only (storage is h^(-n)); spacings are expected to
-be dyadic so node coordinates are exact binary floats reproducible from
-index arithmetic.  Mean-value checks read the defining sum
-(J_delta * u)(x) = sum_j J_delta(x - y_j) u(y_j) h^n at the requested nodes
-only, sampling u on the kernel's (2K+1)^n box around each node, so their
-storage is O(points * K^n) rather than O(h^-n).  The tests hold them to the
-same sum over the whole sampled square (``sample_scalar_on_grid`` and
-``direct_mollify_at``, their oracles in ``tests/oracles.py``).  A bare
+Grids are dimension <= 3 only (storage is h^(-n)).  Their nodes are the
+lattice points (i - half) * h, i = 0..2 half, with half * h = 1, at any
+accepted spacing h (one that divides 1); a dyadic h makes every node an
+exact binary float.  Mean-value checks snap each point to its lattice index
+and read the defining sum (J_delta * u)(x) = sum_j J_delta(x - y_j) u(y_j) h^n
+at that node only, sampling u on the kernel's (2K+1)^n box of lattice points
+centred there, so their storage is O(points * K^n) rather than O(h^-n).  The
+tests hold them to the same sum over the whole sampled square, which the
+oracles in ``tests/oracles.py`` form with their own indexing.  A bare
 polynomial input is certified harmonic or not as ``make_harmonic_map``
 certifies it.  Kernel-gradient norms scale one unit-lattice profile of the
 bump's slope to every delta.
@@ -125,37 +126,6 @@ class MollifierSpec:
         return self.delta**2 * _bump_second_moment(self.dimension)
 
 
-@dataclass(frozen=True, eq=False)
-class GridField:
-    """Values on a regular grid; node d-coordinate = origin[d] + i * spacing."""
-
-    dimension: int
-    spacing: float
-    origin: tuple[float, ...]
-    values: np.ndarray
-
-
-def _nearest_node(
-    point: Sequence[float], origin: tuple[float, ...], spacing: float, shape: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Index of the node nearest to point on the grid origin + i * spacing."""
-    if len(point) != len(shape):
-        raise ValueError(f"point has {len(point)} coordinates, expected {len(shape)}")
-    idx = []
-    for d, x in enumerate(point):
-        i = round((float(x) - origin[d]) / spacing)
-        if not 0 <= i < shape[d]:
-            raise ValueError(f"point {tuple(point)} falls outside the sampled grid")
-        idx.append(i)
-    return tuple(idx)
-
-
-def _node_coordinate(
-    index: Sequence[int], origin: tuple[float, ...], spacing: float
-) -> tuple[float, ...]:
-    return tuple(origin[d] + spacing * int(i) for d, i in enumerate(index))
-
-
 def _check_grid_dimension(n: int) -> None:
     if n > GRID_DIMENSION_CAP:
         raise ValueError(
@@ -206,8 +176,8 @@ def _grid_axis(spacing: float, extent: float) -> np.ndarray:
     return (np.arange(2 * half + 1) - half) * spacing
 
 
-def kernel_field(spec: MollifierSpec, spacing: float) -> GridField:
-    """J_delta sampled on its support grid, offsets -K..K per axis."""
+def kernel_field(spec: MollifierSpec, spacing: float) -> np.ndarray:
+    """J_delta at the offsets k * spacing, k = -K..K per axis, K = floor(delta / spacing)."""
     if not spacing > 0:
         raise ValueError(f"spacing must be positive, got {spacing!r}")
     half = int(math.floor(spec.delta / spacing + 1e-12))
@@ -216,30 +186,7 @@ def kernel_field(spec: MollifierSpec, spacing: float) -> GridField:
             f"spacing {spacing!r} cannot resolve a kernel of radius {spec.delta!r}"
         )
     axis = (np.arange(2 * half + 1) - half) * spacing
-    axes = [axis] * spec.dimension
-    values = spec.value_at_radii(_radius_mesh(axes))
-    return GridField(
-        dimension=spec.dimension,
-        spacing=spacing,
-        origin=(float(axis[0]),) * spec.dimension,
-        values=values,
-    )
-
-
-def _kernel_window(
-    index: Sequence[int], shape: tuple[int, ...], half: int
-) -> tuple[slice, ...] | None:
-    """Per-axis slices of the kernel's (2 half + 1)^n footprint centred at index,
-    or None when the footprint leaves the grid (the masked margin)."""
-    if not all(half <= int(i) < s - half for i, s in zip(index, shape)):
-        return None
-    return tuple(slice(int(i) - half, int(i) + half + 1) for i in index)
-
-
-def _convolution_sum(block: np.ndarray, kern: GridField) -> float:
-    """sum_j J_delta(x - y_j) u(y_j) h^n over one kernel footprint."""
-    # symmetric kernel: correlation equals convolution
-    return float(np.sum(block * kern.values)) * kern.spacing**kern.dimension
+    return spec.value_at_radii(_radius_mesh([axis] * spec.dimension))
 
 
 # -- mean-value checks ---------------------------------------------------------
@@ -278,10 +225,10 @@ def mean_value_check(
     Points must lie in the closed ball of radius 1 - delta (so the kernel
     stays inside the square [-1, 1]^n that the grid covers); each is snapped
     to its nearest grid node, and the snapped coordinates are what the
-    report carries.  J_delta * u is the defining sum read at that node
-    alone: u is sampled on the kernel's box of grid nodes around it, so the
-    value equals the direct sum over the whole sampled square to the bit,
-    without the square being formed.  A non-harmonic input is
+    report carries and where u is evaluated.  J_delta * u is the defining
+    sum read at that node alone: u is sampled on the kernel's box of grid
+    nodes centred there, so the value equals the direct sum over the whole
+    sampled square, without the square being formed.  A non-harmonic input is
     *not* an error: the defect is computed and the report is flagged
     ``not_a_counterexample`` because a nonzero defect for a non-harmonic
     function contradicts nothing.
@@ -301,24 +248,27 @@ def mean_value_check(
             )
     axis = _grid_axis(spacing, 1.0)
     kern = kernel_field(spec, spacing)
-    half = (kern.values.shape[0] - 1) // 2
-    origin = (float(axis[0]),) * n
-    shape = (len(axis),) * n
+    half = (kern.shape[0] - 1) // 2
+    lowest = float(axis[0])
     snapped: list[tuple[float, ...]] = []
     values: list[tuple[float, ...]] = []
     mollified: list[tuple[float, ...]] = []
     errors: list[float] = []
     for pt in points:
-        idx = _nearest_node(pt, origin, spacing, shape)
-        window = _kernel_window(idx, shape, half)
-        if window is None:
+        if len(pt) != n:
+            raise ValueError(f"point has {len(pt)} coordinates, expected {n}")
+        idx = [round((float(x) - lowest) / spacing) for x in pt]
+        if not all(half <= i < len(axis) - half for i in idx):
             raise ValueError(
                 f"point {tuple(pt)} is inside the masked margin at spacing {spacing!r}"
             )
-        node = _node_coordinate(idx, origin, spacing)
-        box = [axis[w] for w in window]
+        node = tuple(float(axis[i]) for i in idx)
+        box = [axis[i - half : i + half + 1] for i in idx]
         exact = tuple(float(comp.evaluate(node)) for comp in comps)
-        approx = tuple(_convolution_sum(poly_on_grid(comp, box), kern) for comp in comps)
+        # symmetric kernel: correlation equals convolution
+        approx = tuple(
+            float(np.sum(poly_on_grid(comp, box) * kern)) * spacing**n for comp in comps
+        )
         snapped.append(node)
         values.append(exact)
         mollified.append(approx)

@@ -272,19 +272,17 @@ class MultiPoly:
     def laplacian(self) -> "MultiPoly":
         return MultiPoly._canonical(self._dimension, _laplacian_terms(self._terms))
 
-    def is_harmonic(self, tol: float | None = None) -> bool:
+    def is_harmonic(self) -> bool:
         """True iff the Laplacian vanishes.
 
-        Exact-coefficient polys are checked exactly unless ``tol`` is given,
-        on the integer numerators of :func:`_integer_terms`; float polys (or
-        an explicit ``tol``) compare every Laplacian coefficient against the
-        tolerance (default 1e-12).
+        Exact-coefficient polys are checked exactly, on the integer numerators
+        of :func:`_integer_terms`; float polys hold every Laplacian
+        coefficient to 1e-12 in absolute value.
         """
-        if tol is None and self.is_exact:
+        if self.is_exact:
             _, (numerators,) = _integer_terms(self)
             return not any(_laplacian_terms(numerators).values())
-        bound = 1e-12 if tol is None else tol
-        return all(abs(_as_float(c)) <= bound for _, c in self.laplacian().terms())
+        return all(abs(_as_float(c)) <= 1e-12 for _, c in self.laplacian().terms())
 
     # -- evaluation -------------------------------------------------------
 

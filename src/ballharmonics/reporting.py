@@ -34,8 +34,6 @@ def fmt_value(x: Any) -> str:
         return "true" if x else "false"
     if isinstance(x, float):
         return fmt_float(x)
-    if isinstance(x, (int, Fraction)):
-        return str(x)
     return str(x)
 
 

@@ -14,8 +14,9 @@ route, and no package code calls any of them:
 * :func:`sample_scalar_on_grid` and :func:`direct_mollify_at` sample a
   polynomial over the whole square [-1, 1]^n and read the convolution sum at
   one node, where ``mollifier.mean_value_check`` samples only the kernel's
-  box around each point; :func:`axis_coordinates`, :func:`index_of` and
-  :func:`coordinate_of` address the nodes of such a field;
+  box around each point; :func:`index_of` and :func:`coordinate_of` address
+  the nodes -1 + k * spacing of such a field by their own arithmetic, so
+  the check's lattice indexing is held to an independent one;
 * :func:`gradient_magnitude_at_radii` evaluates |grad J_delta| at given
   radii, where ``mollifier.mollifier_gradient_scaling`` rescales one unit
   profile for every delta;
@@ -40,19 +41,7 @@ from ballharmonics.integration import (
     integrate_poly_ball,
     integrate_poly_sphere,
 )
-from ballharmonics.mollifier import (
-    GridField,
-    MollifierSpec,
-    _bump_radial_slope,
-    _check_grid_dimension,
-    _convolution_sum,
-    _grid_axis,
-    _kernel_window,
-    _nearest_node,
-    _node_coordinate,
-    kernel_field,
-    poly_on_grid,
-)
+from ballharmonics.mollifier import MollifierSpec, _bump_radial_slope, kernel_field, poly_on_grid
 from ballharmonics.polynomials import MultiPoly, VectorPoly, _support, as_vector, radial_pairing
 
 
@@ -123,31 +112,19 @@ def fischer_profile(body: VectorPoly) -> tuple[tuple[int, Fraction], ...]:
     )
 
 
-def sample_scalar_on_grid(p: MultiPoly, spacing: float, extent: float = 1.0) -> GridField:
-    """Sample p over [-extent, extent]^n at the given (dyadic) spacing."""
-    _check_grid_dimension(p.dimension)
-    axis = _grid_axis(spacing, extent)
-    axes = [axis] * p.dimension
-    return GridField(
-        dimension=p.dimension,
-        spacing=spacing,
-        origin=(float(axis[0]),) * p.dimension,
-        values=poly_on_grid(p, axes),
-    )
+def sample_scalar_on_grid(p: MultiPoly, spacing: float) -> np.ndarray:
+    """p at every node -1 + k * spacing, k = 0..2/spacing per axis, of [-1, 1]^n."""
+    axis = -1.0 + spacing * np.arange(round(2 / spacing) + 1)
+    return poly_on_grid(p, [axis] * p.dimension)
 
 
-def axis_coordinates(field: GridField, axis: int):
-    """The node coordinates of a field along one axis."""
-    return field.origin[axis] + field.spacing * np.arange(field.values.shape[axis])
+def index_of(point: Sequence[float], spacing: float) -> tuple[int, ...]:
+    """Index of the node -1 + k * spacing nearest to point along each axis."""
+    return tuple(round((x + 1.0) / spacing) for x in point)
 
 
-def index_of(field: GridField, point: Sequence[float]) -> tuple[int, ...]:
-    """Nearest node index; raises if the point leaves the grid."""
-    return _nearest_node(point, field.origin, field.spacing, field.values.shape)
-
-
-def coordinate_of(field: GridField, index: Sequence[int]) -> tuple[float, ...]:
-    return _node_coordinate(index, field.origin, field.spacing)
+def coordinate_of(index: Sequence[int], spacing: float) -> tuple[float, ...]:
+    return tuple(-1.0 + spacing * k for k in index)
 
 
 def gradient_magnitude_at_radii(spec: MollifierSpec, radii):
@@ -156,13 +133,16 @@ def gradient_magnitude_at_radii(spec: MollifierSpec, radii):
     return scale * np.abs(_bump_radial_slope(np.asarray(radii) / spec.delta))
 
 
-def direct_mollify_at(field: GridField, spec: MollifierSpec, index: Sequence[int]) -> float:
+def direct_mollify_at(
+    field: np.ndarray, spacing: float, spec: MollifierSpec, index: Sequence[int]
+) -> float:
     """The convolution sum at one node of a whole sampled field, by direct summation."""
-    kern = kernel_field(spec, field.spacing)
-    window = _kernel_window(index, field.values.shape, (kern.values.shape[0] - 1) // 2)
-    if window is None:
+    kern = kernel_field(spec, spacing)
+    reach = kern.shape[0] // 2
+    if not all(reach <= k < size - reach for k, size in zip(index, field.shape)):
         raise ValueError(f"index {tuple(index)} is inside the masked margin")
-    return _convolution_sum(field.values[window], kern)
+    window = tuple(slice(k - reach, k + reach + 1) for k in index)
+    return float(np.sum(field[window] * kern)) * spacing ** field.ndim
 
 
 def homogeneous_components(p: MultiPoly) -> dict[int, MultiPoly]:

@@ -32,7 +32,6 @@ from ballharmonics.mollifier import (
 from ballharmonics.polynomials import MultiPoly, VectorPoly, as_vector
 
 from oracles import (
-    axis_coordinates,
     coordinate_of,
     direct_mollify_at,
     gradient_magnitude_at_radii,
@@ -61,24 +60,24 @@ def _run_fresh(script):
 
 class TestKernel:
     def test_normalisation_on_grid(self):
-        field = kernel_field(SPEC2, 1 / 128)
-        grid_integral = float(np.sum(field.values)) * (1 / 128) ** 2
+        kern = kernel_field(SPEC2, 1 / 128)
+        grid_integral = float(np.sum(kern)) * (1 / 128) ** 2
         assert grid_integral == pytest.approx(1.0, abs=1e-6)
 
     def test_center_value_scales_like_delta_power(self):
-        # J_delta(0) = delta^(-n) J(0)
-        fa = kernel_field(MollifierSpec(dimension=2, delta=0.5), 1 / 128)
-        fb = kernel_field(MollifierSpec(dimension=2, delta=0.25), 1 / 128)
-        ca = fa.values[index_of(fa, (0.0, 0.0))]
-        cb = fb.values[index_of(fb, (0.0, 0.0))]
-        assert cb / ca == pytest.approx(4.0, rel=1e-12)
+        # J_delta(0) = delta^(-n) J(0), at the middle entry of the (2K+1)^n array
+        ka = kernel_field(MollifierSpec(dimension=2, delta=0.5), 1 / 128)
+        kb = kernel_field(MollifierSpec(dimension=2, delta=0.25), 1 / 128)
+        assert ka.shape == (129, 129) and kb.shape == (65, 65)
+        assert kb[32, 32] / ka[64, 64] == pytest.approx(4.0, rel=1e-12)
 
     def test_support_radius(self):
-        field = kernel_field(SPEC2, 1 / 64)
-        axis = axis_coordinates(field, 0)
-        assert axis[0] == pytest.approx(-0.25) and axis[-1] == pytest.approx(0.25)
-        # vanishes on the support boundary
-        assert field.values[0, 0] == 0.0
+        # offsets -K..K with K h = delta: the array ends on the support boundary
+        kern = kernel_field(SPEC2, 1 / 64)
+        assert kern.shape == (33, 33)
+        # vanishes on the support boundary and is positive just inside it
+        assert kern[0, 16] == kern[16, 32] == kern[0, 0] == 0.0
+        assert kern[1, 16] > 0.0 and kern[16, 31] > 0.0
 
     def test_second_moment_positive_and_scales(self):
         m_half = MollifierSpec(dimension=2, delta=0.5).second_moment()
@@ -116,28 +115,29 @@ class TestConvolution:
         # normalisation error, which shrinks with the spacing
         one = MultiPoly.constant(2, 1)
         for spacing, budget in ((1 / 64, 1e-5), (1 / 128, 1e-6)):
-            field = sample_scalar_on_grid(one, spacing, extent=1.0)
+            field = sample_scalar_on_grid(one, spacing)
             for point in self.POINTS:
-                smoothed = direct_mollify_at(field, SPEC2, index_of(field, point))
+                smoothed = direct_mollify_at(field, spacing, SPEC2, index_of(point, spacing))
                 assert abs(smoothed - 1.0) < budget
 
     def test_linear_functions_preserved(self):
         # first moments of the symmetric kernel vanish
         p = MultiPoly(2, {(1, 0): 1, (0, 1): Fraction(-1, 2)})
-        field = sample_scalar_on_grid(p, 1 / 128, extent=1.0)
+        field = sample_scalar_on_grid(p, 1 / 128)
         for point in self.POINTS:
-            smoothed = direct_mollify_at(field, SPEC2, index_of(field, point))
+            smoothed = direct_mollify_at(field, 1 / 128, SPEC2, index_of(point, 1 / 128))
             assert smoothed == pytest.approx(float(p.evaluate(point)), abs=1e-6)
 
     def test_margin_is_masked(self):
         # the kernel's footprint leaves the grid within delta of its edge
-        field = sample_scalar_on_grid(MultiPoly.constant(2, 1), 1 / 32, extent=1.0)
-        for point in ((-1.0, -1.0), (0.0, 1.0), (-0.75 - 1 / 32, 0.0)):
+        h = 1 / 32
+        field = sample_scalar_on_grid(MultiPoly.constant(2, 1), h)
+        for point in ((-1.0, -1.0), (0.0, 1.0), (-0.75 - h, 0.0)):
             with pytest.raises(ValueError, match="masked margin"):
-                direct_mollify_at(field, SPEC2, index_of(field, point))
+                direct_mollify_at(field, h, SPEC2, index_of(point, h))
         # the last node outside the margin sums the whole footprint, as the centre does
-        edge = direct_mollify_at(field, SPEC2, index_of(field, (-0.75, 0.0)))
-        assert edge == pytest.approx(direct_mollify_at(field, SPEC2, index_of(field, (0.0, 0.0))))
+        edge = direct_mollify_at(field, h, SPEC2, index_of((-0.75, 0.0), h))
+        assert edge == pytest.approx(direct_mollify_at(field, h, SPEC2, index_of((0.0, 0.0), h)))
 
 
 class TestMeanValue:
@@ -182,19 +182,35 @@ class TestMeanValue:
 
     def test_point_in_masked_margin_rejected(self, monkeypatch):
         # the radius budget keeps every snapped point of a valid spec clear of
-        # the margin, so a kernel wider than its delta stands in for the case
-        wide = MollifierSpec(dimension=2, delta=0.5)
-        wide_kernel = mollifier.kernel_field(wide, 1 / 64)
+        # the margin, so a kernel array wider than its delta stands in for the
+        # case: 65 x 65 entries reach 32 nodes, past the edge from x = 0.75
+        wide_kernel = mollifier.kernel_field(MollifierSpec(dimension=2, delta=0.5), 1 / 64)
+        assert wide_kernel.shape == (65, 65)
         monkeypatch.setattr(mollifier, "kernel_field", lambda spec, spacing: wide_kernel)
         with pytest.raises(ValueError, match="masked margin"):
             mean_value_check(
                 zonal_solid_harmonic(2, 1), SPEC2, [(0.0, 0.0), (0.75, 0.0)], spacing=1 / 64
             )
+        # the same wide array still fits around a point 1/2 from the edge
+        report = mean_value_check(zonal_solid_harmonic(2, 1), SPEC2, [(0.5, 0.0)], spacing=1 / 64)
+        assert report.points == ((0.5, 0.0),)
+
+    def test_point_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="3 coordinates, expected 2"):
+            mean_value_check(zonal_solid_harmonic(2, 2), SPEC2, [(0.0, 0.0, 0.0)], spacing=1 / 64)
+
+    def test_non_dyadic_spacing_reads_u_at_the_centre_of_its_box(self):
+        # at spacing 0.1 the lattice point 2 * 0.1 is 0.2, the centre of the
+        # box the sum reads; -1 + 12 * 0.1 would be 0.20000000000000018
+        u = zonal_solid_harmonic(2, 2)
+        report = mean_value_check(u, MollifierSpec(2, 0.25), [(0.2, 0.0)], spacing=0.1)
+        assert report.points == ((0.2, 0.0),)
+        assert report.values == ((float(u.body[0].evaluate((0.2, 0.0))),),)
 
     def test_direct_sum_refuses_the_masked_margin(self):
-        field = sample_scalar_on_grid(MultiPoly.constant(2, 1), 1 / 32, extent=1.0)
+        field = sample_scalar_on_grid(MultiPoly.constant(2, 1), 1 / 32)
         with pytest.raises(ValueError, match="masked margin"):
-            direct_mollify_at(field, SPEC2, (3, 16))
+            direct_mollify_at(field, 1 / 32, SPEC2, (3, 16))
 
     @pytest.mark.parametrize(
         "spacing,message",
@@ -286,11 +302,11 @@ class TestMeanValueRoute:
         for i, comp in enumerate(comps):
             field = sample_scalar_on_grid(comp, spacing)
             for j, pt in enumerate(points):
-                idx = index_of(field, pt)
-                node = coordinate_of(field, idx)
+                idx = index_of(pt, spacing)
+                node = coordinate_of(idx, spacing)
                 assert report.points[j] == node
                 assert report.values[j][i] == float(comp.evaluate(node))
-                direct = direct_mollify_at(field, spec, idx)
+                direct = direct_mollify_at(field, spacing, spec, idx)
                 assert report.mollified[j][i] == direct
         assert report.errors == tuple(
             max([0.0] + [abs(a - e) for a, e in zip(m, v)])

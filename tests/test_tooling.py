@@ -137,6 +137,20 @@ def test_one_identity_scan():
     assert "standard_maps" not in _reads_outside_own_definition(_parse(cli))
 
 
+def test_whole_grid_oracle_keeps_its_own_indexing():
+    # tests/oracles.py samples the whole square and addresses its nodes by its
+    # own arithmetic: borrowing the mean-value check's indexing would hold the
+    # check to itself, so only the kernel and the evaluator may be shared
+    imported = {
+        alias.name
+        for node in ast.walk(_parse(ROOT / "tests" / "oracles.py"))
+        if isinstance(node, ast.ImportFrom) and node.module == "ballharmonics.mollifier"
+        for alias in node.names
+    }
+    allowed = {"MollifierSpec", "kernel_field", "poly_on_grid", "_bump_radial_slope"}
+    assert imported <= allowed, sorted(imported - allowed)
+
+
 def _self_referencing_nested_functions(tree: ast.AST) -> list[str]:
     """Functions defined inside a function whose body reads their own name."""
     nested = [
