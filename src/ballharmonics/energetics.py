@@ -67,8 +67,7 @@ from .integration import (
 )
 from .polynomials import (
     VectorPoly,
-    _integer_terms,
-    _laplacians,
+    _laplacian_series,
     as_vector,
     gradient,
     radial_pairing,
@@ -104,8 +103,10 @@ class _RadialProfile:
 def _radial_profile(body: VectorPoly) -> _RadialProfile:
     """The radial profile of any body, by the Fischer sums of the module docstring.
 
-    The components come as integer numerators over one denominator den
-    (:func:`polynomials._integer_terms`).
+    Each component's parts and their Laplacians are read from its kept
+    series (:func:`polynomials._laplacian_series`; certification filled it
+    for a constructed map), whose integer numerators over den_i are brought
+    to den = lcm(den_i) by weighting that component's sums with (den / den_i)^2.
     A part whose first Laplacian vanishes (always so at degree <= 1) has
     w_j = u_j, and it shares no monomial with the other such parts of its
     component, so it adds its Fischer norm straight into a per-degree sum.
@@ -115,26 +116,25 @@ def _radial_profile(body: VectorPoly) -> _RadialProfile:
     :func:`_sphere_monomial_rational` once.
     """
     n = body.dimension
-    den, comps = _integer_terms(*body)
+    comps = [_laplacian_series(comp) for comp in body]
+    den = math.lcm(*(den_i for den_i, _ in comps))
     norms: dict[int, int] = {}  # degree d -> Fischer norm of the harmonic degree-d parts
-    mixed = []  # per component with a non-harmonic part: degree j -> [u_j, Delta u_j, ...]
-    for comp in comps:
-        parts: dict[int, dict] = {}
-        for exps, c in comp.items():
-            parts.setdefault(sum(exps), {})[exps] = c
-        series = {j: _laplacians(u) if j > 1 else [u] for j, u in parts.items()}
+    # (weight, degree j -> [u_j, Delta u_j, ...]) per component with a non-harmonic part
+    mixed = []
+    for den_i, series in comps:
+        weight = (den // den_i) ** 2
         for j, s in series.items():
             if len(s) == 1:
-                norms[j] = norms.get(j, 0) + _fischer_norm(s[0], j)
+                norms[j] = norms.get(j, 0) + weight * _fischer_norm(s[0], j)
         if any(len(s) > 1 for s in series.values()):
-            mixed.append(series)
-    steps = max((len(s) - 1 for series in mixed for s in series.values()), default=0)
+            mixed.append((weight, series))
+    steps = max((len(s) - 1 for _, series in mixed for s in series.values()), default=0)
     scale = 2**steps * math.factorial(steps)
     # Euler's identity on a harmonic part: |alpha| = d, i j = d^2 and (i + j)/2 = d
     grad = {2 * d - 2: d * c * scale**2 for d, c in norms.items()}
     pairing = {2 * d: d * d * c * scale**2 for d, c in norms.items()}
     flux = {2 * d: d * c * scale**2 for d, c in norms.items()}
-    for series in mixed:
+    for weight, series in mixed:
         heated = {j: _heat(s, scale) for j, s in series.items()}
         degrees = sorted(series)
         for x, i in enumerate(degrees):
@@ -143,7 +143,7 @@ def _radial_profile(body: VectorPoly) -> _RadialProfile:
                     continue
                 f, g = _fischer_sums(heated[i], heated[j])
                 # off the diagonal the pair (i, j) stands for (j, i) too
-                m = 1 if i == j else 2
+                m = weight if i == j else 2 * weight
                 grad[i + j - 2] = grad.get(i + j - 2, 0) + m * g
                 pairing[i + j] = pairing.get(i + j, 0) + m * i * j * f
                 flux[i + j] = flux.get(i + j, 0) + m * (i + j) // 2 * f

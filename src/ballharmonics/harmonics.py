@@ -9,7 +9,7 @@ refuse maps whose harmonicity was never established.
 Random maps project a random homogeneous polynomial onto its harmonic part
 h_0 in the Almansi decomposition (:func:`polynomials.harmonic_projection`,
 re-exported here), and the degree-k zonal harmonic about a unit axis is
-lead(n, k) h_0(<x, axis>^k) (Axler, Bourdon and Ramey, Harmonic Function
+h_0(lead(n, k) <x, axis>^k) (Axler, Bourdon and Ramey, Harmonic Function
 Theory, ch. 5; lead in :func:`_zonal_lead`).  The tests hold the two to
 oracles: the recursive Almansi split in ``tests/oracles.py`` and the Gegenbauer
 three-term recurrence in ``tests/test_harmonics.py``.
@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .exactmath import as_fraction
-from .polynomials import MultiPoly, VectorPoly, as_vector, harmonic_projection
+from .polynomials import MultiPoly, VectorPoly, _laplacian_series, as_vector, harmonic_projection
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def make_harmonic_map(body: VectorPoly | MultiPoly, label: str = "") -> Harmonic
     """Wrap a polynomial (vector) after checking harmonicity of each component."""
     vec = as_vector(body)
     certified = all(comp.is_harmonic() for comp in vec)
-    degrees = {sum(exps) for comp in vec for exps, _ in comp.terms()}
+    degrees = {d for comp in vec for d in _laplacian_series(comp)[1]}
     degree = None if len(degrees) > 1 else max(degrees, default=0)
     return HarmonicMap(body=vec, degree=degree, certified=certified, label=label)
 
@@ -107,7 +107,7 @@ def zonal_solid_harmonic(
 ) -> HarmonicMap:
     """The degree-k harmonic polynomial symmetric about ``axis`` (default e1).
 
-    It is lead(n, k) times the harmonic projection of <x, axis>^k: the
+    It is the harmonic projection of lead(n, k) <x, axis>^k: the
     Gegenbauer solid harmonic, or the Chebyshev one for n = 2.  The axis must have exactly unit norm in exact arithmetic: rational
     entries with sum of squares 1 (coordinate axes, (3/5, 4/5), ...).  That
     is what makes the result exactly harmonic and the certification exact.
@@ -137,7 +137,7 @@ def zonal_solid_harmonic(
         )
     t = MultiPoly(n, {tuple(int(j == i) for j in range(n)): a for i, a in enumerate(axis_f)})
     return make_harmonic_map(
-        harmonic_projection(t**k) * _zonal_lead(n, k), label=f"zonal(n={n}, k={k})"
+        harmonic_projection(t**k * _zonal_lead(n, k)), label=f"zonal(n={n}, k={k})"
     )
 
 

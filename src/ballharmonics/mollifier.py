@@ -234,7 +234,6 @@ def mean_value_check(
     function contradicts nothing.
     """
     comps, certified, n = _scalar_components(u)
-    _check_grid_dimension(n)
     if spec.dimension != n:
         raise ValueError(f"kernel dimension {spec.dimension} != map dimension {n}")
     if not points:

@@ -16,11 +16,16 @@ evaluation and printing follow that order deterministically.  The constructor
 validates its input once; ring operations and calculus on valid operands
 canonicalise their results but do not re-validate them.
 
-Exact algebra that runs many steps on one poly works on integer numerators
-over one common denominator (:func:`_integer_terms`) and forms a Fraction
-only for a result coefficient: the exact test of :meth:`MultiPoly.is_harmonic`,
-:func:`harmonic_projection` and the energy profile of ``energetics`` share
-that kernel with the Laplacian.  Floats enter it at their exact binary values,
+Exact algebra that runs many steps on one poly works on its Laplacian
+series (:func:`_laplacian_series`): the integer numerators of each
+homogeneous part over the poly's least common denominator, followed by their
+Laplacians up to the last nonzero one.  A Fraction is formed only for a
+result coefficient.  The series is computed on first use and kept with the
+poly, so the exact test of :meth:`MultiPoly.is_harmonic`,
+:func:`harmonic_projection`, the degrees of ``harmonics.make_harmonic_map``
+and the energy profile of ``energetics`` walk each poly's Laplacian once
+between them.  Two threads racing on a first use compute equal values, so
+keeping either is safe.  Floats enter the series at their exact binary values,
 so :func:`harmonic_projection` of a poly with a float coefficient returns the
 exact projection of those values with each coefficient rounded to float once.
 
@@ -63,7 +68,7 @@ def _as_float(c: Coeff) -> float:
 class MultiPoly:
     """Immutable sparse polynomial in ``dimension`` variables."""
 
-    __slots__ = ("_dimension", "_terms", "_hash")
+    __slots__ = ("_dimension", "_terms", "_hash", "_series")
 
     def __init__(
         self,
@@ -124,6 +129,7 @@ class MultiPoly:
         object.__setattr__(self, "_dimension", dimension)
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_series", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -275,13 +281,12 @@ class MultiPoly:
     def is_harmonic(self) -> bool:
         """True iff the Laplacian vanishes.
 
-        Exact-coefficient polys are checked exactly, on the integer numerators
-        of :func:`_integer_terms`; float polys hold every Laplacian
-        coefficient to 1e-12 in absolute value.
+        Exact-coefficient polys are checked exactly: every part of the kept
+        :func:`_laplacian_series` stops at the part itself.  Float polys hold
+        every Laplacian coefficient to 1e-12 in absolute value.
         """
         if self.is_exact:
-            _, (numerators,) = _integer_terms(self)
-            return not any(_laplacian_terms(numerators).values())
+            return all(len(laps) == 1 for laps in _laplacian_series(self)[1].values())
         return all(abs(_as_float(c)) <= 1e-12 for _, c in self.laplacian().terms())
 
     # -- evaluation -------------------------------------------------------
@@ -344,23 +349,25 @@ def _laplacian_terms(terms: Mapping[Exponents, Coeff]) -> dict[Exponents, Coeff]
     return out
 
 
-def _integer_terms(*polys: MultiPoly) -> tuple[int, list[dict[Exponents, int]]]:
-    """polys as integer numerators over one denominator: p_i = sum_e terms[i][e] x^e / den.
+def _laplacian_series(p: MultiPoly) -> tuple[int, dict[int, list[dict[Exponents, int]]]]:
+    """(den, {d: [u_d, Delta u_d, ..., the last nonzero one]}) with p = sum_d u_d / den.
 
-    den is the least common denominator of all their coefficients; floats
-    enter at their exact binary values.
+    The u_d are p's homogeneous parts as integer numerators over the least
+    common denominator den of p's coefficients; floats enter at their exact
+    binary values.  Parts of degree <= 1 are [u_d] with no walk.  Computed on
+    first use and kept in p's ``_series`` slot; readers must not mutate it.
     """
-    ratios = [{exps: c.as_integer_ratio() for exps, c in p._terms.items()} for p in polys]
-    den = math.lcm(*(q for r in ratios for _, q in r.values()))
-    return den, [{exps: a * (den // q) for exps, (a, q) in r.items()} for r in ratios]
-
-
-def _laplacians(u: dict[Exponents, int]) -> list[dict[Exponents, int]]:
-    """[u, Delta u, Delta^2 u, ...] of integer terms, up to the last nonzero one."""
-    out = [u]
-    while lap := {e: c for e, c in _laplacian_terms(out[-1]).items() if c}:
-        out.append(lap)
-    return out
+    if p._series is None:
+        ratios = {exps: c.as_integer_ratio() for exps, c in p._terms.items()}
+        den = math.lcm(*(q for _, q in ratios.values()))
+        series: dict[int, list[dict[Exponents, int]]] = {}
+        for exps, (a, q) in ratios.items():
+            series.setdefault(sum(exps), [{}])[0][exps] = a * (den // q)
+        for d, laps in series.items():
+            while d > 1 and (lap := {e: c for e, c in _laplacian_terms(laps[-1]).items() if c}):
+                laps.append(lap)
+        object.__setattr__(p, "_series", (den, series))
+    return p._series
 
 
 def harmonic_projection(p: MultiPoly) -> MultiPoly:
@@ -373,17 +380,13 @@ def harmonic_projection(p: MultiPoly) -> MultiPoly:
 
     general inputs are split into homogeneous parts first, and
     already-harmonic inputs are returned unchanged, exactly.  The sum runs
-    on integer numerators: float coefficients enter at their exact binary
-    values, and where p has a float coefficient each output coefficient is
-    the exact projection rounded to float once (a float overflow raises
-    ValueError).
+    on p's kept :func:`_laplacian_series`: float coefficients enter at their
+    exact binary values, and where p has a float coefficient each output
+    coefficient is the exact projection rounded to float once (a float
+    overflow raises ValueError).
     """
     n = p.dimension
-    den, (numerators,) = _integer_terms(p)
-    parts: dict[int, dict] = {}
-    for exps, c in numerators.items():
-        parts.setdefault(sum(exps), {})[exps] = c
-    series = {m: _laplacians(part) for m, part in parts.items()}
+    den, series = _laplacian_series(p)
     if all(len(laps) == 1 for laps in series.values()):
         return p
     out: dict = {}

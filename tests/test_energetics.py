@@ -1,5 +1,6 @@
 """Dirichlet energies, decay fits and dyadic contraction."""
 
+import copy
 import gc
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballharmonics import energetics
+from ballharmonics import energetics, polynomials
 from ballharmonics.energetics import (
     concentration_fraction,
     dirichlet_energy,
@@ -35,7 +36,7 @@ from ballharmonics.harmonics import (
 )
 from ballharmonics.identities import _flux_result
 from ballharmonics.integration import EXACT, IntegralResult, QuadratureSpec
-from ballharmonics.polynomials import MultiPoly, VectorPoly
+from ballharmonics.polynomials import MultiPoly, VectorPoly, _laplacian_series
 
 from oracles import fischer_profile, lowered, materialised
 
@@ -344,6 +345,37 @@ def test_profile_is_built_once_per_body():
     assert energetics._radial_profile.cache_info().misses == 1
 
 
+def test_energy_of_a_certified_map_walks_no_laplacian(monkeypatch):
+    # certification kept each component's Laplacian series, and the profile reads it
+    calls = []
+    walk = polynomials._laplacian_terms
+
+    def spy(terms):
+        calls.append(len(terms))
+        return walk(terms)
+
+    monkeypatch.setattr(polynomials, "_laplacian_terms", spy)
+    u = zonal_solid_harmonic(5, 3)
+    assert calls, "building the map walks its Laplacian"
+    calls.clear()
+    energetics._radial_profile.cache_clear()
+    dirichlet_energy_result(u, 1)
+    assert calls == []
+
+
+def test_projection_and_profile_leave_the_kept_series_as_they_found_it():
+    p = MultiPoly(
+        3, {(4, 0, 0): Fraction(1, 3), (2, 1, 0): 2, (0, 0, 2): Fraction(-1, 7), (1, 0, 0): 5}
+    )
+    kept = copy.deepcopy(_laplacian_series(p))
+    assert max(len(laps) for laps in kept[1].values()) == 3
+    harmonic_projection(p)
+    assert _laplacian_series(p) == kept
+    energetics._radial_profile.cache_clear()
+    energetics._radial_profile(VectorPoly([p]))
+    assert _laplacian_series(p) == kept
+
+
 def test_profile_cache_does_not_keep_a_scan_of_maps_alive():
     # the cache keys on the body, so every cached profile keeps its map alive;
     # the identity maps of n = 2..80 take about 2.5 MB together
@@ -406,6 +438,22 @@ def test_profile_does_not_assume_harmonicity():
     # Green: E(1) = 16 pi/15 against the flux 8 pi/5
     assert flux == PiRational(Fraction(8, 5), 1)
     assert profiled(body, 1) == materialised(body, 1)
+
+
+def test_profile_brings_each_component_to_the_common_denominator():
+    # a harmonic component over 3 and a non-harmonic one over 5: the Fischer
+    # sums of each carry (15 / den_i)^2, on the harmonic and the heat-flowed branch
+    body = VectorPoly(
+        [
+            MultiPoly(3, {(2, 0, 0): Fraction(1, 3), (0, 2, 0): Fraction(-1, 3), (0, 0, 1): 1}),
+            MultiPoly(3, {(2, 0, 0): Fraction(1, 5), (1, 1, 1): 3, (0, 0, 4): Fraction(-2, 5)}),
+        ]
+    )
+    assert [_laplacian_series(c)[0] for c in body] == [3, 5]
+    assert [c.is_harmonic() for c in body] == [True, False]
+    energetics._radial_profile.cache_clear()
+    for r in (1, Fraction(1, 2), 0.7):
+        assert profiled(body, r) == materialised(body, r)
 
 
 FLOAT_BODIES = {

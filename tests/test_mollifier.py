@@ -199,6 +199,12 @@ class TestMeanValue:
         with pytest.raises(ValueError, match="3 coordinates, expected 2"):
             mean_value_check(zonal_solid_harmonic(2, 2), SPEC2, [(0.0, 0.0, 0.0)], spacing=1 / 64)
 
+    def test_map_past_the_grid_cap_is_refused_by_the_kernel_dimension(self):
+        # a spec is capped at 3 dimensions, so comparing it with the map's
+        # dimension is what refuses every larger map
+        with pytest.raises(ValueError, match="kernel dimension 2 != map dimension 4"):
+            mean_value_check(identity_map(4), SPEC2, [(0.0,) * 4], spacing=1 / 64)
+
     def test_non_dyadic_spacing_reads_u_at_the_centre_of_its_box(self):
         # at spacing 0.1 the lattice point 2 * 0.1 is 0.2, the centre of the
         # box the sum reads; -1 + 12 * 0.1 would be 0.20000000000000018

@@ -11,6 +11,7 @@ from ballharmonics.polynomials import (
     DimensionError,
     MultiPoly,
     VectorPoly,
+    _laplacian_series,
     format_poly,
     format_vector,
     gradient,
@@ -219,6 +220,22 @@ rational_points = st.tuples(
         for _ in range(DIM)
     )
 )
+
+
+@given(polys)
+def test_property_laplacian_series_holds_each_part_and_its_laplacians(p):
+    den, series = _laplacian_series(p)
+    # kept with the poly: a second use reads the same object
+    assert _laplacian_series(p) is _laplacian_series(p)
+    assert sorted(series) == sorted(homogeneous_components(p))
+    for d, part in homogeneous_components(p).items():
+        lap = part * den
+        for laps in series[d]:
+            assert MultiPoly(DIM, laps) == lap
+            lap = lap.laplacian()
+        # the series stops at the last nonzero Laplacian
+        assert lap.is_zero
+    assert p.is_harmonic() == p.laplacian().is_zero
 
 
 @given(polys, polys)

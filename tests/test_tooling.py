@@ -110,6 +110,46 @@ def test_unvalidated_constructor_stays_in_polynomials():
     assert users == {"polynomials.py"}, sorted(users)
 
 
+def _nodes_with_their_def(node: ast.AST, name: str = "<module>"):
+    """(name of the innermost def around it, node) for node and everything under it."""
+    yield name, node
+    name = node.name if isinstance(node, _FUNCTIONS) else name
+    for child in ast.iter_child_nodes(node):
+        yield from _nodes_with_their_def(child, name)
+
+
+def _writes_series(node: ast.AST) -> bool:
+    """An assignment to ._series, or a (object.__)setattr call naming "_series"."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "_series" and not isinstance(node.ctx, ast.Load)
+    if not isinstance(node, ast.Call):
+        return False
+    called = getattr(node.func, "id", getattr(node.func, "attr", None))
+    return called in {"setattr", "__setattr__"} and any(
+        isinstance(arg, ast.Constant) and arg.value == "_series" for arg in node.args
+    )
+
+
+def test_one_writer_of_the_laplacian_series_and_one_walk():
+    # the kept series is the one place a poly's Laplacians are computed:
+    # _store resets it, _laplacian_series fills it, and no other module walks
+    # a Laplacian to learn what the series already holds
+    found = [
+        (path.name, *pair)
+        for path in SOURCES + SCRIPTS + TESTS
+        for pair in _nodes_with_their_def(_parse(path))
+    ]
+    writers = {(module, name) for module, name, node in found if _writes_series(node)}
+    assert writers == {("polynomials.py", "_store"), ("polynomials.py", "_laplacian_series")}
+    walkers = {
+        module
+        for module, _, node in found
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_laplacian_terms"
+    }
+    assert walkers == {"polynomials.py"}, sorted(walkers)
+
+
 def test_radial_integrals_stay_in_integration_and_energetics():
     # integration decides how a radius enters an integral and energetics._energy
     # is the one reader of the energy densities: a module that samples or reads
