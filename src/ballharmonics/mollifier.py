@@ -18,8 +18,9 @@ centred there, so their storage is O(points * K^n) rather than O(h^-n).  The
 tests hold them to the same sum over the whole sampled square, which the
 oracles in ``tests/oracles.py`` form with their own indexing.  A bare
 polynomial input is certified harmonic or not as ``make_harmonic_map``
-certifies it.  Kernel-gradient norms scale one unit-lattice profile of the
-bump's slope to every delta.
+certifies it.  Kernel-gradient norms sum the bump's slope over the lattice's
+radial shells, each weighted by its exact node count, so they visit a few
+thousand radii rather than every node of the grid.
 """
 
 from __future__ import annotations
@@ -336,18 +337,43 @@ class GradientScalingFit:
 
 
 @lru_cache(maxsize=4)
-def _unit_slope_magnitudes(n: int, nodes_per_delta: int) -> np.ndarray:
-    """|d/dt exp(-1/(1-t^2))| at t = |y| on the unit lattice y in Z^n / nodes_per_delta.
+def _shell_table(n: int, nodes_per_delta: int) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, slopes) over the shells |y|^2 = m / N^2, m < N^2, of the lattice Z^n / N.
 
-    With spacing delta / nodes_per_delta the nodes x = delta * y give
-    t = |x| / delta on this same lattice for every delta (to the bit when
-    delta is a power of two, since multiplying by one is exact).  Read-only: the
-    cache hands the same array to every caller.
+    counts[m] is the exact number of lattice points y with N^2 |y|^2 = m
+    (each lies in the box |y_i| <= 1 that a kernel grid covers), and
+    slopes[m] is |d/dt exp(-1/(1-t^2))| at t = sqrt(m * (1 / N^2)), to the
+    bit the t of those points when N is a power of two.  Points with |y| >= 1
+    have zero slope and are left out.  Read-only: the cache hands the same
+    arrays to every caller.
     """
-    axis = (np.arange(2 * nodes_per_delta + 1) - nodes_per_delta) * (1.0 / nodes_per_delta)
-    slopes = np.abs(_bump_radial_slope(_radius_mesh([axis] * n)))
+    shells = nodes_per_delta * nodes_per_delta
+    counts = np.zeros(shells, dtype=np.int64)
+    counts[0] = 1
+    for _ in range(n):
+        # one more axis: shell m gains the shells m - i^2 of the axes so far, 0 < |i| < N
+        grown = counts.copy()
+        for i in range(1, nodes_per_delta):
+            grown[i * i :] += 2 * counts[: shells - i * i]
+        counts = grown
+    slopes = np.abs(_bump_radial_slope(np.sqrt(np.arange(shells) * (1.0 / shells))))
+    counts.setflags(write=False)
     slopes.setflags(write=False)
-    return slopes
+    return counts, slopes
+
+
+def _exact_dot(counts: np.ndarray, values: np.ndarray) -> float:
+    """sum_m counts[m] * values[m], exactly rounded.
+
+    Each value splits into two halves of at most 26 bits (Veltkamp), so every
+    count below 2^27 times a half is an exact float and ``math.fsum`` rounds
+    the whole sum once.  A shell of the lattice holds far fewer points than
+    2^27 at any N whose table fits in memory.
+    """
+    split = values * 134217729.0  # 2^27 + 1
+    high = split - (split - values)
+    weights = counts.astype(float)
+    return math.fsum(np.concatenate([weights * high, weights * (values - high)]).tolist())
 
 
 def mollifier_gradient_scaling(
@@ -360,11 +386,16 @@ def mollifier_gradient_scaling(
 
     Each delta gets its own grid with spacing delta / nodes_per_delta, so
     the discretisation is scale-covariant and the fitted exponent measures
-    the scaling law rather than resolution artifacts; the bump's slope on
-    that grid is one unit-lattice profile, computed once and scaled by
-    c_n delta^(-n-1) per delta.  Dimensional analysis
-    gives n/q - n - 1 (equal to -1 exactly when q = 1); the fit is reported
-    against that reference, not asserted beyond it.
+    the scaling law rather than resolution artifacts.  The bump's slope
+    depends on |x| alone, and the nodes x = delta * y, y in Z^n / N, sit on
+    the shells |y|^2 = m / N^2, m < N^2, inside the kernel's support; so
+    ||grad J_delta||_q^q is the sum over those shells of the shell's exact
+    node count times (c_n delta^(-n-1) |slope(sqrt(m) / N)|)^q, times
+    (delta / N)^n, summed exactly rounded.  At a power-of-two N and delta
+    that equals ``math.fsum`` over every node of the delta's grid, to the
+    bit.  Dimensional analysis gives n/q - n - 1 (equal to -1 exactly when
+    q = 1); the fit is reported against that reference, not asserted beyond
+    it.
     """
     if not q >= 1:
         raise ValueError(f"q must be >= 1, got {q!r}")
@@ -380,13 +411,12 @@ def mollifier_gradient_scaling(
     if nodes_per_delta != int(nodes_per_delta):
         raise ValueError(f"nodes_per_delta must be a whole number, got {nodes_per_delta!r}")
     n = spec.dimension
-    slopes = _unit_slope_magnitudes(n, int(nodes_per_delta))
+    counts, slopes = _shell_table(n, int(nodes_per_delta))
     norms = []
     for d in ds:
-        # |grad J_delta|(x) = c_n delta^(-n-1) |slope(|x| / delta)|: the unit
-        # profile's slopes, rescaled for each delta
+        # |grad J_delta|(x) = c_n delta^(-n-1) |slope(|x| / delta)| on each shell
         mags = spec.normalization * d ** (-n - 1) * slopes
-        total = float(np.sum(mags**q)) * (d / nodes_per_delta) ** n
+        total = _exact_dot(counts, mags**q) * (d / nodes_per_delta) ** n
         norms.append(total ** (1.0 / q))
     slope, intercept, resid = _least_squares_line(
         [math.log(d) for d in ds], [math.log(v) for v in norms], "deltas"

@@ -22,9 +22,10 @@ homogeneous part over the poly's least common denominator, followed by their
 Laplacians up to the last nonzero one.  A Fraction is formed only for a
 result coefficient.  The series is computed on first use and kept with the
 poly, so the exact test of :meth:`MultiPoly.is_harmonic`,
-:func:`harmonic_projection`, the degrees of ``harmonics.make_harmonic_map``
-and the energy profile of ``energetics`` walk each poly's Laplacian once
-between them.  Two threads racing on a first use compute equal values, so
+:func:`harmonic_projection`, the degrees of a certified exact map
+(:func:`_degrees`) and the energy profile of ``energetics`` walk each poly's
+Laplacian once between them; a float poly, certified on its own route, reads
+its degrees from one walk of its terms.  Two threads racing on a first use compute equal values, so
 keeping either is safe.  Floats enter the series at their exact binary values,
 so :func:`harmonic_projection` of a poly with a float coefficient returns the
 exact projection of those values with each coefficient rounded to float once.
@@ -368,6 +369,17 @@ def _laplacian_series(p: MultiPoly) -> tuple[int, dict[int, list[dict[Exponents,
                 laps.append(lap)
         object.__setattr__(p, "_series", (den, series))
     return p._series
+
+
+def _degrees(p: MultiPoly) -> Iterable[int]:
+    """Degrees of p's homogeneous parts: its kept series' keys, else one walk of its terms.
+
+    Exact certification keeps the series; a float poly is certified without
+    it, so its degrees do not pay for building one.
+    """
+    if p._series is not None:
+        return p._series[1].keys()
+    return {sum(exps) for exps in p._terms}
 
 
 def harmonic_projection(p: MultiPoly) -> MultiPoly:

@@ -56,6 +56,7 @@ from .identities import (
 from .integration import QuadratureSpec, integrate_poly_sphere
 from .mollifier import (
     MollifierSpec,
+    _radial_bump_integral,
     mean_value_check,
     mean_value_convergence,
     mollifier_gradient_scaling,
@@ -430,21 +431,30 @@ def check_mc_oracle(seed: int, workers: int = 1) -> CheckResult:
 def check_mollifier_scaling() -> CheckResult:
     worst = 0.0
     worst_at = ""
+    worst_q1 = 0.0
     measured = {}
     for n in (2, 3):
         spec = MollifierSpec(dimension=n, delta=0.25)
+        # by parts, ||grad J_delta||_1 = (n - 1) I_(n-2) / (I_(n-1) delta) with
+        # I_p the integral of t^p exp(-1/(1-t^2)) over [0, 1]: no slope, no c_n
+        l1_times_delta = (n - 1) * _radial_bump_integral(n - 2) / _radial_bump_integral(n - 1)
         for q in (1.0, 1.5, 2.0):
             fit = mollifier_gradient_scaling(q, spec)
             err = abs(fit.exponent - fit.reference_exponent)
             measured[f"n{n}_q{q:g}"] = fit.exponent
             if err > worst:
                 worst, worst_at = err, f"n={n} q={q:g}"
+            if q == 1.0:
+                for d, norm in zip(fit.deltas, fit.norms):
+                    closed = l1_times_delta / d
+                    worst_q1 = max(worst_q1, abs(norm - closed) / closed)
     return _result(
         "mollifier-scaling",
-        worst < 0.05,
+        worst < 0.05 and worst_q1 < 1e-5,
         worst_exponent_gap=worst,
         worst_at=worst_at,
         **measured,
+        worst_q1_rel_gap=worst_q1,
     )
 
 

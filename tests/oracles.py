@@ -18,8 +18,9 @@ route, and no package code calls any of them:
   the nodes -1 + k * spacing of such a field by their own arithmetic, so
   the check's lattice indexing is held to an independent one;
 * :func:`gradient_magnitude_at_radii` evaluates |grad J_delta| at given
-  radii, where ``mollifier.mollifier_gradient_scaling`` rescales one unit
-  profile for every delta;
+  radii, so the tests can sum it over every node of a delta's grid, where
+  ``mollifier.mollifier_gradient_scaling`` sums it over the lattice's radial
+  shells weighted by their node counts;
 * :func:`almansi_decomposition` recovers every harmonic part h_j of
   p = sum_j |x|^(2j) h_j recursively, against the closed form of
   ``polynomials.harmonic_projection``; :func:`homogeneous_components`,

@@ -4,6 +4,8 @@ Every test prints ``criterion NN (name): PASS`` / ``... FAIL`` so the verbose
 log carries a single line per criterion.  Each criterion is defined once, by
 its ``check_*`` in ``ballharmonics.suite``; a test calls that check, asserts
 on its verdict and headline details, and asserts the runtime budget.
+Planted-defect tests monkeypatch a mutant into the package and assert that
+the check it feeds fails.
 """
 
 import pathlib
@@ -11,8 +13,10 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
+from ballharmonics import mollifier
 from ballharmonics.suite import (
     check_c1_rate,
     check_concentration,
@@ -192,6 +196,35 @@ def test_criterion_12_mollifier_scaling():
     assert result.details["worst_exponent_gap"] < 0.05
     # q = 1 reproduces the 1/delta blow-up of the kernel gradient in any n
     assert result.details["n2_q1"] == pytest.approx(-1.0, abs=0.05)
+    # and the integrated-by-parts closed form of ||grad J_delta||_1 itself
+    assert result.details["worst_q1_rel_gap"] < 1e-5
+
+
+class TestCriterion12CanFail:
+    """Planted defects that the fitted exponents alone do not see."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_shell_tables(self):
+        mollifier._shell_table.cache_clear()
+        yield
+        mollifier._shell_table.cache_clear()
+
+    def test_wrong_slope_fails(self, monkeypatch):
+        slope = mollifier._bump_radial_slope
+        monkeypatch.setattr(
+            mollifier, "_bump_radial_slope", lambda t: 7.0 * slope(t) * (1.0 + np.asarray(t) ** 3)
+        )
+        result = check_mollifier_scaling()
+        # every norm is off by the same factor at every delta, so the exponents still fit
+        assert result.details["worst_exponent_gap"] < 0.05
+        assert not result.passed
+
+    def test_doubled_normalization_fails(self, monkeypatch):
+        normalization = mollifier._bump_normalization
+        monkeypatch.setattr(mollifier, "_bump_normalization", lambda n: 2.0 * normalization(n))
+        result = check_mollifier_scaling()
+        assert result.details["worst_q1_rel_gap"] == pytest.approx(1.0, rel=1e-5)
+        assert not result.passed
 
 
 @verdict(13, "documented exclusions")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballharmonics import harmonics
+from ballharmonics import harmonics, polynomials
 from ballharmonics.harmonics import (
     HarmonicMap,
     _zonal_lead,
@@ -28,6 +28,7 @@ from oracles import (
     almansi_decomposition,
     homogeneous_components,
     is_homogeneous,
+    lowered,
     radius_sq,
     total_degree,
 )
@@ -141,6 +142,23 @@ def test_zonal_and_random_maps_go_through_harmonic_projection(monkeypatch):
     assert calls == [MultiPoly.variable(3, 0) ** 4 * _zonal_lead(3, 4)]
     random_harmonic_polynomial(3, 2, 0)
     assert len(calls) >= 2 and all(total_degree(p) == 2 for p in calls[1:])
+
+
+def test_float_map_builds_no_laplacian_series(monkeypatch):
+    # floats are certified on their own route; the exact series would be built for nothing
+    body = lowered(random_harmonic_polynomial(8, 4, 5).body[0])
+    calls = []
+    original = polynomials._laplacian_series
+
+    def spy(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(polynomials, "_laplacian_series", spy)
+    u = make_harmonic_map(body)
+    assert calls == [] and body._series is None
+    assert u.certified and u.degree == 4
+    assert make_harmonic_map(body + MultiPoly.constant(8, 1.0)).degree is None
 
 
 class TestAlmansi:

@@ -407,7 +407,10 @@ def least_squares_slope(xs, ys):
 
 
 def per_delta_norms(spec, q, deltas, nodes_per_delta=64):
-    """||grad J_delta||_q with a radius mesh built afresh at spacing delta / nodes_per_delta."""
+    """||grad J_delta||_q over a radius mesh built afresh at spacing delta / nodes_per_delta.
+
+    The mesh's q-th powers are summed by ``math.fsum``, exactly rounded.
+    """
     n = spec.dimension
     norms = []
     for d in deltas:
@@ -419,17 +422,30 @@ def per_delta_norms(spec, q, deltas, nodes_per_delta=64):
         for g in np.meshgrid(*[axis] * n, indexing="ij", sparse=True):
             total = total + g * g
         mags = gradient_magnitude_at_radii(per_delta, np.sqrt(total))
-        norms.append((float(np.sum(mags**q)) * h**n) ** (1.0 / q))
+        norms.append((math.fsum((mags**q).ravel().tolist()) * h**n) ** (1.0 / q))
     return norms
+
+
+def brute_force_shell_counts(n, nodes_per_delta):
+    """Lattice points of Z^n / N per shell N^2 |y|^2 = m < N^2, by bincount of the whole mesh."""
+    axis = np.arange(-nodes_per_delta, nodes_per_delta + 1)
+    total = np.zeros((1,) * n, dtype=np.int64)
+    for g in np.meshgrid(*[axis] * n, indexing="ij", sparse=True):
+        total = total + g * g
+    shells = nodes_per_delta**2
+    inside = total[total < shells]
+    return np.bincount(inside, minlength=shells)
 
 
 class TestScalingFromOneUnitProfile:
     @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_dyadic_deltas_match_per_delta_meshes_to_the_bit(self, n, q):
+        # the n = 3 oracle visits (2N + 1)^3 nodes per delta in Python's fsum
+        nodes_per_delta = 32 if n == 3 else 64
         spec = MollifierSpec(dimension=n, delta=0.25)
-        fit = mollifier_gradient_scaling(q, spec)
-        norms = per_delta_norms(spec, q, fit.deltas)
+        fit = mollifier_gradient_scaling(q, spec, nodes_per_delta=nodes_per_delta)
+        norms = per_delta_norms(spec, q, fit.deltas, nodes_per_delta)
         assert fit.deltas == (0.5, 0.25, 0.125, 0.0625)
         assert fit.norms == tuple(norms)
         xs = [math.log(d) for d in fit.deltas]
@@ -445,6 +461,48 @@ class TestScalingFromOneUnitProfile:
         xs = [math.log(d) for d in deltas]
         reference = least_squares_slope(xs, [math.log(v) for v in norms])
         assert fit.exponent == pytest.approx(reference, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("nodes_per_delta", [8, 10, 24, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_shell_counts_match_a_bincount_of_the_whole_mesh(self, n, nodes_per_delta):
+        counts, slopes = mollifier._shell_table(n, nodes_per_delta)
+        np.testing.assert_array_equal(counts, brute_force_shell_counts(n, nodes_per_delta))
+        assert slopes.shape == counts.shape
+
+    def test_exact_dot_rounds_once(self):
+        # 3 * (1 + 2^-52) rounds up to 3 + 2^-50, so a plain fsum of the products reads 2^-50
+        counts = np.array([3, 3])
+        assert mollifier._exact_dot(counts, np.array([1.0 + 2.0**-52, -1.0])) == 3 * 2.0**-52
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2**26),
+                st.floats(-1e290, 1e290, allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_exact_dot_is_the_exact_sum_rounded(self, pairs):
+        counts = np.array([c for c, _ in pairs], dtype=np.int64)
+        values = np.array([v for _, v in pairs])
+        exact = sum(Fraction(c) * Fraction(v) for c, v in pairs)
+        assert mollifier._exact_dot(counts, values) == float(exact)
+
+    def test_memory_is_the_shell_table_not_the_mesh(self):
+        # a 129^3 float mesh alone is 17 MB; the shell table at N = 64 is 4096 shells
+        mollifier._shell_table.cache_clear()
+        spec = MollifierSpec(dimension=3, delta=0.25)
+        tracemalloc.start()
+        try:
+            for q in (1.0, 1.5, 2.0):
+                mollifier_gradient_scaling(q, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_fractional_nodes_per_delta_rejected(self):
         with pytest.raises(ValueError, match="whole number"):
