@@ -14,25 +14,31 @@ sum_d c_d r^(n - 1 + d), the ball sum_d c_d r^(n + d) / (n + d).
 Polynomials, the energy densities of :mod:`energetics`, the flux and the
 Monte Carlo measure (the profile of the constant 1) are all read that way.
 
-Monte Carlo route: a counter-based Philox generator split into one substream
-per 32768-sample block (``Philox(key=seed).jumped(block)``), with per-block
-partial sums reduced in block order via ``math.fsum`` and per-block centred
-sums of squares merged in block order for the variance.  A point is z / |z|
-for a standard normal z in R^n, and a block draws only the k axes its terms
-read: a (count, k) normal array, then one chi^2(n - k) variate per sample
-for the unread part of |z|^2 (Muller 1959; Marsaglia 1972), then, on the
-ball, the uniform radii.  When n - k <= 1 it draws all n normals, since a
-chi^2(1) variate costs more than a normal column.  Powers are taken by
-squaring.  Every Monte Carlo integral, polynomial or energy density, meets
-r in ``_mc_integral``: homogeneous rows are sampled on the unit domain, their
-power of r exact in the measure, and a mixed-degree integrand whose top power
-of r leaves the float range is refused.  Results are a pure function of
-(seed, samples); the worker count changes wall time only.
+Monte Carlo route: one SFC64 stream per 32768-sample block, seeded by
+``SeedSequence((seed, block))``, with per-block partial sums reduced in block
+order via ``math.fsum`` and per-block centred sums of squares merged in
+block order for the variance.  A point is z / |z| for a standard normal z
+in R^n, and a block draws only the k axes its terms read: a (k, count)
+normal array, axis-major so that each axis is one contiguous row, then one
+chi^2(n - k) variate per sample for the unread part of |z|^2, taken as
+twice a Gamma((n - k)/2) variate (Muller 1959; Marsaglia 1972), then, on
+the ball, the uniform radii.  When n - k = 1 the unread axis is one more
+normal row, since a chi^2(1) variate costs more than a normal.  A monomial
+is formed by squaring the whole monomial bit by bit, never by ``pow``.
+Each thread evaluates its blocks in one set of buffers, allocated per call
+in the calling thread, and a call starts no more threads than it has blocks
+or than the process has CPUs.  Every Monte Carlo integral, polynomial or
+energy density, meets r in ``_mc_integral``: homogeneous rows are sampled
+on the unit domain, their power of r exact in the measure, and a
+mixed-degree integrand whose top power of r leaves the float range is
+refused.  Results are a pure function of (seed, samples); the worker count
+changes wall time only.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -230,18 +236,36 @@ def _radial_integral(
 
 
 def _substream(seed: int, block: int) -> np.random.Generator:
-    """Independent stream for one block; counter-based, so jumps are cheap."""
-    return np.random.Generator(np.random.Philox(key=seed).jumped(block))
+    """Independent stream for one block: SFC64 seeded by the pair (seed, block)."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, block))))
+
+
+def _lanes(workers: int, nblocks: int) -> int:
+    """Threads for one call: each holds its own buffers, so no more than the blocks or the CPUs."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        cpus = os.cpu_count() or 1
+    return min(workers, nblocks, cpus)
+
+
+def _peak(v: np.ndarray) -> float:
+    """max |v| without a temporary array; nan when v holds one."""
+    return float(np.maximum(v.max(), -v.min()))
 
 
 def _mc_blocks(
     samples: int,
     seed: int,
     workers: int,
-    block_values: Callable[[np.random.Generator, int], np.ndarray],
+    new_block: Callable[[], Callable[[np.random.Generator, int], np.ndarray]],
 ) -> tuple[float, float]:
-    """Mean and standard error of block_values over ``samples`` draws.
+    """Mean and standard error over ``samples`` draws of the blocks that ``new_block()`` evaluates.
 
+    ``new_block()`` returns one thread's ``block_values(gen, count)``, which
+    gives the values of ``count`` samples drawn from gen as a float64 array
+    that the reduction then overwrites, so one set of buffers serves every
+    block a thread takes.  Block b always draws from ``_substream(seed, b)``.
     Each block returns its sum and its sum of squares about its own mean;
     the centred sums are merged in block order (Chan, Golub and LeVeque), so
     the variance never comes from the cancelling difference s2 - N mean^2.
@@ -261,24 +285,32 @@ def _mc_blocks(
             f"got {samples!r}"
         )
     nblocks = (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
+    lanes = _lanes(workers, nblocks)
+    # made here, in the calling thread: buffers first allocated in a worker
+    # thread come from that thread's malloc arena, which keeps their pages
+    evaluators = [new_block() for _ in range(lanes)]
+    partials: list = [None] * nblocks
 
-    def one(block: int) -> tuple[int, int, float, float, float]:
-        count = min(BLOCK_SIZE, samples - block * BLOCK_SIZE)
-        v = block_values(_substream(seed, block), count)
-        scale = math.frexp(float(np.max(np.abs(v))))[1]
-        v = np.ldexp(v, -scale)
-        total = float(np.sum(v))
-        centred = v - total / count
-        peak = float(np.max(np.abs(centred)))
-        scaled = np.ldexp(centred, -math.frexp(peak)[1])
-        # np.sum, not a BLAS dot, whose summation order follows the BLAS thread count
-        return count, scale, total, peak, float(np.sum(scaled * scaled))
+    def lane(i: int) -> None:
+        block_values = evaluators[i]
+        for block in range(i, nblocks, lanes):
+            count = min(BLOCK_SIZE, samples - block * BLOCK_SIZE)
+            v = block_values(_substream(seed, block), count)
+            scale = math.frexp(_peak(v))[1]
+            np.ldexp(v, -scale, out=v)
+            total = float(np.sum(v))
+            v -= total / count
+            peak = _peak(v)
+            np.ldexp(v, -math.frexp(peak)[1], out=v)
+            v *= v
+            # np.sum, not a BLAS dot, whose summation order follows the BLAS thread count
+            partials[block] = count, scale, total, peak, float(np.sum(v))
 
-    if workers > 1 and nblocks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(one, range(nblocks)))
+    if lanes > 1:
+        with ThreadPoolExecutor(max_workers=lanes) as pool:
+            list(pool.map(lane, range(lanes)))  # reading each result raises a lane's error
     else:
-        partials = [one(b) for b in range(nblocks)]
+        lane(0)
     # block totals and peaks in units of 2^top, the largest block scale
     top = max(p[1] for p in partials)
     partials = [
@@ -303,20 +335,46 @@ def _mc_blocks(
     return mean, math.ldexp(math.sqrt(m2 / (samples - 1) / samples), unit + top)
 
 
-def _power(powers: dict, a: int, e: int) -> np.ndarray:
-    """x_a^e as (x_a^(e // 2))^2, times x_a when e is odd, memoised in a block's ``powers``."""
-    if (a, e) not in powers:
-        half = _power(powers, a, e // 2)
-        powers[a, e] = half * half * powers[a, 1] if e % 2 else half * half
-    return powers[a, e]
+def _term_into(out: np.ndarray, x: np.ndarray, c: float, factors) -> np.ndarray:
+    """out = c prod_i x[i]^e over the (row i, exponent e) factors, by squaring the whole monomial.
+
+    Bit by bit from the top, what is formed so far is squared and the rows
+    whose exponent has that bit set multiply in: one pass per lower bit plus
+    one per set bit past the first, however many axes the monomial reads.
+    """
+    src = None
+    for bit in reversed(range(max((e for _, e in factors), default=0).bit_length())):
+        if src is not None:
+            src = np.multiply(src, src, out=out)
+        for i, e in factors:
+            if e >> bit & 1:
+                src = x[i] if src is None else np.multiply(src, x[i], out=out)
+    if src is None:
+        out.fill(c)
+    elif c != 1.0 or src is not out:
+        np.multiply(src, c, out=out)
+    return out
 
 
-# form -> (how a block combines the rows' values, integrand degree per row degree);
-# "products" reads rows u^1 .. u^m, then v^1 .. v^m, as sum_i u^i v^i
-_FORMS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], int]] = {
-    "value": (itemgetter(0), 1),
-    "squares": (lambda v: np.sum(v * v, axis=0), 2),
-    "products": (lambda v: np.sum(v[: len(v) // 2] * v[len(v) // 2 :], axis=0), 2),
+def _row_into(out: np.ndarray, spare: np.ndarray, x: np.ndarray, terms) -> np.ndarray:
+    """out = a row's terms at the points x, added in term order; spare is scratch."""
+    if not terms:
+        out.fill(0.0)
+        return out
+    (c, factors), *rest = terms
+    _term_into(out, x, c, factors)
+    for c, factors in rest:
+        out += _term_into(spare, x, c, factors)
+    return out
+
+
+# form -> (the row pairs (i, j) a block adds up, each row i times row j, or
+# row i itself when j is None; integrand degree per row degree); "products"
+# reads rows u^1 .. u^m, then v^1 .. v^m, as sum_i u^i v^i
+_FORMS: dict[str, tuple[Callable[[int], list[tuple[int, int | None]]], int]] = {
+    "value": (lambda m: [(0, None)], 1),
+    "squares": (lambda m: [(i, i) for i in range(m)], 2),
+    "products": (lambda m: [(i, m // 2 + i) for i in range(m // 2)], 2),
 }
 
 
@@ -325,27 +383,27 @@ def _mc_integral(
 ) -> IntegralResult:
     """Monte Carlo integral of ``form`` of the rows over the radius-r sphere or ball, times r^lift.
 
-    values[j] holds rows[j] at a block's sample points, built from only the
-    coordinates some term reads, with powers by squaring.  A block draws the
-    k read axes' normals in ascending axis order, then one chi^2(n - k)
-    variate per sample standing for the unread part of |z|^2, then (ball
-    only) the uniform radii; when n - k <= 1 it draws all n normals instead.
-    When every nonzero row is homogeneous of one degree e, the points lie on
-    the unit domain and the measure carries r^(lift + power e) exactly, so no
-    sample overflows or underflows at an extreme radius; a mixed-degree
-    integrand whose top power of r leaves the float range is refused.  The
-    mean times the exact measure (a float radius is an exact binary rational)
-    is rounded once, so a constant with an exact sample sum (an integer, a
-    dyadic fraction) gives float(exact), error 0.
+    A block draws, in this order, a (k, count) standard normal array whose
+    rows are the read axes in ascending order, one chi^2(n - k) variate per
+    sample standing for the unread part of |z|^2, and (ball only) the uniform
+    radii; when n - k = 1 the unread axis is one more normal row instead.
+    It scales the read rows to the sample points in place and evaluates each
+    row's terms from them (:func:`_term_into`), every step writing into one
+    thread's buffers.  When every nonzero row is homogeneous of one degree e,
+    the points lie on the unit domain and the measure carries
+    r^(lift + power e) exactly, so no sample overflows or underflows at an
+    extreme radius; a mixed-degree integrand whose top power of r leaves the
+    float range is refused.  The mean times the exact measure (a float radius
+    is an exact binary rational) is rounded once, so a constant with an exact
+    sample sum (an integer, a dyadic fraction) gives float(exact), error 0.
     """
-    combine, power = _FORMS[form]
+    pairs_of, power = _FORMS[form]
     r = float(radius)
     terms_of = [
         [(float(c), tuple((a, e) for a, e in enumerate(exps) if e)) for exps, c in p.terms()]
         for p in rows
     ]
     axes = sorted({a for terms in terms_of for _, factors in terms for a, _ in factors})
-    unread = n - len(axes)
     degrees = {sum(e for _, e in factors) for terms in terms_of for _, factors in terms}
     if len(degrees) <= 1:
         lift += power * max(degrees, default=0)
@@ -360,29 +418,58 @@ def _mc_integral(
         sample_radius = r
     one = _degree_profile(n, [((0,) * n, 1)])
     measure = _radial_integral(n, one, r, ball, lift).exact
+    # a chi^2(1) variate costs more than a normal row; two or more unread axes
+    # cost less as one chi^2 variate than as normal rows
+    chi = n - len(axes) if n - len(axes) >= 2 else 0
+    k = n - chi
+    row_of = {a: i for i, a in enumerate(axes)}
+    plans = [
+        [(c, tuple((row_of[a], e) for a, e in factors)) for c, factors in terms]
+        for terms in terms_of
+    ]
+    pairs = pairs_of(len(rows))
 
-    def block_values(gen: np.random.Generator, count: int) -> np.ndarray:
-        if unread >= 2:
-            z = gen.standard_normal((count, len(axes)))
-            cols = z.T
-            norms = np.sqrt(gen.chisquare(unread, count) + np.einsum("ij,ij->i", z, z))
-        else:
-            z = gen.standard_normal((count, n))
-            cols = [z[:, a] for a in axes]
-            norms = np.linalg.norm(z, axis=1)
-        norms[norms == 0.0] = 1.0  # probability-zero guard
-        scale = (sample_radius * gen.random(count) ** (1.0 / n) if ball else sample_radius) / norms
-        powers = {(a, 1): scale * col for a, col in zip(axes, cols)}
-        values = np.zeros((len(terms_of), count))
-        for row, terms in zip(values, terms_of):
-            for c, factors in terms:
-                t = c * _power(powers, *factors[0]) if factors else c
-                for a, e in factors[1:]:
-                    t *= _power(powers, a, e)
-                row += t
-        return combine(values)
+    def new_block() -> Callable[[np.random.Generator, int], np.ndarray]:
+        normals = np.empty(k * BLOCK_SIZE)
+        buffers = np.empty((5, BLOCK_SIZE))
 
-    mean, stderr = _mc_blocks(spec.samples, spec.seed, spec.workers, block_values)
+        def block_values(gen: np.random.Generator, count: int) -> np.ndarray:
+            z = gen.standard_normal(out=normals[: k * count].reshape(k, count))
+            norm, out, first, second, spare = buffers[:, :count]
+            if chi:
+                gen.standard_gamma(chi / 2, out=norm)
+                norm += norm  # twice a Gamma(m / 2) variate is a chi^2(m) one
+                squares = z
+            else:
+                np.multiply(z[0], z[0], out=norm)
+                squares = z[1:]
+            for row in squares:
+                norm += np.multiply(row, row, out=spare)
+            np.sqrt(norm, out=norm)
+            if not norm.all():
+                norm[norm == 0.0] = 1.0  # probability-zero guard
+            if ball:
+                radii = np.power(gen.random(out=first), 1.0 / n, out=first)
+                radii *= sample_radius
+                scale = np.divide(radii, norm, out=norm)
+            else:
+                scale = np.divide(sample_radius, norm, out=norm)
+            x = z[: len(axes)]
+            x *= scale
+            for p, (i, j) in enumerate(pairs):
+                dest = first if p else out
+                _row_into(dest, spare, x, plans[i])
+                if j is not None:
+                    dest *= dest if j == i else _row_into(second, spare, x, plans[j])
+                if p:
+                    out += dest
+            if not pairs:
+                out.fill(0.0)
+            return out
+
+        return block_values
+
+    mean, stderr = _mc_blocks(spec.samples, spec.seed, spec.workers, new_block)
     log_abs = (measure.log_abs() + math.log(abs(mean))) if mean != 0.0 else -math.inf
     return IntegralResult(
         value=float(measure.scaled(as_fraction(mean))),

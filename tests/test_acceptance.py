@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from ballharmonics import mollifier
+from ballharmonics import integration, mollifier
 from ballharmonics.suite import (
     check_c1_rate,
     check_concentration,
@@ -187,6 +187,23 @@ def test_criterion_11_mc_oracle():
     assert result.details["hits_of_10_n10"] >= 9
     assert result.passed
     assert elapsed < 60.0, f"oracle took {elapsed:.2f}s"
+
+
+class TestCriterion11CanFail:
+    """A planted bias that the oracle's 3-sigma window must catch."""
+
+    def test_means_shifted_by_ten_standard_errors_fail(self, monkeypatch):
+        blocks = integration._mc_blocks
+
+        def biased(*args):
+            mean, stderr = blocks(*args)
+            return mean + 10.0 * stderr, stderr
+
+        monkeypatch.setattr(integration, "_mc_blocks", biased)
+        result = check_mc_oracle(SEED, workers=1)
+        # only a zero-variance integrand, whose shift is 0, could still hit
+        assert max(result.details[f"hits_of_10_n{n}"] for n in (2, 5, 10)) <= 1
+        assert not result.passed
 
 
 @verdict(12, "mollifier scaling")

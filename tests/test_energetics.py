@@ -544,10 +544,10 @@ def test_underflowed_negative_tangential_energy_is_clamped(monkeypatch):
 # (value, log_abs_value, standard_error) of zonal(3, 2) at r = 1, where sampling the unit
 # domain and sampling at r are the same arithmetic
 UNIT_RADIUS_BITS = {
-    dirichlet_energy_result: ("0x1.424e0c182d78ap+2", "0x1.9dda780e0b999p+0", "0x1.0c6e11745b98cp-5"),
-    surface_energy_total_result: ("0x1.91a3907a15916p+4", "0x1.9c8a1bfc7433dp+1", "0x1.ca324b52a7a8bp-4"),
-    normal_energy_result: ("0x1.3ea0ac92f16a5p+3", "0x1.262e4698af356p+1", "0x1.b2ead2eb87031p-4"),
-    _flux_result: ("0x1.3ea0ac92f16a5p+2", "0x1.9aea75398c9b4p+0", "0x1.b2ead2eb87031p-5"),
+    dirichlet_energy_result: ("0x1.40b03995a53a5p+2", "0x1.9c90f39984d00p+0", "0x1.0b96e00c57130p-5"),
+    surface_energy_total_result: ("0x1.920836f844d65p+4", "0x1.9caa2b9a0a1f9p+1", "0x1.cc695a53e4b4dp-4"),
+    normal_energy_result: ("0x1.41b6a82dc6fdep+3", "0x1.276a1a5e52634p+1", "0x1.b3636886fefc5p-4"),
+    _flux_result: ("0x1.41b6a82dc6fdep+2", "0x1.9d621cc4d2f72p+0", "0x1.b3636886fefc5p-5"),
 }
 
 

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from ballharmonics import integration
 from ballharmonics.energetics import dirichlet_energy_result, surface_energy_total_result
 from ballharmonics.exactmath import PiRational
-from ballharmonics.harmonics import identity_map
+from ballharmonics.harmonics import identity_map, random_harmonic_polynomial
 from ballharmonics.integration import (
     BLOCK_SIZE,
     EXACT,
@@ -353,9 +354,9 @@ class TestMonteCarlo:
         def block_values(gen, count):
             return 1e6 + gen.random(count)
 
-        mean, stderr = _mc_blocks(samples, 4, 1, block_values)
+        mean, stderr = _mc_blocks(samples, 4, 1, lambda: block_values)
         blocks = [
-            block_values(np.random.Generator(np.random.Philox(key=4).jumped(b)), count)
+            block_values(np.random.Generator(np.random.SFC64(np.random.SeedSequence((4, b)))), count)
             for b, count in enumerate((BLOCK_SIZE,) * 3 + (123,))
         ]
         values = np.concatenate(blocks)
@@ -403,7 +404,7 @@ class TestMonteCarlo:
         samples = 2 * BLOCK_SIZE + 7
 
         def block_values(scale):
-            return lambda gen, count: scale * (3.0 + gen.random(count))
+            return lambda: lambda gen, count: scale * (3.0 + gen.random(count))
 
         base = _mc_blocks(samples, 6, 1, block_values(1.0))
         for k in (-900, -40, 40, 900, 1020):
@@ -439,7 +440,7 @@ class TestMonteCarlo:
             with pytest.raises(ValueError, match="at least 2 samples"):
                 integrate(p, 1, self.spec(samples=samples))
         with pytest.raises(ValueError, match="at least 2 samples"):
-            _mc_blocks(samples, 0, 1, lambda gen, count: gen.random(count))
+            _mc_blocks(samples, 0, 1, lambda: lambda gen, count: gen.random(count))
 
     def test_two_samples_give_a_standard_error(self):
         result = integrate_poly_ball(MultiPoly(2, {(2, 0): 1}), 1, self.spec(samples=2))
@@ -461,29 +462,32 @@ def _reference_mc(polys, combine, radius, spec, domain):
     """Monte Carlo (value, standard_error) with every power taken by ``**``.
 
     The same seeded points as the library's evaluator, formed as one
-    (count, n) array, each monomial a product of ``pts[:, a] ** e`` over all
-    axes.  Like the library, a block draws normals for the k axes some term
-    reads and one chi^2(n - k) variate for the rest of |z|^2 when n - k >= 2,
-    and all n normals otherwise; unread axes stay 0.
+    (n, count) array, each monomial a product of ``pts[a] ** e`` over all
+    axes.  Like the library, a block draws a (k, count) normal array, one row
+    per axis some term reads in ascending order, then one chi^2(n - k)
+    variate per sample for the rest of |z|^2 when n - k >= 2 (here by
+    ``chisquare``, which the library takes as twice a gamma variate), or one
+    more normal row for the one unread axis when n - k = 1; unread axes stay 0.
     """
     n = polys[0].dimension
     ball = domain == "ball"
     axes = sorted({a for p in polys for exps, _ in p.terms() for a, e in enumerate(exps) if e})
+    unread = n - len(axes)
 
     def block_values(gen, count):
-        if n - len(axes) >= 2:
-            z = np.zeros((count, n))
-            z[:, axes] = gen.standard_normal((count, len(axes)))
-            norms = np.sqrt(gen.chisquare(n - len(axes), count) + np.sum(z * z, axis=1))
-        else:
-            z = gen.standard_normal((count, n))
-            norms = np.linalg.norm(z, axis=1)
+        drawn = gen.standard_normal((n if unread < 2 else len(axes), count))
+        z = np.zeros((n, count))
+        z[axes] = drawn[: len(axes)]
+        squares = np.sum(drawn * drawn, axis=0)
+        if unread >= 2:
+            squares += gen.chisquare(unread, count)
+        norms = np.sqrt(squares)
         norms[norms == 0.0] = 1.0
         radii = radius * gen.random(count) ** (1.0 / n) if ball else radius
-        pts = (radii / norms)[:, None] * z
+        pts = z * (radii / norms)
         rows = [
             sum(
-                (float(c) * np.prod([pts[:, a] ** e for a, e in enumerate(exps)], axis=0)
+                (float(c) * np.prod([pts[a] ** e for a, e in enumerate(exps)], axis=0)
                  for exps, c in p.terms()),
                 np.zeros(count),
             )
@@ -491,7 +495,7 @@ def _reference_mc(polys, combine, radius, spec, domain):
         ]
         return combine(np.array(rows))
 
-    mean, stderr = _mc_blocks(spec.samples, spec.seed, spec.workers, block_values)
+    mean, stderr = _mc_blocks(spec.samples, spec.seed, spec.workers, lambda: block_values)
     integrate = integrate_poly_ball if ball else integrate_poly_sphere
     measure = integrate(MultiPoly.constant(n, 1), radius).value
     return measure * mean, measure * stderr
@@ -525,6 +529,12 @@ def _sweep_polys(n):
     return [monomial, exact, floats, constant, sparse]
 
 
+def _three_cpus(monkeypatch):
+    """Let a call start up to three threads on any host: one per block of a 3-block call."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+
+
 class TestEvaluator:
     """The block evaluator against ``**`` on the same points, across workers and gc."""
 
@@ -552,23 +562,27 @@ class TestEvaluator:
         want = _reference_mc(partials, lambda v: np.sum(v * v, axis=0), 0.6, spec, "ball")
         self.assert_close(dirichlet_energy_result(u, 0.6, spec), want)
 
-    def test_workers_give_the_same_bits_at_degree_eight(self):
+    def test_workers_give_the_same_bits_at_degree_eight(self, monkeypatch):
+        _three_cpus(monkeypatch)
         p = MultiPoly(
             4,
             {(8, 0, 0, 0): Fraction(1, 3), (3, 5, 0, 0): -2, (1, 2, 2, 3): 0.75,
              (0, 0, 7, 1): 5, (0, 0, 0, 0): -1},
         )
         for integrate in (integrate_poly_sphere, integrate_poly_ball):
-            one, two = (
-                integrate(p, 0.9, QuadratureSpec("monte_carlo", 2 * BLOCK_SIZE + 5, 13, workers))
-                for workers in (1, 2)
-            )
-            assert one.value.hex() == two.value.hex()
-            assert one.standard_error.hex() == two.standard_error.hex()
+            bits = {
+                (result.value.hex(), result.standard_error.hex())
+                for workers in (1, 2, 3)
+                for result in [
+                    integrate(p, 0.9, QuadratureSpec("monte_carlo", 2 * BLOCK_SIZE + 5, 13, workers))
+                ]
+            }
+            assert len(bits) == 1
 
     def test_blocks_leave_no_reference_cycles(self):
         # a memo behind a nested function that calls itself forms a cycle
-        # per block, which keeps the block's arrays alive until a gc pass
+        # per block, which keeps the block's arrays alive until a gc pass;
+        # handing each thread its buffers must not form one either
         spec = QuadratureSpec("monte_carlo", BLOCK_SIZE + 10, 3)
         p = MultiPoly(3, {(3, 0, 5): 1, (0, 2, 0): -2, (0, 0, 0): 1})
         u = VectorPoly([p, MultiPoly(3, {(1, 4, 0): 1})])
@@ -576,6 +590,7 @@ class TestEvaluator:
             lambda: integrate_poly_sphere(p, 0.8, spec),
             lambda: integrate_poly_ball(p, 0.8, spec),
             lambda: dirichlet_energy_result(u, 0.5, spec),
+            lambda: dirichlet_energy_result(u, 0.5, dataclasses.replace(spec, workers=2)),
         ]
         for call in calls:
             call()
@@ -588,7 +603,68 @@ class TestEvaluator:
                 found.append(gc.collect())
         finally:
             gc.enable()
-        assert found == [0, 0, 0]
+        assert found == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("cpus, blocks, threads", [(64, 3, 3), (2, 5, 2), (1, 5, None)])
+    def test_threads_capped_by_blocks_and_cpus(self, monkeypatch, cpus, blocks, threads):
+        # each thread holds its own buffers: 10**6 workers used to ask the
+        # pool for one thread per block
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(integration, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        p = MultiPoly(3, {(2, 1, 0): 1, (0, 0, 4): -1})
+        spec = QuadratureSpec("monte_carlo", (blocks - 1) * BLOCK_SIZE + 9, 5, 10**6)
+        many = integrate_poly_ball(p, 0.9, spec)
+        assert started == ([threads] if threads else [])
+        one = integrate_poly_ball(p, 0.9, dataclasses.replace(spec, workers=1))
+        assert (many.value, many.standard_error) == (one.value, one.standard_error)
+
+    def test_warm_call_faults_few_pages(self):
+        # each thread evaluates its blocks in one set of buffers; fresh arrays
+        # per block made about 20 000 minor faults in this call
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource.getrusage(resource.RUSAGE_SELF), "ru_minflt"):
+            pytest.skip("no minor-fault count on this platform")
+        script = (
+            "import resource\n"
+            "from ballharmonics.integration import BLOCK_SIZE, QuadratureSpec, integrate_poly_sphere\n"
+            "from ballharmonics.polynomials import MultiPoly\n"
+            "p = MultiPoly(2, {(4, 4): 1})\n"
+            "spec = QuadratureSpec('monte_carlo', 20 * BLOCK_SIZE, 7)\n"
+            "integrate_poly_sphere(p, 1.0, spec)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "integrate_poly_sphere(p, 1.0, spec)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 1000
+
+    def test_energy_blocks_peak_memory(self):
+        # two threads' buffers for the six gradient rows of random(6, 3);
+        # per-block arrays peaked at 17.6 MB here
+        u = random_harmonic_polynomial(6, 3, 5)
+        tracemalloc.start()
+        try:
+            dirichlet_energy_result(u, 1, QuadratureSpec("monte_carlo", 300_000, 3, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 _EVERY_AXIS = MultiPoly(3, {(2, 0, 0): 1, (0, 1, 1): -2, (1, 1, 2): Fraction(1, 3)})
@@ -613,7 +689,7 @@ class _RecordingGenerator:
 
 
 class TestDraw:
-    """A block draws the read axes plus one chi^2 variate when two or more axes go unread."""
+    """A block draws the read axes as normal rows plus one chi^2 variate when two or more axes go unread."""
 
     @staticmethod
     def draws(monkeypatch, integrate, p, samples):
@@ -632,7 +708,7 @@ class TestDraw:
         log = self.draws(monkeypatch, integrate, p, samples)
         want = []
         for count in (BLOCK_SIZE, 10):
-            want += [("standard_normal", (count, 2)), ("chisquare", (count,))]
+            want += [("standard_normal", (2, count)), ("standard_gamma", (count,))]
             want += [("random", (count,))] * (integrate is integrate_poly_ball)
         assert log == want
         normals = sum(math.prod(shape) for name, shape in log if name == "standard_normal")
@@ -644,7 +720,7 @@ class TestDraw:
     )
     def test_whole_array_when_at_most_one_axis_is_unread(self, monkeypatch, n, alpha):
         log = self.draws(monkeypatch, integrate_poly_sphere, MultiPoly(n, {alpha: 1}), 1000)
-        assert log == [("standard_normal", (1000, n))]
+        assert log == [("standard_normal", (n, 1000))]
 
     @pytest.mark.parametrize("integrate", [integrate_poly_sphere, integrate_poly_ball])
     @pytest.mark.parametrize("n", [50, 100, 200])
@@ -658,29 +734,32 @@ class TestDraw:
         result = integrate(one, 1.0, QuadratureSpec("monte_carlo", 4096, n))
         assert (result.value, result.standard_error) == (float(integrate(one, 1).exact), 0.0)
 
-    def test_workers_give_the_same_bits(self):
+    def test_workers_give_the_same_bits(self, monkeypatch):
+        _three_cpus(monkeypatch)
         p = MultiPoly(
             8, {(0, 4, 0, 0, 0, 2, 0, 0): Fraction(1, 3), (0, 1, 0, 0, 0, 3, 0, 0): -2, (0,) * 8: 1}
         )
         for integrate in (integrate_poly_sphere, integrate_poly_ball):
-            one, two = (
-                integrate(p, 0.9, QuadratureSpec("monte_carlo", 2 * BLOCK_SIZE + 5, 13, workers))
-                for workers in (1, 2)
-            )
-            assert one.value.hex() == two.value.hex()
-            assert one.standard_error.hex() == two.standard_error.hex()
+            bits = {
+                (result.value.hex(), result.standard_error.hex())
+                for workers in (1, 2, 3)
+                for result in [
+                    integrate(p, 0.9, QuadratureSpec("monte_carlo", 2 * BLOCK_SIZE + 5, 13, workers))
+                ]
+            }
+            assert len(bits) == 1
 
-    # taken before the chi^2 draw existed: a block that leaves at most one
-    # axis unread draws exactly as it did then
+    # taken when the streams became SFC64 ones: a block that leaves at most
+    # one axis unread, on the sphere and on the ball, keeps these bits
     @pytest.mark.parametrize(
         "p, integrate, radius, value, error",
         [
-            (_EVERY_AXIS, integrate_poly_sphere, 1.0, "0x1.0bb3e9b6d6107p+2", "0x1.dfd140d8630a1p-6"),
-            (_EVERY_AXIS, integrate_poly_sphere, 0.7, "0x1.010f3b5818492p+0", "0x1.ccace01c3e0d0p-8"),
-            (_EVERY_AXIS, integrate_poly_ball, 1.0, "0x1.ab683b4e9e39ep-1", "0x1.ae39bdc43e723p-8"),
-            (_EVERY_AXIS, integrate_poly_ball, 0.7, "0x1.1f5065b3fa19dp-3", "0x1.212e4409b8bd4p-10"),
-            (_ONE_UNREAD, integrate_poly_sphere, 1.0, "0x1.71d1595849db1p+1", "0x1.de6cf8799b7efp-7"),
-            (_ONE_UNREAD, integrate_poly_ball, 1.0, "0x1.6fdd53b25a4d5p-2", "0x1.26cab546b0951p-9"),
+            (_EVERY_AXIS, integrate_poly_sphere, 1.0, "0x1.09b3db6083ff5p+2", "0x1.e0049bb032b43p-6"),
+            (_EVERY_AXIS, integrate_poly_sphere, 0.7, "0x1.fe54ff6306d52p-1", "0x1.cce4341ed2757p-8"),
+            (_EVERY_AXIS, integrate_poly_ball, 1.0, "0x1.a7d3e56d372c7p-1", "0x1.abe382edc4c33p-8"),
+            (_EVERY_AXIS, integrate_poly_ball, 0.7, "0x1.1cf1715024572p-3", "0x1.1fa34c801deeep-10"),
+            (_ONE_UNREAD, integrate_poly_sphere, 1.0, "0x1.6ebeee034fce1p+1", "0x1.deaab0a3f2e18p-7"),
+            (_ONE_UNREAD, integrate_poly_ball, 1.0, "0x1.6e31e68ed0242p-2", "0x1.267ec1fc26e57p-9"),
         ],
     )
     def test_unchanged_path_keeps_its_bits(self, p, integrate, radius, value, error):
