@@ -2,9 +2,9 @@
 
 Subcommands: volumes, concentration, decay, identities, mollify, integrate,
 make-harmonic, suite.  Exit codes: 0 all checks passed, 1 at least one check
-failed, 2 usage error.  Output is deterministic: identical configuration
-(flags, config file, seed) gives byte-identical CSV/JSON, and --workers only
-changes wall time.
+failed, 2 usage error, a request too large for memory included.  Output is
+deterministic: identical configuration (flags, config file, seed) gives
+byte-identical CSV/JSON, and --workers only changes wall time.
 
 Every flag can also be supplied from a config file (--config PATH) holding
 lines of ``key = value`` with '#' comments, keys spelled like the long flags
@@ -27,7 +27,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from ._version import VERSION
 from .reporting import config_line, fmt_float, render_csv, render_json, run_config
@@ -162,17 +162,26 @@ COMMANDS: dict[str, list[Opt]] = {
 }
 
 
-def _load_config_file(path: str, allowed: set[str]) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _records(path: str, kind: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, text before any '#' comment, whole line) per non-blank line of a file.
+
+    A --config or --points file is read through here; ``kind`` names it in
+    the usage error raised when it cannot be read.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
+        raise UsageError(f"cannot read {kind} file {path!r}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        if line:
+            yield lineno, line, raw
+
+
+def _load_config_file(path: str, allowed: set[str]) -> dict[str, str]:
+    values: dict[str, str] = {}
+    for lineno, line, raw in _records(path, "config"):
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
@@ -488,15 +497,7 @@ def _load_points(path: str | None, n: int) -> list[tuple[float, ...]]:
     if path is None:
         return [pt[:n] for pt in _DEFAULT_POINT_SEEDS]
     points = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read points file {path!r}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line, _ in _records(path, "points"):
         parts = line.split(",")
         if len(parts) != n:
             raise UsageError(
@@ -600,8 +601,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         options = _resolve_options(ns.command, ns)
         return _HANDLERS[ns.command](options)
-    except (UsageError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, ValueError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the array it could not allocate; a bare one says nothing
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -37,9 +37,10 @@ form of Axler, Bourdon and Ramey (Harmonic Function Theory, ch. 5).  The
 profile is kept per integrand degree, so each radius costs O(#degrees).
 
 Every energy, and the flux of :mod:`identities`, is one (density, domain,
-lift) read through ``_energy``; Monte Carlo specs sum the squares of the
-partials d_k u^i or pairings, or the products u^i <x, grad u^i>, at the
-sample points, and :mod:`integration` alone decides how r enters.  No route
+lift) read through ``_energy``; Monte Carlo specs hand ``_mc_integral`` the
+products it sums at the sample points: (d_k u^i, d_k u^i) for |grad u|^2,
+(<x, grad u^i>, <x, grad u^i>) for the pairings and (u^i, <x, grad u^i>) for
+the flux, and :mod:`integration` alone decides how r enters.  No route
 forms a squared polynomial.  Energies scale quadratically in the map and
 decay like r^(n + 2k - 2) per homogeneous degree-k component; the fitting
 helpers below measure that decay from log-log samples.
@@ -53,7 +54,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import as_fraction
+from .exactmath import _safe_exp, as_fraction
 from .harmonics import HarmonicMap
 from .integration import (
     EXACT,
@@ -188,11 +189,11 @@ def _fischer_sums(a: dict, b: dict) -> tuple[int, int]:
     return f, g
 
 
-# density -> (the rows a Monte Carlo block evaluates, the form that combines them)
-_MC_ROWS = {
-    "grad": lambda body: ([d for c in body for d in gradient(c) if not d.is_zero], "squares"),
-    "pairing": lambda body: (radial_pairing(body), "squares"),
-    "flux": lambda body: ((*body, *radial_pairing(body)), "products"),
+# density -> the products of rows that a Monte Carlo block sums (see _mc_integral)
+_MC_PRODUCTS = {
+    "grad": lambda body: [(d, d) for c in body for d in gradient(c) if not d.is_zero],
+    "pairing": lambda body: [(w, w) for w in radial_pairing(body)],
+    "flux": lambda body: zip(body, radial_pairing(body)),
 }
 
 
@@ -204,16 +205,16 @@ def _check_radius(r) -> None:
 def _energy(u, r, spec: QuadratureSpec, density: str, ball=False, lift=0) -> IntegralResult:
     """A ``_RadialProfile`` field of u over the sphere or ball of radius r, times r^lift.
 
-    The exact spec reads u's radial profile at r, Monte Carlo samples the
-    density's rows; on both routes :mod:`integration` alone decides how r enters.
+    The exact spec reads u's radial profile at r, Monte Carlo sums the
+    density's products of rows; on both routes :mod:`integration` alone
+    decides how r enters.
     """
     _check_radius(r)
     body = map_body(u)
     n = body.dimension
     if spec.method == EXACT_METHOD:
         return _radial_integral(n, getattr(_radial_profile(body), density), r, ball, lift)
-    rows, form = _MC_ROWS[density](body)
-    return _mc_integral(n, rows, form, r, spec, ball, lift)
+    return _mc_integral(n, _MC_PRODUCTS[density](body), r, spec, ball, lift)
 
 
 def dirichlet_energy_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralResult:
@@ -419,16 +420,12 @@ def _decay_margin(
         denom = math.inf
     if 0.0 < denom < math.inf:
         return small.value / denom
-    log_margin = (
+    return _safe_exp(
         small.log_abs_value
         - math.log(constant)
         - beta * (math.log(r_small) - math.log(r_big))
         - big.log_abs_value
     )
-    try:
-        return math.exp(log_margin)
-    except OverflowError:
-        return math.inf
 
 
 # -- scalar summaries -----------------------------------------------------------

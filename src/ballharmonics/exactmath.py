@@ -67,6 +67,14 @@ def gamma_half(twice: int) -> tuple[Fraction, int]:
     return Fraction(math.factorial(2 * m), 4**m * math.factorial(m)), 1
 
 
+def _safe_exp(log_value: float) -> float:
+    """exp of a log-space value: 0.0 below the float range, inf above it."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
+
+
 def log_fraction(q: Fraction) -> float:
     """log|q| for a nonzero Fraction of any size (never overflows)."""
     if q == 0:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-_LOG_PI = math.log(math.pi)
+from .exactmath import _LOG_PI, _safe_exp
 
 
 @dataclass(frozen=True)
@@ -46,15 +46,6 @@ class ShellSpec:
             raise ValueError(
                 f"inner_radius must lie in [0, 1], got {self.inner_radius!r}"
             )
-
-
-def _safe_exp(log_value: float) -> float:
-    if log_value == -math.inf:
-        return 0.0
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        return math.inf
 
 
 def unit_ball_volume(n: int) -> BallVolume:

@@ -17,6 +17,7 @@ three-term recurrence in ``tests/test_harmonics.py``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -159,13 +160,16 @@ def harmonic_space_dimension(n: int, k: int) -> int:
 
 
 def _degree_monomials(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All exponent tuples of total degree k, lexicographically descending."""
-    if n == 1:
-        yield (k,)
-        return
-    for first in range(k, -1, -1):
-        for rest in _degree_monomials(n - 1, k - first):
-            yield (first,) + rest
+    """All exponent tuples of total degree k, lexicographically descending.
+
+    The sorted k-multisets of axes, taken in lexicographic order, give their
+    exponent tuples in that order, with no recursion over the n variables.
+    """
+    for axes in itertools.combinations_with_replacement(range(n), k):
+        exps = [0] * n
+        for a in axes:
+            exps[a] += 1
+        yield tuple(exps)
 
 
 def random_harmonic_polynomial(n: int, k: int, seed: int) -> HarmonicMap:
@@ -176,10 +180,6 @@ def random_harmonic_polynomial(n: int, k: int, seed: int) -> HarmonicMap:
     the measure-zero event that the projection vanishes.  Deterministic in
     (n, k, seed).
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"dimension must be a positive integer, got {n!r}")
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {k!r}")
     if harmonic_space_dimension(n, k) == 0:
         raise ValueError(
             f"the space of degree-{k} harmonic polynomials in {n} variable(s) is zero"

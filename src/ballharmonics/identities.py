@@ -19,8 +19,10 @@ with *exactly* zero residual for rational harmonic maps, float coefficients
 being taken at their exact binary values.  Monte Carlo specs take every
 side, the flux included, through the one radial law of :mod:`integration`
 and reproduce the identities to sampling accuracy.
-Residuals are normalised by max(|lhs|, |rhs|, E(r)) so that the n = 2 inner
-identity (whose lhs vanishes identically) is still meaningfully scored.
+Each check computes its two sides and hands them to :func:`_report`, the one
+place a residual is scored and reported.  Residuals are normalised by
+max(|lhs|, |rhs|, E(r)) so that the n = 2 inner identity (whose lhs vanishes
+identically) is still meaningfully scored.
 
 Identity checks refuse maps whose ``certified`` flag is False: the algebra
 behind the identities needs the Laplacian to vanish, and this package only
@@ -45,8 +47,8 @@ from .energetics import (
     surface_dirichlet_result,
     surface_energy_total_result,
 )
-from .exactmath import PiRational, as_fraction
-from .geometry import _safe_exp, unit_ball_volume
+from .exactmath import PiRational, _safe_exp, as_fraction
+from .geometry import unit_ball_volume
 from .harmonics import HarmonicMap, standard_maps
 from .integration import EXACT, IntegralResult, QuadratureSpec
 
@@ -111,29 +113,37 @@ def _normalized(lhs: IntegralResult, rhs: IntegralResult, scale: IntegralResult)
     return res, (abs(res) / denom if denom > 0.0 else 0.0)
 
 
-def pohozaev_residual(
-    u: HarmonicMap, r=1, spec: QuadratureSpec = EXACT
-) -> ResidualReport:
-    """Residual of (n - 2) E(r) = r total(r) - 2 r normal(r)."""
-    _require_certified(u)
-    n = u.dimension
-    energy = dirichlet_energy_result(u, r, spec)
-    total = surface_energy_total_result(u, r, spec)
-    normal = normal_energy_result(u, r, spec)
-    r_exact = as_fraction(r)
-    lhs = energy.scaled(n - 2)
-    rhs = total.scaled(r_exact).minus(normal.scaled(2 * r_exact))
-    residual, normalized = _normalized(lhs, rhs, energy)
+def _report(name: str, u: HarmonicMap, r, lhs, rhs, scale, **bound) -> ResidualReport:
+    """The report of one identity instance, its sides scored by :func:`_normalized`.
+
+    ``bound`` carries the minimiser bound's ``margin_ratio`` and ``constant``.
+    """
+    residual, normalized = _normalized(lhs, rhs, scale)
     return ResidualReport(
-        identity_name=POHOZAEV,
-        dimension=n,
+        identity_name=name,
+        dimension=u.dimension,
         radius=float(r),
         lhs=lhs.value,
         rhs=rhs.value,
         residual=residual,
         normalized_residual=normalized,
         map_label=u.label,
+        **bound,
     )
+
+
+def pohozaev_residual(
+    u: HarmonicMap, r=1, spec: QuadratureSpec = EXACT
+) -> ResidualReport:
+    """Residual of (n - 2) E(r) = r total(r) - 2 r normal(r)."""
+    _require_certified(u)
+    energy = dirichlet_energy_result(u, r, spec)
+    total = surface_energy_total_result(u, r, spec)
+    normal = normal_energy_result(u, r, spec)
+    r_exact = as_fraction(r)
+    lhs = energy.scaled(u.dimension - 2)
+    rhs = total.scaled(r_exact).minus(normal.scaled(2 * r_exact))
+    return _report(POHOZAEV, u, r, lhs, rhs, energy)
 
 
 def green_residual(
@@ -141,20 +151,8 @@ def green_residual(
 ) -> ResidualReport:
     """Residual of E(r) = (1/r) * integral over the sphere of sum_i u^i <x, grad u^i>."""
     _require_certified(u)
-    n = u.dimension
     lhs = dirichlet_energy_result(u, r, spec)
-    rhs = _flux_result(u, r, spec)
-    residual, normalized = _normalized(lhs, rhs, lhs)
-    return ResidualReport(
-        identity_name=GREEN,
-        dimension=n,
-        radius=float(r),
-        lhs=lhs.value,
-        rhs=rhs.value,
-        residual=residual,
-        normalized_residual=normalized,
-        map_label=u.label,
-    )
+    return _report(GREEN, u, r, lhs, _flux_result(u, r, spec), lhs)
 
 
 def minimiser_bound_check(u: HarmonicMap, spec: QuadratureSpec = EXACT) -> ResidualReport:
@@ -177,18 +175,8 @@ def minimiser_bound_check(u: HarmonicMap, spec: QuadratureSpec = EXACT) -> Resid
         margin = float(rhs.ratio(energy))
     except ZeroDivisionError:
         raise ValueError("constant map: the bound compares two zero energies") from None
-    residual, normalized = _normalized(energy, rhs, energy)
-    return ResidualReport(
-        identity_name=MINIMISER_BOUND,
-        dimension=n,
-        radius=1.0,
-        lhs=energy.value,
-        rhs=rhs.value,
-        residual=residual,
-        normalized_residual=normalized,
-        margin_ratio=margin,
-        constant=float(c1),
-        map_label=u.label,
+    return _report(
+        MINIMISER_BOUND, u, 1, energy, rhs, energy, margin_ratio=margin, constant=float(c1)
     )
 
 

@@ -45,11 +45,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .exactmath import PiRational, as_fraction, gamma_half
+from .exactmath import PiRational, _safe_exp, as_fraction, gamma_half
 from .polynomials import MultiPoly
 
 BLOCK_SIZE = 1 << 15
@@ -129,10 +129,11 @@ class IntegralResult:
     def minus(self, other: "IntegralResult") -> "IntegralResult":
         """This integral minus another; exact when both are, else errors add in quadrature.
 
-        When the float difference is 0.0 or not finite because a side's float
-        left the normal range while its log stayed finite, log |a - b| comes
-        from the two logs and signs, and ``value`` keeps the sign (-0.0 when
-        it underflows).
+        A difference with a Monte Carlo side carries that side's method and
+        samples (this side's, when both sample).  When the float difference
+        is 0.0 or not finite because a side's float left the normal range
+        while its log stayed finite, log |a - b| comes from the two logs and
+        signs, and ``value`` keeps the sign (-0.0 when it underflows).
         """
         if self.exact is not None and other.exact is not None:
             return IntegralResult.from_exact(self.exact - other.exact)
@@ -143,12 +144,13 @@ class IntegralResult:
                 (math.copysign(1.0, self.value), self.log_abs_value),
                 (-math.copysign(1.0, other.value), other.log_abs_value),
             )
+        sampled = other if self.method == EXACT_METHOD else self
         return IntegralResult(
             value=value,
             log_abs_value=log_abs,
             standard_error=math.hypot(self.standard_error, other.standard_error),
-            method=self.method,
-            samples=self.samples,
+            method=sampled.method,
+            samples=sampled.samples,
         )
 
     def _off_range(self) -> bool:
@@ -167,11 +169,7 @@ def _log_difference(a: tuple[float, float], b: tuple[float, float]) -> tuple[flo
         return 0.0, -math.inf
     else:
         log_abs = big + math.log(-math.expm1(small - big))
-    try:
-        magnitude = math.exp(log_abs)
-    except OverflowError:
-        magnitude = math.inf
-    return math.copysign(magnitude, sign), log_abs
+    return math.copysign(_safe_exp(log_abs), sign), log_abs
 
 
 @lru_cache(maxsize=65536)
@@ -335,8 +333,10 @@ def _mc_blocks(
     return mean, math.ldexp(math.sqrt(m2 / (samples - 1) / samples), unit + top)
 
 
-def _term_into(out: np.ndarray, x: np.ndarray, c: float, factors) -> np.ndarray:
-    """out = c prod_i x[i]^e over the (row i, exponent e) factors, by squaring the whole monomial.
+def _term_into(out: np.ndarray, x, c: float, factors) -> np.ndarray:
+    """out = c prod_i x[i]^e over the (axis i, exponent e) factors, by squaring the whole monomial.
+
+    x[i] is the row of the sample points' coordinates on axis i.
 
     Bit by bit from the top, what is formed so far is squared and the rows
     whose exponent has that bit set multiply in: one pass per lower bit plus
@@ -356,7 +356,7 @@ def _term_into(out: np.ndarray, x: np.ndarray, c: float, factors) -> np.ndarray:
     return out
 
 
-def _row_into(out: np.ndarray, spare: np.ndarray, x: np.ndarray, terms) -> np.ndarray:
+def _row_into(out: np.ndarray, spare: np.ndarray, x, terms) -> np.ndarray:
     """out = a row's terms at the points x, added in term order; spare is scratch."""
     if not terms:
         out.fill(0.0)
@@ -368,43 +368,44 @@ def _row_into(out: np.ndarray, spare: np.ndarray, x: np.ndarray, terms) -> np.nd
     return out
 
 
-# form -> (the row pairs (i, j) a block adds up, each row i times row j, or
-# row i itself when j is None; integrand degree per row degree); "products"
-# reads rows u^1 .. u^m, then v^1 .. v^m, as sum_i u^i v^i
-_FORMS: dict[str, tuple[Callable[[int], list[tuple[int, int | None]]], int]] = {
-    "value": (lambda m: [(0, None)], 1),
-    "squares": (lambda m: [(i, i) for i in range(m)], 2),
-    "products": (lambda m: [(i, m // 2 + i) for i in range(m // 2)], 2),
-}
-
-
 def _mc_integral(
-    n: int, rows: Sequence[MultiPoly], form: str, radius, spec: QuadratureSpec, ball: bool, lift=0
+    n: int, products: Iterable[tuple], radius, spec: QuadratureSpec, ball: bool, lift=0
 ) -> IntegralResult:
-    """Monte Carlo integral of ``form`` of the rows over the radius-r sphere or ball, times r^lift.
+    """Monte Carlo integral of a sum of products over the radius-r sphere or ball, times r^lift.
 
-    A block draws, in this order, a (k, count) standard normal array whose
-    rows are the read axes in ascending order, one chi^2(n - k) variate per
-    sample standing for the unread part of |z|^2, and (ball only) the uniform
-    radii; when n - k = 1 the unread axis is one more normal row instead.
-    It scales the read rows to the sample points in place and evaluates each
-    row's terms from them (:func:`_term_into`), every step writing into one
-    thread's buffers.  When every nonzero row is homogeneous of one degree e,
-    the points lie on the unit domain and the measure carries
-    r^(lift + power e) exactly, so no sample overflows or underflows at an
-    extreme radius; a mixed-degree integrand whose top power of r leaves the
-    float range is refused.  The mean times the exact measure (a float radius
+    A product (p, q) is the row p times the row q at each sample point, a
+    square when q is p, and the row p alone when q is None; every product
+    has two rows, or every product has one.  A block draws, in this order, a
+    (k, count) standard normal array whose rows are the read axes in
+    ascending order, one chi^2(n - k) variate per sample standing for the
+    unread part of |z|^2, and (ball only) the uniform radii; when n - k = 1
+    the unread axis is one more normal row instead.  It scales the read rows
+    to the sample points in place and evaluates each row's terms from them
+    (:func:`_term_into`), every step writing into one thread's buffers.
+    When every nonzero row is homogeneous of one degree e, the points lie on
+    the unit domain and the measure carries r^lift and r^e per row of a
+    product exactly, so no sample overflows or underflows at an extreme
+    radius; a mixed-degree integrand whose top power of r leaves the float
+    range is refused.  The mean times the exact measure (a float radius
     is an exact binary rational) is rounded once, so a constant with an exact
     sample sum (an integer, a dyadic fraction) gives float(exact), error 0.
     """
-    pairs_of, power = _FORMS[form]
     r = float(radius)
-    terms_of = [
-        [(float(c), tuple((a, e) for a, e in enumerate(exps) if e)) for exps, c in p.terms()]
-        for p in rows
-    ]
-    axes = sorted({a for terms in terms_of for _, factors in terms for a, _ in factors})
-    degrees = {sum(e for _, e in factors) for terms in terms_of for _, factors in terms}
+
+    def terms_of(row: MultiPoly) -> list[tuple[float, tuple[tuple[int, int], ...]]]:
+        return [
+            (float(c), tuple((a, e) for a, e in enumerate(exps) if e)) for exps, c in row.terms()
+        ]
+
+    # (terms of p, terms of q): the same list when q is p, None when q is None
+    plans = []
+    for p, q in products:
+        p_terms = terms_of(p)
+        plans.append((p_terms, p_terms if q is p else None if q is None else terms_of(q)))
+    rows = [terms for plan in plans for terms in plan if terms is not None]
+    axes = sorted({a for terms in rows for _, factors in terms for a, _ in factors})
+    degrees = {sum(e for _, e in factors) for terms in rows for _, factors in terms}
+    power = 1 if all(q is None for _, q in plans) else 2
     if len(degrees) <= 1:
         lift += power * max(degrees, default=0)
         sample_radius = 1.0  # r^(power e) rides in the measure
@@ -422,12 +423,6 @@ def _mc_integral(
     # cost less as one chi^2 variate than as normal rows
     chi = n - len(axes) if n - len(axes) >= 2 else 0
     k = n - chi
-    row_of = {a: i for i, a in enumerate(axes)}
-    plans = [
-        [(c, tuple((row_of[a], e) for a, e in factors)) for c, factors in terms]
-        for terms in terms_of
-    ]
-    pairs = pairs_of(len(rows))
 
     def new_block() -> Callable[[np.random.Generator, int], np.ndarray]:
         normals = np.empty(k * BLOCK_SIZE)
@@ -454,16 +449,17 @@ def _mc_integral(
                 scale = np.divide(radii, norm, out=norm)
             else:
                 scale = np.divide(sample_radius, norm, out=norm)
-            x = z[: len(axes)]
-            x *= scale
-            for p, (i, j) in enumerate(pairs):
-                dest = first if p else out
-                _row_into(dest, spare, x, plans[i])
-                if j is not None:
-                    dest *= dest if j == i else _row_into(second, spare, x, plans[j])
-                if p:
+            points = z[: len(axes)]
+            points *= scale
+            x = dict(zip(axes, points))
+            for t, (p, q) in enumerate(plans):
+                dest = first if t else out
+                _row_into(dest, spare, x, p)
+                if q is not None:
+                    dest *= dest if q is p else _row_into(second, spare, x, q)
+                if t:
                     out += dest
-            if not pairs:
+            if not plans:
                 out.fill(0.0)
             return out
 
@@ -488,7 +484,7 @@ def _integrate_poly(p: MultiPoly, radius, spec: QuadratureSpec, ball: bool) -> I
     if spec.method == EXACT_METHOD:
         even = ((exps, as_fraction(c)) for exps, c in p.terms() if not any(e % 2 for e in exps))
         return _radial_integral(n, _degree_profile(n, even), radius, ball)
-    return _mc_integral(n, [p], "value", r, spec, ball)
+    return _mc_integral(n, [(p, None)], r, spec, ball)
 
 
 def integrate_poly_sphere(

@@ -12,11 +12,13 @@ import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ballharmonics import integration, mollifier
+from ballharmonics import energetics, identities, integration, mollifier
+from ballharmonics.integration import EXACT
 from ballharmonics.suite import (
     check_c1_rate,
     check_concentration,
@@ -96,6 +98,28 @@ def test_criterion_02_identity_energy():
     assert elapsed < 1.0, f"energy scan took {elapsed:.2f}s"
 
 
+class TestCriterion02CanFail:
+    """An exact sphere factor off in its tenth digit."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_profiles(self):
+        energetics._radial_profile.cache_clear()
+        yield
+        energetics._radial_profile.cache_clear()
+
+    def test_sphere_factor_off_by_1e_10_fails(self, monkeypatch):
+        factor = integration._sphere_monomial_rational
+
+        def mutant(n, d):
+            return factor(n, d) * (1 + Fraction(1, 10**10))
+
+        for module in (integration, energetics):
+            monkeypatch.setattr(module, "_sphere_monomial_rational", mutant)
+        result = check_identity_energy()
+        assert result.details["worst_rel_err"] == pytest.approx(1e-10, rel=1e-3)
+        assert not result.passed
+
+
 @verdict(3, "inner variation identity")
 def test_criterion_03_pohozaev():
     result, elapsed = timed(scanned, check_pohozaev, SEED)
@@ -113,6 +137,26 @@ def test_criterion_04_green():
     assert result.details["worst_normalized_residual"] < 1e-10
     assert result.details["checks"] == 9 * 11 * 3
     assert elapsed < 30.0, f"scan took {elapsed:.2f}s"
+
+
+class TestCriteria03And04CanFail:
+    """A wrong power of r on one side of each identity."""
+
+    def test_normal_energy_lifted_by_minus_one_fails_pohozaev(self, monkeypatch):
+        monkeypatch.setattr(
+            identities,
+            "normal_energy_result",
+            lambda u, r=1, spec=EXACT: energetics._energy(u, r, spec, "pairing", lift=-1),
+        )
+        assert not scanned(check_pohozaev, SEED).passed
+
+    def test_flux_not_lifted_fails_green(self, monkeypatch):
+        monkeypatch.setattr(
+            identities,
+            "_flux_result",
+            lambda u, r, spec: energetics._energy(u, r, spec, "flux", lift=0),
+        )
+        assert not scanned(check_green, SEED).passed
 
 
 @verdict(5, "energy decay law")
@@ -147,6 +191,33 @@ def test_criterion_07_concentration():
     assert result.details["fraction_n87"] <= 1 - 1e-4 < result.details["fraction_n88"]
 
 
+class TestCriteria05To07CanFail:
+    """The ball's radial power off by one: E(r) picks up a stray factor r."""
+
+    @pytest.fixture(autouse=True)
+    def ball_power_off_by_one(self, monkeypatch):
+        radial = integration._radial_integral
+
+        def mutant(n, profile, r, ball=False, lift=0):
+            return radial(n, profile, r, ball, lift + 1 if ball else lift)
+
+        for module in (integration, energetics):
+            monkeypatch.setattr(module, "_radial_integral", mutant)
+
+    def test_decay_fit_fails(self):
+        result = check_decay_fit(SEED)
+        assert result.details["worst_fit_error"] == pytest.approx(1.0, abs=1e-9)
+        assert not result.passed
+
+    def test_dyadic_contraction_fails(self):
+        result = check_dyadic_contraction(SEED)
+        assert result.details["worst_rel_err"] == pytest.approx(0.5, rel=1e-12)
+        assert not result.passed
+
+    def test_concentration_fails(self):
+        assert not check_concentration().passed
+
+
 @verdict(8, "minimiser bound")
 def test_criterion_08_minimiser_bound():
     result = scanned(check_minimiser_bound, SEED)
@@ -176,6 +247,23 @@ def test_criterion_10_mean_value():
     assert all(d > 1e-3 for d in result.details["control_defects"])
     assert result.passed
     assert elapsed < 120.0, f"mean-value took {elapsed:.2f}s"
+
+
+class TestCriterion10CanFail:
+    """A kernel that integrates to 2 doubles every mollified value."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_kernel_constants(self):
+        mollifier._bump_second_moment.cache_clear()
+        yield
+        mollifier._bump_second_moment.cache_clear()
+
+    def test_doubled_normalization_fails(self, monkeypatch):
+        normalization = mollifier._bump_normalization
+        monkeypatch.setattr(mollifier, "_bump_normalization", lambda n: 2.0 * normalization(n))
+        result = check_mean_value(SEED)
+        assert result.details["sup_error"] > 1e-4
+        assert not result.passed
 
 
 @verdict(11, "Monte Carlo oracle")

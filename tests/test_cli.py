@@ -42,6 +42,28 @@ class TestVolumes:
         b = run_cli("volumes", "--n-max", "50")
         assert a.stdout == b.stdout
 
+    def test_does_not_import_numpy(self, tmp_path):
+        # volume tables are log-space arithmetic: geometry reads exactmath, never numpy
+        out = tmp_path / "volumes.csv"
+        script = (
+            "import sys\n"
+            "from ballharmonics.cli import main\n"
+            f"code = main(['volumes', '--out', {str(out)!r}])\n"
+            "print(code, 'numpy' in sys.modules)\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 False\n"
+        assert "# volume_argmax: 5" in out.read_text()
+
     def test_n_max_validated(self):
         proc = run_cli("volumes", "--n-max", "3")
         assert proc.returncode == 2
@@ -313,6 +335,12 @@ class TestMakeHarmonic:
         proc = run_cli("make-harmonic", "--kind", "identity", "--dimension", "3")
         assert proc.stdout.splitlines() == ["x1", "x2", "x3"]
 
+    def test_random_map_at_high_dimension(self):
+        # one recursion level per variable once made this a RecursionError traceback
+        proc = run_cli("make-harmonic", "--kind", "random", "--dimension", "1200", "--degree", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert "x1200" in proc.stdout and "Traceback" not in proc.stderr
+
     def test_random_deterministic(self):
         a = run_cli("make-harmonic", "--kind", "random", "--dimension", "2", "--degree", "3", "--seed", "5")
         b = run_cli("make-harmonic", "--kind", "random", "--dimension", "2", "--degree", "3", "--seed", "5")
@@ -343,6 +371,28 @@ class TestMollify:
         assert proc.returncode == 0
         rows = [l for l in proc.stdout.splitlines() if l and not l.startswith(("#", "x1"))]
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("dimension, spacing", [("2", "1/1048576"), ("3", "1/4096")])
+    def test_kernel_box_beyond_memory_is_usage_error(self, dimension, spacing):
+        # the kernel box needs 2 TiB in 2D and 64 GiB in 3D; the child's address
+        # space is capped at 4 GiB, so numpy refuses it whatever the host's overcommit
+        resource = pytest.importorskip("resource")
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        proc = subprocess.run(
+            CLI + ["mollify", "--dimension", dimension, "--spacing", spacing],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=cap_address_space,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "allocate" in lines[0]
 
 
 class TestUsage:

@@ -129,6 +129,29 @@ def test_zonal_matches_recurrence_oracle(n):
             assert zonal_solid_harmonic(n, k, axis).body[0].terms() == expected.terms()
 
 
+def test_random_map_builds_past_the_recursion_limit():
+    # the degree-k monomials were generated one recursion level per variable,
+    # so n = 1200 raised RecursionError
+    u = random_harmonic_polynomial(1200, 1, 0)
+    assert u.certified and u.degree == 1 and u.dimension == 1200
+    assert len(u.body[0].terms()) > 1000
+
+
+@pytest.mark.parametrize("n, k", [(1, 0), (1, 3), (2, 4), (4, 3), (6, 2), (3, 0)])
+def test_degree_monomials_descend_lexicographically(n, k):
+    # the seeded coefficients are drawn in this order, so it fixes every random map
+    monomials = list(harmonics._degree_monomials(n, k))
+    everything = itertools.product(range(k + 1), repeat=n)
+    assert monomials == sorted((e for e in everything if sum(e) == k), reverse=True)
+
+
+def test_random_map_arguments_are_checked_once():
+    # harmonic_space_dimension is the one check of (n, k), and its errors reach the caller
+    for n, k, message in [(0, 1, "dimension"), (2, -1, "degree"), (2.0, 1, "dimension")]:
+        with pytest.raises(ValueError, match=message):
+            random_harmonic_polynomial(n, k, 0)
+
+
 def test_zonal_and_random_maps_go_through_harmonic_projection(monkeypatch):
     calls = []
     original = harmonics.harmonic_projection

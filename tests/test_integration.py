@@ -268,6 +268,19 @@ class TestMinus:
         assert diff.value == math.inf
         assert diff.log_abs_value == pytest.approx(800.0 + math.log1p(-math.exp(-1.0)), abs=1e-12)
 
+    def test_a_monte_carlo_side_labels_the_difference(self):
+        # exact minus a Monte Carlo estimate once read method "exact", samples 0,
+        # next to the estimate's nonzero standard error
+        poly = monomial(2, (2, 0))
+        exact = integrate_poly_sphere(poly, 1)
+        sampled = integrate_poly_sphere(poly, 1, QuadratureSpec("monte_carlo", 1000, 0))
+        for diff in (exact.minus(sampled), sampled.minus(exact)):
+            assert diff.exact is None and diff.standard_error == sampled.standard_error > 0
+            assert (diff.method, diff.samples) == ("monte_carlo", 1000)
+        assert (exact.minus(exact).method, exact.minus(exact).samples) == ("exact", 0)
+        other = integrate_poly_sphere(poly, 1, QuadratureSpec("monte_carlo", 500, 1))
+        assert (sampled.minus(other).method, sampled.minus(other).samples) == ("monte_carlo", 1000)
+
 
 class TestMonteCarlo:
     def spec(self, samples=200_000, seed=21, workers=1):

@@ -165,6 +165,46 @@ def test_radial_integrals_stay_in_integration_and_energetics():
     assert callers == {"integration.py", "energetics.py"}, sorted(callers)
 
 
+def _called_name(node: ast.Call) -> str | None:
+    return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+
+def test_one_residual_report_builder():
+    # identities._report scores the two sides and builds the report; an identity
+    # that builds its own can drift from the others in what it scores or records
+    builders = {
+        (path.name, name)
+        for path in SOURCES + SCRIPTS
+        for name, node in _nodes_with_their_def(_parse(path))
+        if isinstance(node, ast.Call) and _called_name(node) == "ResidualReport"
+    }
+    assert builders == {("identities.py", "_report")}, sorted(builders)
+
+
+def test_monte_carlo_integrands_are_products_not_form_names():
+    # _mc_integral takes the row products it sums; a form name passed as a string
+    # would bring back a lookup table joined to the rows by name
+    stringly = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES + SCRIPTS + TESTS
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Call)
+        and _called_name(node) == "_mc_integral"
+        and any(
+            isinstance(leaf, ast.JoinedStr)
+            or (isinstance(leaf, ast.Constant) and isinstance(leaf.value, str))
+            for arg in [*node.args, *(k.value for k in node.keywords)]
+            for leaf in ast.walk(arg)
+        )
+    ]
+    calls = sum(
+        isinstance(node, ast.Call) and _called_name(node) == "_mc_integral"
+        for path in SOURCES
+        for node in ast.walk(_parse(path))
+    )
+    assert calls >= 2 and not stringly, stringly
+
+
 def test_one_identity_scan():
     # identities.identity_scan is the one loop over maps, radii and identities:
     # the suite's criteria 03, 04 and 08 and the identities command read its reports
