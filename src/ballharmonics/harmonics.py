@@ -46,10 +46,6 @@ class HarmonicMap:
     def dimension(self) -> int:
         return self.body.dimension
 
-    @property
-    def arity(self) -> int:
-        return self.body.arity
-
 
 def make_harmonic_map(body: VectorPoly | MultiPoly, label: str = "") -> HarmonicMap:
     """Wrap a polynomial (vector) after checking harmonicity of each component."""

@@ -382,13 +382,14 @@ def _mc_integral(
     the unread axis is one more normal row instead.  It scales the read rows
     to the sample points in place and evaluates each row's terms from them
     (:func:`_term_into`), every step writing into one thread's buffers.
-    When every nonzero row is homogeneous of one degree e, the points lie on
-    the unit domain and the measure carries r^lift and r^e per row of a
-    product exactly, so no sample overflows or underflows at an extreme
-    radius; a mixed-degree integrand whose top power of r leaves the float
-    range is refused.  The mean times the exact measure (a float radius
-    is an exact binary rational) is rounded once, so a constant with an exact
-    sample sum (an integer, a dyadic fraction) gives float(exact), error 0.
+    When every row is homogeneous of one degree e, the points lie on the
+    unit domain and the measure carries r^lift and r^e per row of a product
+    exactly, so no sample overflows or underflows at an extreme radius; a
+    product with an empty row is zero and has no degree, and a mixed-degree
+    integrand whose top power of r leaves the float range is refused.  The
+    mean times the exact measure (a float radius is an exact binary
+    rational) is rounded once, so a constant with an exact sample sum (an
+    integer, a dyadic fraction) gives float(exact), error 0.
     """
     r = float(radius)
 
@@ -404,7 +405,9 @@ def _mc_integral(
         plans.append((p_terms, p_terms if q is p else None if q is None else terms_of(q)))
     rows = [terms for plan in plans for terms in plan if terms is not None]
     axes = sorted({a for terms in rows for _, factors in terms for a, _ in factors})
-    degrees = {sum(e for _, e in factors) for terms in rows for _, factors in terms}
+    # a product with an empty row is zero everywhere, so its rows carry no degree
+    live = [terms for plan in plans if [] not in plan for terms in plan if terms is not None]
+    degrees = {sum(e for _, e in factors) for terms in live for _, factors in terms}
     power = 1 if all(q is None for _, q in plans) else 2
     if len(degrees) <= 1:
         lift += power * max(degrees, default=0)

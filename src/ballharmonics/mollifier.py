@@ -108,7 +108,11 @@ class MollifierSpec:
     def __post_init__(self):
         if not isinstance(self.dimension, int) or self.dimension < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.dimension!r}")
-        _check_grid_dimension(self.dimension)
+        if self.dimension > GRID_DIMENSION_CAP:
+            raise ValueError(
+                f"grid storage scales like h^-n; dimension {self.dimension} exceeds the cap "
+                f"{GRID_DIMENSION_CAP}"
+            )
         if not 0.0 < self.delta <= 0.5:
             raise ValueError(f"delta must lie in (0, 1/2], got {self.delta!r}")
 
@@ -127,38 +131,24 @@ class MollifierSpec:
         return self.delta**2 * _bump_second_moment(self.dimension)
 
 
-def _check_grid_dimension(n: int) -> None:
-    if n > GRID_DIMENSION_CAP:
-        raise ValueError(
-            f"grid storage scales like h^-n; dimension {n} exceeds the cap "
-            f"{GRID_DIMENSION_CAP}"
-        )
-
-
-def _radius_mesh(axes: list[np.ndarray]) -> np.ndarray:
+def _axis_views(axes: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Each axis of a tensor box as a view that broadcasts along its own dimension."""
     n = len(axes)
-    total = np.zeros((1,) * n)
-    for d, a in enumerate(axes):
-        shape = [1] * n
-        shape[d] = len(a)
-        total = total + (a * a).reshape(shape)
-    return np.sqrt(total)
+    return [a.reshape((1,) * d + (len(a),) + (1,) * (n - d - 1)) for d, a in enumerate(axes)]
 
 
 def poly_on_grid(p: MultiPoly, axes: list[np.ndarray]) -> np.ndarray:
     """Evaluate p on the tensor grid of the given axis coordinates."""
     if p.dimension != len(axes):
         raise ValueError(f"polynomial has dimension {p.dimension}, got {len(axes)} axes")
-    n = len(axes)
+    views = _axis_views(axes)
     shape = tuple(len(a) for a in axes)
-    total = np.zeros((1,) * n)
+    total = np.zeros((1,) * len(axes))
     for exps, c in p.terms():
         contrib = np.asarray(float(c))
-        for d, e in enumerate(exps):
+        for v, e in zip(views, exps):
             if e:
-                sh = [1] * n
-                sh[d] = len(axes[d])
-                contrib = contrib * (axes[d] ** e).reshape(sh)
+                contrib = contrib * v**e
         total = total + contrib
     return np.broadcast_to(total, shape).copy() if total.shape != shape else total
 
@@ -187,7 +177,8 @@ def kernel_field(spec: MollifierSpec, spacing: float) -> np.ndarray:
             f"spacing {spacing!r} cannot resolve a kernel of radius {spec.delta!r}"
         )
     axis = (np.arange(2 * half + 1) - half) * spacing
-    return spec.value_at_radii(_radius_mesh([axis] * spec.dimension))
+    radius_sq = sum(v * v for v in _axis_views([axis] * spec.dimension))
+    return spec.value_at_radii(np.sqrt(radius_sq))
 
 
 # -- mean-value checks ---------------------------------------------------------

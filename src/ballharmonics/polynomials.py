@@ -303,26 +303,17 @@ class MultiPoly:
             raise DimensionError(
                 f"point has {len(point)} coordinates, expected {self._dimension}"
             )
-        exact_point = all(isinstance(x, (int, Fraction)) for x in point)
-        if exact_point and self.is_exact:
-            coords = [Fraction(x) for x in point]
-            total = Fraction(0)
-            for exps, c in self._terms.items():
-                term = c
-                for x, e in zip(coords, exps):
-                    if e:
-                        term *= x**e
-                total += term
-            return total
-        coords_f = [float(x) for x in point]
+        exact = all(isinstance(x, (int, Fraction)) for x in point) and self.is_exact
+        kind = Fraction if exact else float
+        coords = [kind(x) for x in point]
         parts = []
         for exps, c in self._terms.items():
-            term = float(c)
-            for x, e in zip(coords_f, exps):
+            term = kind(c)
+            for x, e in zip(coords, exps):
                 if e:
                     term *= x**e
             parts.append(term)
-        return math.fsum(parts)
+        return sum(parts, Fraction(0)) if exact else math.fsum(parts)
 
     def __call__(self, point: Sequence) -> Fraction | float:
         return self.evaluate(point)
@@ -480,9 +471,6 @@ class VectorPoly:
 
     __rmul__ = __mul__
 
-    def evaluate(self, point: Sequence) -> tuple:
-        return tuple(p.evaluate(point) for p in self._components)
-
     def __repr__(self) -> str:
         return f"VectorPoly([{', '.join(str(p) for p in self._components)}])"
 
@@ -500,35 +488,17 @@ def gradient(p: MultiPoly) -> tuple[MultiPoly, ...]:
     return tuple(p.partial_derivative(axis) for axis in range(p.dimension))
 
 
-def _support(p: MultiPoly) -> tuple[int, ...]:
-    """Axes that carry a positive exponent somewhere in p.
-
-    Partials along the other axes vanish identically, so callers that sum
-    over the gradient can skip them; for near-univariate components in high
-    dimension (the identity map above all) this turns a cubic-in-n walk into
-    a quadratic one.
-    """
-    seen: set[int] = set()
-    for exps in p._terms:
-        for axis, e in enumerate(exps):
-            if e and axis not in seen:
-                seen.add(axis)
-    return tuple(sorted(seen))
-
-
 def radial_pairing(u: VectorPoly | MultiPoly) -> tuple[MultiPoly, ...]:
-    """Per component, the Euler pairing <x, grad u^i>."""
+    """Per component, the Euler pairing <x, grad u^i>.
+
+    Euler's identity <x, grad x^alpha> = |alpha| x^alpha makes it each term
+    times its degree.
+    """
     vec = as_vector(u)
-    out = []
-    for comp in vec:
-        acc: dict = {}
-        for axis in _support(comp):
-            # multiplying a term by x_axis just bumps that exponent
-            for exps, c in comp.partial_derivative(axis)._terms.items():
-                key = exps[:axis] + (exps[axis] + 1,) + exps[axis + 1 :]
-                acc[key] = acc.get(key, 0) + c
-        out.append(MultiPoly(vec.dimension, acc))
-    return tuple(out)
+    return tuple(
+        MultiPoly._canonical(vec.dimension, {e: c * sum(e) for e, c in comp._terms.items()})
+        for comp in vec
+    )
 
 
 # -- textual format ---------------------------------------------------------

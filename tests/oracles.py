@@ -4,9 +4,10 @@ Each one computes what a package function computes by a slower, more direct
 route, and no package code calls any of them:
 
 * :func:`square` and :func:`grad_norm_sq` form p^2 and |grad u|^2 as
-  polynomials, which the energy quadrature never does, and
-  :func:`materialised` integrates |grad u|^2 and the other squared energy
-  densities monomial by monomial;
+  polynomials, which the energy quadrature never does, :func:`euler_pairing`
+  forms <x, grad p> as sum_k x_k d_k p, where ``polynomials.radial_pairing``
+  multiplies each term by its degree, and :func:`materialised` integrates
+  |grad u|^2 and the other squared energy densities monomial by monomial;
 * :func:`lowered` makes the float-coefficient twin of an exact poly;
 * :func:`fischer_profile` gives the sphere norms of a harmonic map's parts
   by the closed form of Axler, Bourdon and Ramey, where the package pairs
@@ -43,7 +44,7 @@ from ballharmonics.integration import (
     integrate_poly_sphere,
 )
 from ballharmonics.mollifier import MollifierSpec, _bump_radial_slope, kernel_field, poly_on_grid
-from ballharmonics.polynomials import MultiPoly, VectorPoly, _support, as_vector, radial_pairing
+from ballharmonics.polynomials import MultiPoly, VectorPoly, as_vector
 
 
 def square(p: MultiPoly) -> MultiPoly:
@@ -69,16 +70,24 @@ def grad_norm_sq(u: VectorPoly | MultiPoly) -> MultiPoly:
     vec = as_vector(u)
     acc: dict = {}
     for comp in vec:
-        for axis in _support(comp):
+        for axis in range(vec.dimension):
             for exps, c in square(comp.partial_derivative(axis)).terms():
                 acc[exps] = acc.get(exps, 0) + c
     return MultiPoly(vec.dimension, acc)
 
 
+def euler_pairing(p: MultiPoly) -> MultiPoly:
+    """<x, grad p> by its definition, sum_k x_k d_k p."""
+    n = p.dimension
+    return sum(
+        (MultiPoly.variable(n, k) * p.partial_derivative(k) for k in range(n)), MultiPoly(n)
+    )
+
+
 def materialised(body: VectorPoly, r) -> tuple:
     """E, total, normal and the Green flux at r, from the squared polynomials."""
     rq = Fraction(r)
-    pairings = radial_pairing(body)
+    pairings = [euler_pairing(comp) for comp in body]
     pairing_sq = sum((p * p for p in pairings), MultiPoly(body.dimension))
     flux = sum((c * p for c, p in zip(body, pairings)), MultiPoly(body.dimension))
     return (

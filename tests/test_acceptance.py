@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ballharmonics import energetics, identities, integration, mollifier
+from ballharmonics import energetics, geometry, identities, integration, mollifier, suite
 from ballharmonics.integration import EXACT
 from ballharmonics.suite import (
     check_c1_rate,
@@ -88,6 +88,17 @@ def test_criterion_01_volume_peak():
     row5 = next(line for line in proc.stdout.splitlines() if line.startswith("5,"))
     assert float(row5.split(",")[1]) == result.details["v5"]
     assert elapsed < 1.0, f"volumes took {elapsed:.2f}s"
+
+
+class TestCriterion01CanFail:
+    """An argmax that lands one dimension past the peak."""
+
+    def test_argmax_off_by_one_fails(self, monkeypatch):
+        monkeypatch.setattr(suite, "volume_argmax", lambda n_max: geometry.volume_argmax(n_max) + 1)
+        result = check_volume_peak()
+        assert result.details["argmax"] == 6
+        assert result.details["rel_err"] < 1e-12
+        assert not result.passed
 
 
 @verdict(2, "identity-map energy")
@@ -227,6 +238,25 @@ def test_criterion_08_minimiser_bound():
     assert result.details["smallest_margin"] > 1.0
 
 
+class TestCriterion08CanFail:
+    """A surface energy scaled down to the identity map's margin, so c1 H(1) only ties E(1)."""
+
+    def test_surface_energy_scaled_to_the_identity_margin_fails(self, monkeypatch):
+        surface = energetics.surface_dirichlet_result
+
+        def mutant(u, r=1, spec=EXACT):
+            n = u.dimension
+            return surface(u, r, spec).scaled(Fraction(n - 2, 2 * (n - 1)))
+
+        monkeypatch.setattr(identities, "surface_dirichlet_result", mutant)
+        result = scanned(check_minimiser_bound, SEED)
+        # the identity map's ratio 2 (n - 1) / (n - 2) becomes exactly 1, 3/4 below the 4 due at n = 3
+        assert result.details["worst_identity_rel_err"] == 0.75
+        assert result.details["smallest_margin"] == 1.0
+        assert not result.details["all_margins_above_one"]
+        assert not result.passed
+
+
 @verdict(9, "O(1/n) constant")
 def test_criterion_09_c1_rate():
     result = check_c1_rate()
@@ -237,6 +267,25 @@ def test_criterion_09_c1_rate():
     assert result.details["float_worst_err"] < 1e-12
     # |c1 n - 2| = 4/(n - 2) reaches the 0.2 threshold exactly at n = 22
     assert result.details["gap_at_n22"] == 0.2
+
+
+class TestCriterion09CanFail:
+    """The report's constant taken as 2/(n - 1) in place of c1 = 2/(n - 2)."""
+
+    def test_wrong_constant_in_the_report_fails(self, monkeypatch):
+        report = identities._report
+
+        def mutant(name, u, *sides, **bound):
+            if "constant" in bound:
+                bound["constant"] = float(Fraction(2, u.dimension - 1))
+            return report(name, u, *sides, **bound)
+
+        monkeypatch.setattr(identities, "_report", mutant)
+        result = check_c1_rate()
+        # the floats of the exact c1 n still fall; only the pipeline's report is off
+        assert result.details["monotone_decreasing"]
+        assert not result.details["pipeline_spot_check"]
+        assert not result.passed
 
 
 @verdict(10, "mean-value property")

@@ -513,6 +513,21 @@ def test_monte_carlo_refuses_a_mixed_degree_map_whose_top_power_of_r_underflows(
         dirichlet_energy_result(u, 1e-300, MC)
 
 
+@pytest.mark.parametrize("r", [1e-200, 0.5, 1])
+def test_monte_carlo_flux_of_a_constant_component_adds_exact_zeros(r):
+    # the constant component's pairing is zero, so its product has no degree and
+    # the integrand is homogeneous; its degree 0 once made it look mixed, refused
+    # at 1e-200 and sampled at r itself at 0.5
+    x1, one = MultiPoly.variable(3, 0), MultiPoly.constant(3, 1)
+    spec = QuadratureSpec("monte_carlo", 1000, 0)
+    got = _flux_result(VectorPoly([x1, one]), r, spec)
+    assert got == _flux_result(VectorPoly([x1]), r, spec)
+    if r == 1e-200:
+        assert got.log_abs_value == -1380.1634729269315
+        exact = _flux_result(VectorPoly([x1, one]), r, EXACT).log_abs_value
+        assert exact == pytest.approx(-1380.119, abs=1e-3)
+
+
 def test_monte_carlo_tangential_energy_keeps_its_log_when_both_sides_underflow():
     # total and normal both read 0.0 at 1e-300; their difference once read
     # value 0.0 with log -inf

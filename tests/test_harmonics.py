@@ -41,7 +41,7 @@ def P(n, terms):
 class TestIdentity:
     def test_components(self):
         u = identity_map(3)
-        assert u.dimension == 3 and u.arity == 3
+        assert u.dimension == 3 and u.body.arity == 3
         assert u.degree == 1 and u.certified
         assert u.body[1] == MultiPoly.variable(3, 1)
 

@@ -43,12 +43,12 @@ from oracles import (
 SPEC2 = MollifierSpec(dimension=2, delta=0.25)
 
 
-def _run_fresh(script):
-    """Run a script in a fresh interpreter with this checkout's src first on the path."""
+def _run_fresh(*args):
+    """Run an interpreter on args with this checkout's src first on the path; its stdout."""
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
@@ -242,6 +242,16 @@ class TestMeanValue:
         assert all(a > b for a, b in zip(conv.sup_errors, conv.sup_errors[1:]))
         assert min(conv.orders) >= 1.8
 
+    def test_convergence_script_writes_its_table(self, tmp_path):
+        # the control's defect at the script's finest spacing sits on the kernel's second moment
+        out = tmp_path / "mollifier.csv"
+        script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "mollifier_convergence.py"
+        _run_fresh(str(script), "--out", str(out))
+        rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert rows[0] == "spacing,harmonic_defect,harmonic_order,control_defect,control_order"
+        control_defect = float(rows[-1].split(",")[3])
+        assert abs(control_defect - MollifierSpec(2, 0.25).second_moment()) < 1e-6
+
 
 # -- the mean-value check reads the defining sum at its nodes only ----------------
 
@@ -360,7 +370,7 @@ class TestMeanValueRoute:
             "mean_value_check(zonal_solid_harmonic(2, 3), spec, [(0.25, 0.0)], spacing=1 / 64)\n"
             "print('scipy.signal' in sys.modules)\n"
         )
-        assert _run_fresh(script) == "False\n"
+        assert _run_fresh("-c", script) == "False\n"
 
     def test_suite_and_mollify_load_no_scipy(self, tmp_path):
         # the kernel constants come from a tanh-sinh rule, not scipy's quad
@@ -372,7 +382,7 @@ class TestMeanValueRoute:
             f"code = main(['mollify', '--out', {str(out)!r}])\n"
             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        assert _run_fresh(script) == "0 []\n"
+        assert _run_fresh("-c", script) == "0 []\n"
         assert out.read_text().count("\n") > 1
 
 

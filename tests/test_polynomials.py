@@ -21,7 +21,7 @@ from ballharmonics.polynomials import (
     radial_pairing,
 )
 
-from oracles import grad_norm_sq, homogeneous_components, square
+from oracles import euler_pairing, grad_norm_sq, homogeneous_components, square
 
 
 def P(n, terms):
@@ -268,13 +268,14 @@ def test_property_format_parse_roundtrip(p):
 @given(polys, rational_points)
 @settings(max_examples=40)
 def test_property_euler_identity_on_homogeneous_parts(p, point):
-    # sum_k k * p_k(x) = <x, grad p>(x)
+    # sum_k k * p_k(x) = <x, grad p>(x), and <x, grad p> = sum_k x_k d_k p by definition
     (pairing,) = radial_pairing(p)
     expected = sum(
         (k * part.evaluate(point) for k, part in homogeneous_components(p).items()),
         start=Fraction(0),
     )
     assert pairing.evaluate(point) == expected
+    assert pairing == euler_pairing(p)
 
 
 @given(polys)
@@ -309,6 +310,7 @@ def test_property_ring_operations_are_canonical(p, q, c):
     results = [p + q, p - q, -p, p * q, p * c, c * p, p * p, p.laplacian()]
     results += [p.partial_derivative(axis) for axis in range(DIM)]
     results.append(harmonic_projection(p))
+    results += radial_pairing(p)
     results += [MultiPoly.variable(DIM, axis) for axis in range(DIM)]
     for r in results:
         _assert_canonical(r)
