@@ -49,7 +49,6 @@ helpers below measure that decay from log-log samples.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -68,6 +67,7 @@ from .integration import (
 )
 from .polynomials import (
     VectorPoly,
+    _degree,
     _laplacian_series,
     as_vector,
     gradient,
@@ -99,7 +99,7 @@ class _RadialProfile:
 
 # Every caller reads one map's profile back to back (energies at a few radii),
 # so four entries keep every hit; a longer cache only keeps old maps alive
-# (identity_map(200) holds 200 exponent tuples of length 200).
+# (zonal_solid_harmonic(200, 4) holds 20 100 terms).
 @lru_cache(maxsize=4)
 def _radial_profile(body: VectorPoly) -> _RadialProfile:
     """The radial profile of any body, by the Fischer sums of the module docstring.
@@ -163,8 +163,8 @@ def _heat(series: list[dict], scale: int) -> dict:
     w: dict = {}
     for t, lap in enumerate(series):
         weight = scale // (2**t * math.factorial(t))
-        for exps, c in lap.items():
-            w[exps] = w.get(exps, 0) + weight * c
+        for key, c in lap.items():
+            w[key] = w.get(key, 0) + weight * c
     return w
 
 
@@ -172,7 +172,7 @@ def _fischer_norm(u: dict, degree: int) -> int:
     """sum alpha! u_alpha^2 over a degree-d part; alpha! = 1 at degree <= 1."""
     if degree <= 1:
         return sum(c * c for c in u.values())
-    return sum(math.prod(map(math.factorial, alpha)) * c * c for alpha, c in u.items())
+    return sum(math.prod([math.factorial(e) for _, e in alpha]) * c * c for alpha, c in u.items())
 
 
 def _fischer_sums(a: dict, b: dict) -> tuple[int, int]:
@@ -183,9 +183,9 @@ def _fischer_sums(a: dict, b: dict) -> tuple[int, int]:
     for alpha, c in a.items():
         other = b.get(alpha)
         if other:
-            term = math.prod(map(math.factorial, alpha)) * c * other
+            term = math.prod([math.factorial(e) for _, e in alpha]) * c * other
             f += term
-            g += sum(alpha) * term
+            g += _degree(alpha) * term
     return f, g
 
 
@@ -341,17 +341,15 @@ def fit_decay_exponent(profile: EnergyProfile) -> DecayFit:
     """Fit the decay exponent from the profile's positive-energy samples.
 
     Samples are kept on their log E, which comes from the exact value and
-    stays finite where the float E underflows to 0.
+    stays finite where the float E underflows to 0; ``points_used`` says how
+    many there were.
     """
     pts = [(math.log(r), log_e) for r, _, log_e in profile.samples if log_e > -math.inf]
-    dropped = len(profile.samples) - len(pts)
-    if dropped:
-        warnings.warn(
-            f"decay fit dropped {dropped} non-positive energy sample(s)",
-            stacklevel=2,
-        )
     if len(pts) < 2:
-        raise ValueError("decay fit needs at least two positive energy samples")
+        raise ValueError(
+            f"decay fit needs at least two positive energy samples, "
+            f"got {len(pts)} of {len(profile.samples)}"
+        )
     slope, intercept, max_resid = _least_squares_line(
         [p[0] for p in pts], [p[1] for p in pts], "radii"
     )

@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .exactmath import as_fraction
-from .polynomials import MultiPoly, VectorPoly, _degrees, as_vector, harmonic_projection
+from .polynomials import MultiPoly, VectorPoly, _degree, as_vector, harmonic_projection
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def make_harmonic_map(body: VectorPoly | MultiPoly, label: str = "") -> Harmonic
     """Wrap a polynomial (vector) after checking harmonicity of each component."""
     vec = as_vector(body)
     certified = all(comp.is_harmonic() for comp in vec)
-    degrees = {d for comp in vec for d in _degrees(comp)}
+    degrees = {_degree(key) for comp in vec for key in comp._terms}
     degree = None if len(degrees) > 1 else max(degrees, default=0)
     return HarmonicMap(body=vec, degree=degree, certified=certified, label=label)
 
@@ -111,28 +111,22 @@ def zonal_solid_harmonic(
     n = 1 admits only k <= 1; for k >= 2 there is no nonzero harmonic
     polynomial of that degree in one variable.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"dimension must be a positive integer, got {n!r}")
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {k!r}")
-    if axis is None:
-        axis_f = [Fraction(0)] * n
-        axis_f[0] = Fraction(1)
-    else:
-        if len(axis) != n:
-            raise ValueError(f"axis has {len(axis)} entries, expected {n}")
-        axis_f = [as_fraction(a) for a in axis]
+    # harmonic_space_dimension checks (n, k); the space is zero only for n = 1, k >= 2
+    if harmonic_space_dimension(n, k) == 0:
+        raise ValueError(
+            "no nonzero degree-k harmonic polynomial exists in one variable for k >= 2"
+        )
+    axis = (1,) + (0,) * (n - 1) if axis is None else axis
+    if len(axis) != n:
+        raise ValueError(f"axis has {len(axis)} entries, expected {n}")
+    axis_f = [as_fraction(a) for a in axis]
     norm_sq = sum(a * a for a in axis_f)
     if norm_sq != 1:
         raise ValueError(
             f"axis must have exactly unit norm; got |axis|^2 = {norm_sq}. "
             f"Use rational unit vectors such as a coordinate axis or (3/5, 4/5)."
         )
-    if n == 1 and k >= 2:
-        raise ValueError(
-            "no nonzero degree-k harmonic polynomial exists in one variable for k >= 2"
-        )
-    t = MultiPoly(n, {tuple(int(j == i) for j in range(n)): a for i, a in enumerate(axis_f)})
+    t = MultiPoly._of_keys(n, ((((i, 1),), a) for i, a in enumerate(axis_f)))
     return make_harmonic_map(
         harmonic_projection(t**k * _zonal_lead(n, k)), label=f"zonal(n={n}, k={k})"
     )
@@ -155,17 +149,15 @@ def harmonic_space_dimension(n: int, k: int) -> int:
 # -- random harmonic polynomials ----------------------------------------------
 
 
-def _degree_monomials(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All exponent tuples of total degree k, lexicographically descending.
+def _degree_monomials(n: int, k: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The keys of all monomials of total degree k, their dense tuples descending.
 
     The sorted k-multisets of axes, taken in lexicographic order, give their
-    exponent tuples in that order, with no recursion over the n variables.
+    exponent tuples in that order, with no recursion over the n variables;
+    each distinct axis of a multiset, with its count, is a pair of its key.
     """
     for axes in itertools.combinations_with_replacement(range(n), k):
-        exps = [0] * n
-        for a in axes:
-            exps[a] += 1
-        yield tuple(exps)
+        yield tuple([(a, axes.count(a)) for a in dict.fromkeys(axes)])
 
 
 def random_harmonic_polynomial(n: int, k: int, seed: int) -> HarmonicMap:
@@ -187,7 +179,7 @@ def random_harmonic_polynomial(n: int, k: int, seed: int) -> HarmonicMap:
         coeffs = gen.integers(-9, 10, size=len(monomials))
         if not np.any(coeffs):
             continue
-        p = MultiPoly(n, {m: int(c) for m, c in zip(monomials, coeffs) if c})
+        p = MultiPoly._of_keys(n, ((m, int(c)) for m, c in zip(monomials, coeffs) if c))
         h = harmonic_projection(p)
         if not h.is_zero:
             return make_harmonic_map(h, label=label)

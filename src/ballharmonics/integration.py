@@ -50,7 +50,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .exactmath import PiRational, _safe_exp, as_fraction, gamma_half
-from .polynomials import MultiPoly
+from .polynomials import Key, MultiPoly, _degree
 
 BLOCK_SIZE = 1 << 15
 
@@ -189,7 +189,7 @@ def _sphere_monomial_rational(n: int, d: int) -> Fraction:
 _Profile = tuple[tuple[int, Fraction], ...]
 
 
-def _degree_profile(n: int, weights: Iterable[tuple[tuple[int, ...], Fraction]]) -> _Profile:
+def _degree_profile(n: int, weights: Iterable[tuple[Key, Fraction]]) -> _Profile:
     """(d, c_d) per degree d of a weighted sum of even monomials x^alpha in R^n.
 
     c_d is the sum of w_alpha times the rational part of the unit-sphere
@@ -201,8 +201,8 @@ def _degree_profile(n: int, weights: Iterable[tuple[tuple[int, ...], Fraction]])
     acc: dict[int, Fraction] = {}
     for alpha, w in weights:
         if w:
-            d = sum(alpha)
-            acc[d] = acc.get(d, 0) + w * math.prod(map(_odd_double_factorial, alpha))
+            d = _degree(alpha)
+            acc[d] = acc.get(d, 0) + w * math.prod([_odd_double_factorial(e) for _, e in alpha])
     return tuple(
         (d, c * _sphere_monomial_rational(n, d)) for d, c in sorted(acc.items()) if c
     )
@@ -393,10 +393,8 @@ def _mc_integral(
     """
     r = float(radius)
 
-    def terms_of(row: MultiPoly) -> list[tuple[float, tuple[tuple[int, int], ...]]]:
-        return [
-            (float(c), tuple((a, e) for a, e in enumerate(exps) if e)) for exps, c in row.terms()
-        ]
+    def terms_of(row: MultiPoly) -> list[tuple[float, Key]]:
+        return [(float(c), key) for key, c in row._terms.items()]
 
     # (terms of p, terms of q): the same list when q is p, None when q is None
     plans = []
@@ -420,7 +418,7 @@ def _mc_integral(
                 f"inside the float range, got radius {r!r}"
             )
         sample_radius = r
-    one = _degree_profile(n, [((0,) * n, 1)])
+    one = _degree_profile(n, [((), 1)])
     measure = _radial_integral(n, one, r, ball, lift).exact
     # a chi^2(1) variate costs more than a normal row; two or more unread axes
     # cost less as one chi^2 variate than as normal rows
@@ -485,7 +483,7 @@ def _integrate_poly(p: MultiPoly, radius, spec: QuadratureSpec, ball: bool) -> I
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
     n = p.dimension
     if spec.method == EXACT_METHOD:
-        even = ((exps, as_fraction(c)) for exps, c in p.terms() if not any(e % 2 for e in exps))
+        even = ((k, as_fraction(c)) for k, c in p._terms.items() if not any(e % 2 for _, e in k))
         return _radial_integral(n, _degree_profile(n, even), radius, ball)
     return _mc_integral(n, [(p, None)], r, spec, ball)
 

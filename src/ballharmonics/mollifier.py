@@ -144,11 +144,10 @@ def poly_on_grid(p: MultiPoly, axes: list[np.ndarray]) -> np.ndarray:
     views = _axis_views(axes)
     shape = tuple(len(a) for a in axes)
     total = np.zeros((1,) * len(axes))
-    for exps, c in p.terms():
+    for key, c in p._terms.items():
         contrib = np.asarray(float(c))
-        for v, e in zip(views, exps):
-            if e:
-                contrib = contrib * v**e
+        for a, e in key:
+            contrib = contrib * views[a] ** e
         total = total + contrib
     return np.broadcast_to(total, shape).copy() if total.shape != shape else total
 

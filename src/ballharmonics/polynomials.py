@@ -1,20 +1,23 @@
 """Sparse multivariate polynomials with exact coefficients.
 
-A polynomial in n variables is a mapping from exponent tuples (length n, one
-entry per variable) to coefficients.  Coefficients are ``Fraction`` so that
-differentiation, Laplacians and harmonicity checks are exact.  Floats enter a
-poly only as given: float coefficients passed to the constructor, decimals in
-``parse_poly`` text, and float scalars in ring operations, which make the
-result's coefficients floats.  Instances are immutable, hashable and safe to
-share across threads.
+A polynomial in n variables maps monomial keys to coefficients.  A key
+lists the monomial's (axis, exponent) pairs in ascending axis order, zero
+exponents left out, so a term costs its degree, not n, to walk, bump or hash;
+dense exponent n-tuples are only the public view, taken by the constructor
+and returned by :meth:`MultiPoly.terms`.  Coefficients are ``Fraction`` so
+that differentiation, Laplacians and harmonicity checks are exact.  Floats
+enter a poly only as given: float coefficients passed to the constructor,
+decimals in ``parse_poly`` text, and float scalars in ring operations, which
+make the result's coefficients floats.  Instances are immutable, hashable
+and safe to share across threads.
 
 Canonical form: zero coefficients are never stored, and for float polys any
 coefficient below 1e-14 relative to the largest float coefficient is pruned
 so that round-trips through arithmetic stay stable.  Terms iterate in graded
-lexicographic order (total degree first, then lexicographic), largest first;
-evaluation and printing follow that order deterministically.  The constructor
-validates its input once; ring operations and calculus on valid operands
-canonicalise their results but do not re-validate them.
+lexicographic order of their dense tuples, largest first; evaluation and
+printing follow that order deterministically.  The constructor validates its
+input once; ring operations and calculus on valid operands canonicalise
+their results but do not re-validate them.
 
 Exact algebra that runs many steps on one poly works on its Laplacian
 series (:func:`_laplacian_series`): the integer numerators of each
@@ -22,13 +25,12 @@ homogeneous part over the poly's least common denominator, followed by their
 Laplacians up to the last nonzero one.  A Fraction is formed only for a
 result coefficient.  The series is computed on first use and kept with the
 poly, so the exact test of :meth:`MultiPoly.is_harmonic`,
-:func:`harmonic_projection`, the degrees of a certified exact map
-(:func:`_degrees`) and the energy profile of ``energetics`` walk each poly's
-Laplacian once between them; a float poly, certified on its own route, reads
-its degrees from one walk of its terms.  Two threads racing on a first use compute equal values, so
-keeping either is safe.  Floats enter the series at their exact binary values,
-so :func:`harmonic_projection` of a poly with a float coefficient returns the
-exact projection of those values with each coefficient rounded to float once.
+:func:`harmonic_projection` and the energy profile of ``energetics`` walk
+each poly's Laplacian once between them.  Two threads racing on a first use
+compute equal values, so keeping either is safe.  Floats enter the series
+at their exact binary values, so :func:`harmonic_projection` of a poly with a
+float coefficient returns the exact projection of those values with each
+coefficient rounded to float once.
 
 The textual format is ``coeff * x1^a1 * x2^a2`` terms joined by `` + `` and
 `` - ``, rationals written ``p/q``.  ``parse_poly`` round-trips
@@ -40,22 +42,56 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 
 Coeff = Union[Fraction, float]
-Exponents = tuple  # tuple[int, ...], one entry per variable
+Exponents = tuple  # tuple[int, ...], one entry per variable: the public view
+Key = tuple  # tuple[tuple[int, int], ...]: (axis, exponent > 0) pairs, ascending axes
 
 FLOAT_PRUNE_REL = 1e-14
 _ONE = Fraction(1)
+_exponent = itemgetter(1)
 
 
 class DimensionError(ValueError):
     """Raised when operands disagree on the ambient dimension."""
 
 
-def _grlex_key(term: tuple[Exponents, Coeff]) -> tuple:
-    return (sum(term[0]), term[0])
+def _degree(key: Key) -> int:
+    return sum(map(_exponent, key))
+
+
+def _grlex_key(term: tuple[Key, Coeff]) -> tuple:
+    # degree, then the pairs as -axis, exponent, ...: where two keys of one degree first
+    # differ, a lower axis or a higher exponent there makes the larger dense tuple
+    degree, flat = 0, []
+    for a, e in term[0]:
+        degree += e
+        flat += (-a, e)
+    return degree, flat
+
+
+def _key_of(exps: Iterable[int], dimension: int) -> Key:
+    """The key of a dense exponent tuple, checked: n non-negative ints."""
+    exps = tuple(exps)
+    if len(exps) != dimension:
+        raise DimensionError(f"exponent tuple {exps} has length {len(exps)}, expected {dimension}")
+    if any((not isinstance(e, int)) or e < 0 for e in exps):
+        raise ValueError(f"exponents must be non-negative integers, got {exps}")
+    return tuple([(a, e) for a, e in enumerate(exps) if e])
+
+
+def _dense(key: Key, dimension: int) -> Exponents:
+    exps = dict(key)
+    return tuple([exps.get(a, 0) for a in range(dimension)])
+
+
+def _lowered(key: Key, i: int, by: int) -> Key:
+    """The key with its i-th pair's exponent lowered by ``by``; a zero exponent drops the pair."""
+    a, e = key[i]
+    return key[:i] + ((a, e - by),) + key[i + 1 :] if e > by else key[:i] + key[i + 1 :]
 
 
 def _as_float(c: Coeff) -> float:
@@ -71,62 +107,53 @@ class MultiPoly:
 
     __slots__ = ("_dimension", "_terms", "_hash", "_series")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         dimension: int,
         terms: Mapping[Exponents, Coeff] | Iterable[tuple[Exponents, Coeff]] = (),
     ):
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        return cls._of_keys(dimension, ((_key_of(exps, dimension), c) for exps, c in items))
+
+    @classmethod
+    def _of_keys(cls, dimension: int, items: Iterable[tuple[Key, Coeff]]) -> "MultiPoly":
+        """The poly of (key, coefficient) items whose keys are valid: checks the rest, merges."""
         if not isinstance(dimension, int) or dimension < 1:
             raise DimensionError(f"dimension must be a positive integer, got {dimension!r}")
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        merged: dict[Exponents, Coeff] = {}
-        for exps, coeff in items:
-            exps = tuple(exps)
-            if len(exps) != dimension:
-                raise DimensionError(
-                    f"exponent tuple {exps} has length {len(exps)}, expected {dimension}"
-                )
-            if any((not isinstance(e, int)) or e < 0 for e in exps):
-                raise ValueError(f"exponents must be non-negative integers, got {exps}")
+        merged: dict[Key, Coeff] = {}
+        for key, coeff in items:
             if isinstance(coeff, float):
                 c: Coeff = coeff
             elif isinstance(coeff, (int, Fraction)):
                 c = Fraction(coeff)
             else:
                 raise TypeError(f"unsupported coefficient type {type(coeff).__name__}")
-            merged[exps] = merged[exps] + c if exps in merged else c
-        self._canonicalise(dimension, merged)
+            merged[key] = merged[key] + c if key in merged else c
+        return cls._canonical(dimension, merged)
 
     @classmethod
-    def _canonical(cls, dimension: int, merged: dict[Exponents, Coeff]) -> "MultiPoly":
-        """The poly of already-merged terms whose exponents and coefficients are valid.
+    def _canonical(cls, dimension: int, merged: dict[Key, Coeff]) -> "MultiPoly":
+        """The poly of already-merged terms whose keys and coefficients are valid.
 
-        For results of ring operations on valid operands of one dimension:
-        skips the per-term checks of ``__init__`` and only canonicalises.
+        For results of ring operations on valid operands of one dimension: it
+        skips the per-term checks of the constructor, and only drops zeros,
+        rejects non-finite floats, prunes small floats and sorts grlex.
         """
-        poly = object.__new__(cls)
-        poly._canonicalise(dimension, merged)
-        return poly
-
-    def _canonicalise(self, dimension: int, merged: dict[Exponents, Coeff]) -> None:
-        """Drop zeros, reject non-finite floats, prune small floats, sort grlex."""
         acc = {e: c for e, c in merged.items() if c}
         floats = [abs(c) for c in acc.values() if isinstance(c, float)]
         if floats:
-            for exps, c in acc.items():
+            for key, c in acc.items():
                 if isinstance(c, float) and not math.isfinite(c):
-                    raise ValueError(f"coefficient of {exps} is not finite: {c!r}")
+                    raise ValueError(f"coefficient of {_dense(key, dimension)} is not finite: {c}")
             cutoff = FLOAT_PRUNE_REL * max(floats)
-            acc = {
-                e: c
-                for e, c in acc.items()
-                if not (isinstance(c, float) and abs(c) <= cutoff)
-            }
+            acc = {e: c for e, c in acc.items() if not (isinstance(c, float) and abs(c) <= cutoff)}
         if len(acc) > 1:
             acc = dict(sorted(acc.items(), key=_grlex_key, reverse=True))
-        self._store(dimension, acc)
+        poly = object.__new__(cls)
+        poly._store(dimension, acc)
+        return poly
 
-    def _store(self, dimension: int, terms: dict[Exponents, Coeff]) -> None:
+    def _store(self, dimension: int, terms: dict[Key, Coeff]) -> None:
         object.__setattr__(self, "_dimension", dimension)
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_hash", None)
@@ -142,8 +169,8 @@ class MultiPoly:
         return self._dimension
 
     def terms(self) -> tuple[tuple[Exponents, Coeff], ...]:
-        """Terms in graded lexicographic order, largest first."""
-        return tuple(self._terms.items())
+        """(dense exponent tuple, coefficient) pairs, graded lexicographic order, largest first."""
+        return tuple((_dense(k, self._dimension), c) for k, c in self._terms.items())
 
     @property
     def is_zero(self) -> bool:
@@ -157,17 +184,16 @@ class MultiPoly:
     @staticmethod
     def constant(dimension: int, value) -> "MultiPoly":
         v = value if isinstance(value, float) else Fraction(value)
-        return MultiPoly(dimension, {(0,) * dimension: v})
+        return MultiPoly._of_keys(dimension, [((), v)])
 
     @staticmethod
     def variable(dimension: int, axis: int) -> "MultiPoly":
         """The coordinate function x_{axis+1}."""
         if not 0 <= axis < dimension:
             raise DimensionError(f"axis {axis} out of range for dimension {dimension}")
-        exps = (0,) * axis + (1,) + (0,) * (dimension - axis - 1)
         # one exact nonzero term is canonical as it stands
         poly = object.__new__(MultiPoly)
-        poly._store(dimension, {exps: _ONE})
+        poly._store(dimension, {((axis, 1),): _ONE})
         return poly
 
     # -- equality ---------------------------------------------------------
@@ -189,9 +215,7 @@ class MultiPoly:
 
     def _check_same_dimension(self, other: "MultiPoly") -> None:
         if self._dimension != other._dimension:
-            raise DimensionError(
-                f"mixed dimensions {self._dimension} and {other._dimension}"
-            )
+            raise DimensionError(f"mixed dimensions {self._dimension} and {other._dimension}")
 
     def __add__(self, other) -> "MultiPoly":
         if isinstance(other, (int, float, Fraction)):
@@ -200,8 +224,8 @@ class MultiPoly:
             return NotImplemented
         self._check_same_dimension(other)
         merged = dict(self._terms)
-        for exps, c in other._terms.items():
-            merged[exps] = merged.get(exps, 0) + c
+        for key, c in other._terms.items():
+            merged[key] = merged.get(key, 0) + c
         return MultiPoly._canonical(self._dimension, merged)
 
     __radd__ = __add__
@@ -233,10 +257,13 @@ class MultiPoly:
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Exponents, Coeff] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
+        out: dict[Key, Coeff] = {}
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                exps = dict(ka)
+                for axis, e in kb:
+                    exps[axis] = exps.get(axis, 0) + e
+                key = tuple(sorted(exps.items()))
                 out[key] = out.get(key, 0) + ca * cb
         return MultiPoly._canonical(self._dimension, out)
 
@@ -264,16 +291,14 @@ class MultiPoly:
 
     def partial_derivative(self, axis: int) -> "MultiPoly":
         if not 0 <= axis < self._dimension:
-            raise DimensionError(
-                f"axis {axis} out of range for dimension {self._dimension}"
-            )
-        out: dict[Exponents, Coeff] = {}
-        for exps, c in self._terms.items():
-            e = exps[axis]
-            if e == 0:
-                continue
-            key = exps[:axis] + (e - 1,) + exps[axis + 1 :]
-            out[key] = out.get(key, 0) + c * e
+            raise DimensionError(f"axis {axis} out of range for dimension {self._dimension}")
+        out: dict[Key, Coeff] = {}
+        for key, c in self._terms.items():
+            for i, (a, e) in enumerate(key):
+                if a == axis:
+                    lowered = _lowered(key, i, 1)
+                    out[lowered] = out.get(lowered, 0) + c * e
+                    break
         return MultiPoly._canonical(self._dimension, out)
 
     def laplacian(self) -> "MultiPoly":
@@ -288,7 +313,7 @@ class MultiPoly:
         """
         if self.is_exact:
             return all(len(laps) == 1 for laps in _laplacian_series(self)[1].values())
-        return all(abs(_as_float(c)) <= 1e-12 for _, c in self.laplacian().terms())
+        return all(abs(_as_float(c)) <= 1e-12 for c in self.laplacian()._terms.values())
 
     # -- evaluation -------------------------------------------------------
 
@@ -300,18 +325,15 @@ class MultiPoly:
         terms in graded lexicographic order, so results are deterministic.
         """
         if len(point) != self._dimension:
-            raise DimensionError(
-                f"point has {len(point)} coordinates, expected {self._dimension}"
-            )
+            raise DimensionError(f"point has {len(point)} coordinates, expected {self._dimension}")
         exact = all(isinstance(x, (int, Fraction)) for x in point) and self.is_exact
         kind = Fraction if exact else float
         coords = [kind(x) for x in point]
         parts = []
-        for exps, c in self._terms.items():
+        for key, c in self._terms.items():
             term = kind(c)
-            for x, e in zip(coords, exps):
-                if e:
-                    term *= x**e
+            for a, e in key:
+                term *= coords[a] ** e
             parts.append(term)
         return sum(parts, Fraction(0)) if exact else math.fsum(parts)
 
@@ -327,21 +349,18 @@ class MultiPoly:
         return format_poly(self)
 
 
-def _laplacian_terms(terms: Mapping[Exponents, Coeff]) -> dict[Exponents, Coeff]:
-    """The Laplacian of exponent -> coefficient terms, merged but not canonical (zeros kept)."""
-    out: dict[Exponents, Coeff] = {}
-    for exps, c in terms.items():
-        if max(exps) < 2:
-            continue
-        for axis, e in enumerate(exps):
-            if e < 2:
-                continue
-            key = exps[:axis] + (e - 2,) + exps[axis + 1 :]
-            out[key] = out.get(key, 0) + c * (e * (e - 1))
+def _laplacian_terms(terms: Mapping[Key, Coeff]) -> dict[Key, Coeff]:
+    """The Laplacian of key -> coefficient terms, merged but not canonical (zeros kept)."""
+    out: dict[Key, Coeff] = {}
+    for key, c in terms.items():
+        for i, (_, e) in enumerate(key):
+            if e > 1:
+                lowered = _lowered(key, i, 2)
+                out[lowered] = out.get(lowered, 0) + c * (e * (e - 1))
     return out
 
 
-def _laplacian_series(p: MultiPoly) -> tuple[int, dict[int, list[dict[Exponents, int]]]]:
+def _laplacian_series(p: MultiPoly) -> tuple[int, dict[int, list[dict[Key, int]]]]:
     """(den, {d: [u_d, Delta u_d, ..., the last nonzero one]}) with p = sum_d u_d / den.
 
     The u_d are p's homogeneous parts as integer numerators over the least
@@ -350,11 +369,11 @@ def _laplacian_series(p: MultiPoly) -> tuple[int, dict[int, list[dict[Exponents,
     first use and kept in p's ``_series`` slot; readers must not mutate it.
     """
     if p._series is None:
-        ratios = {exps: c.as_integer_ratio() for exps, c in p._terms.items()}
+        ratios = {key: c.as_integer_ratio() for key, c in p._terms.items()}
         den = math.lcm(*(q for _, q in ratios.values()))
-        series: dict[int, list[dict[Exponents, int]]] = {}
-        for exps, (a, q) in ratios.items():
-            series.setdefault(sum(exps), [{}])[0][exps] = a * (den // q)
+        series: dict[int, list[dict[Key, int]]] = {}
+        for key, (a, q) in ratios.items():
+            series.setdefault(_degree(key), [{}])[0][key] = a * (den // q)
         for d, laps in series.items():
             while d > 1 and (lap := {e: c for e, c in _laplacian_terms(laps[-1]).items() if c}):
                 laps.append(lap)
@@ -362,15 +381,17 @@ def _laplacian_series(p: MultiPoly) -> tuple[int, dict[int, list[dict[Exponents,
     return p._series
 
 
-def _degrees(p: MultiPoly) -> Iterable[int]:
-    """Degrees of p's homogeneous parts: its kept series' keys, else one walk of its terms.
-
-    Exact certification keeps the series; a float poly is certified without
-    it, so its degrees do not pay for building one.
-    """
-    if p._series is not None:
-        return p._series[1].keys()
-    return {sum(exps) for exps in p._terms}
+def _square_bumps(key: Key, twos: Sequence[Key]) -> Iterator[Key]:
+    """The keys of x_b^2 x^key for b = 0..n-1, where twos[b] is ((b, 2),): |x|^2 times x^key."""
+    start = 0
+    for i, (a, e) in enumerate(key):
+        head, tail = key[:i], key[i:]
+        for two in twos[start:a]:
+            yield head + two + tail
+        yield head + ((a, e + 2),) + key[i + 1 :]
+        start = a + 1
+    for two in twos[start:]:
+        yield key + two
 
 
 def harmonic_projection(p: MultiPoly) -> MultiPoly:
@@ -392,6 +413,7 @@ def harmonic_projection(p: MultiPoly) -> MultiPoly:
     den, series = _laplacian_series(p)
     if all(len(laps) == 1 for laps in series.values()):
         return p
+    twos = [((axis, 2),) for axis in range(n)]
     out: dict = {}
     for m, laps in series.items():
         # Horner in |x|^2 on h = H / S: with q_j = 2j (n + 2m - 2 - 2j), the
@@ -400,18 +422,16 @@ def harmonic_projection(p: MultiPoly) -> MultiPoly:
         h, scale = laps[-1], 1
         for j in range(len(laps) - 1, 0, -1):
             scale *= 2 * j * (n + 2 * m - 2 - 2 * j)
-            nxt = {exps: c * scale for exps, c in laps[j - 1].items()}
-            for exps, c in h.items():
-                # times |x|^2: one exponent bump per axis
-                for axis in range(n):
-                    key = exps[:axis] + (exps[axis] + 2,) + exps[axis + 1 :]
-                    nxt[key] = nxt.get(key, 0) - c
+            nxt = {key: c * scale for key, c in laps[j - 1].items()}
+            for key, c in h.items():
+                for bumped in _square_bumps(key, twos):
+                    nxt[bumped] = nxt.get(bumped, 0) - c
             h = nxt
-        for exps, c in h.items():
+        for key, c in h.items():
             if c:
-                out[exps] = Fraction(c, den * scale)
+                out[key] = Fraction(c, den * scale)
     if not p.is_exact:
-        out = {exps: _as_float(c) for exps, c in out.items()}
+        out = {key: _as_float(c) for key, c in out.items()}
     return MultiPoly._canonical(n, out)
 
 
@@ -461,9 +481,7 @@ class VectorPoly:
         if not isinstance(other, VectorPoly):
             return NotImplemented
         if self.arity != other.arity:
-            raise DimensionError(
-                f"mixed arities {self.arity} and {other.arity}"
-            )
+            raise DimensionError(f"mixed arities {self.arity} and {other.arity}")
         return VectorPoly(p + q for p, q in zip(self, other))
 
     def __mul__(self, scalar) -> "VectorPoly":
@@ -496,7 +514,7 @@ def radial_pairing(u: VectorPoly | MultiPoly) -> tuple[MultiPoly, ...]:
     """
     vec = as_vector(u)
     return tuple(
-        MultiPoly._canonical(vec.dimension, {e: c * sum(e) for e, c in comp._terms.items()})
+        MultiPoly._canonical(vec.dimension, {k: c * _degree(k) for k, c in comp._terms.items()})
         for comp in vec
     )
 
@@ -518,14 +536,10 @@ def format_poly(p: MultiPoly) -> str:
     if p.is_zero:
         return "0"
     pieces: list[str] = []
-    for exps, c in p.terms():
+    for key, c in p._terms.items():
         negative = c < 0
         mag = -c if negative else c
-        mono = " * ".join(
-            f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
-            for i, e in enumerate(exps)
-            if e
-        )
+        mono = " * ".join(f"x{a + 1}^{e}" if e > 1 else f"x{a + 1}" for a, e in key)
         if isinstance(mag, Fraction):
             coeff_str = "" if (mag == 1 and mono) else str(mag)
         else:
@@ -625,14 +639,10 @@ def parse_poly(text: str, dimension: int | None = None) -> MultiPoly:
 
     n = dimension if dimension is not None else max(max_index, 1)
     if max_index > n:
-        raise DimensionError(
-            f"text references x{max_index} but dimension is {n}"
-        )
-    acc: dict[Exponents, Coeff] = {}
-    for exps, c in terms:
-        key = tuple(exps.get(axis, 0) for axis in range(n))
-        acc[key] = acc.get(key, 0) + c
-    return MultiPoly(n, acc)
+        raise DimensionError(f"text references x{max_index} but dimension is {n}")
+    return MultiPoly._of_keys(
+        n, ((tuple(sorted((a, e) for a, e in exps.items() if e)), c) for exps, c in terms)
+    )
 
 
 def format_vector(u: VectorPoly) -> str:

@@ -25,11 +25,13 @@ from ._version import VERSION
 from .energetics import (
     concentration_fraction,
     dirichlet_energy,
+    dirichlet_energy_result,
     energy_profile,
     fit_decay_exponent,
     half_radius_theta,
     verify_decay_bound,
 )
+from .exactmath import PiRational, gamma_half
 from .geometry import (
     ShellSpec,
     shell_volume_fraction,
@@ -246,7 +248,20 @@ def check_dyadic_contraction(seed: int) -> CheckResult:
 
 
 def check_concentration() -> CheckResult:
-    outside = {n: concentration_fraction(identity_map(n), 0.9) for n in range(2, 201)}
+    outside = {}
+    exact_ok = True
+    for n in range(2, 201):
+        u = identity_map(n)
+        outside[n] = concentration_fraction(u, 0.9)
+        # exactly E(1) = n |B^n| = n pi^(n/2) / Gamma(n/2 + 1) and E(0.9)/E(1) = 0.9^n,
+        # where 0.9 stands for its binary value
+        rational, pi_halves = gamma_half(n + 2)
+        full = dirichlet_energy_result(u)
+        exact_ok = (
+            exact_ok
+            and full.exact == PiRational(n / rational, (n - pi_halves) // 2)
+            and dirichlet_energy_result(u, 0.9).ratio(full) == Fraction(0.9) ** n
+        )
     worst = max(
         abs(f - shell_volume_fraction(ShellSpec(n, 0.9))) for n, f in outside.items()
     )
@@ -261,7 +276,7 @@ def check_concentration() -> CheckResult:
     )
     return _result(
         "boundary-concentration",
-        worst < 1e-12 and worst_power < 1e-12 and increasing and threshold_ok,
+        worst < 1e-12 and worst_power < 1e-12 and increasing and threshold_ok and exact_ok,
         worst_abs_err=worst,
         strictly_increasing=increasing,
         fraction_n87=outside[87],
@@ -269,6 +284,7 @@ def check_concentration() -> CheckResult:
         half_mass_width_n100=shell_width_for_mass(100, 0.5),
         worst_abs_err_vs_power=worst_power,
         above_threshold_from_n88=threshold_ok,
+        exact_energy_and_power_ratio=exact_ok,
     )
 
 

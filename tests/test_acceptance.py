@@ -68,6 +68,24 @@ def scanned(check, seed):
     return check(identity_reports(seed))
 
 
+@pytest.fixture
+def sphere_factor_off(monkeypatch):
+    """Plant a relative error in every exact sphere factor, past the profile cache."""
+
+    def plant(rel: Fraction) -> None:
+        factor = integration._sphere_monomial_rational
+
+        def mutant(n, d):
+            return factor(n, d) * (1 + rel)
+
+        for module in (integration, energetics):
+            monkeypatch.setattr(module, "_sphere_monomial_rational", mutant)
+
+    energetics._radial_profile.cache_clear()
+    yield plant
+    energetics._radial_profile.cache_clear()
+
+
 @verdict(1, "volume peak")
 def test_criterion_01_volume_peak():
     result = check_volume_peak()
@@ -112,20 +130,8 @@ def test_criterion_02_identity_energy():
 class TestCriterion02CanFail:
     """An exact sphere factor off in its tenth digit."""
 
-    @pytest.fixture(autouse=True)
-    def fresh_profiles(self):
-        energetics._radial_profile.cache_clear()
-        yield
-        energetics._radial_profile.cache_clear()
-
-    def test_sphere_factor_off_by_1e_10_fails(self, monkeypatch):
-        factor = integration._sphere_monomial_rational
-
-        def mutant(n, d):
-            return factor(n, d) * (1 + Fraction(1, 10**10))
-
-        for module in (integration, energetics):
-            monkeypatch.setattr(module, "_sphere_monomial_rational", mutant)
+    def test_sphere_factor_off_by_1e_10_fails(self, sphere_factor_off):
+        sphere_factor_off(Fraction(1, 10**10))
         result = check_identity_energy()
         assert result.details["worst_rel_err"] == pytest.approx(1e-10, rel=1e-3)
         assert not result.passed
@@ -200,6 +206,19 @@ def test_criterion_07_concentration():
     assert result.details["strictly_increasing"]
     assert result.details["above_threshold_from_n88"]
     assert result.details["fraction_n87"] <= 1 - 1e-4 < result.details["fraction_n88"]
+    assert result.details["exact_energy_and_power_ratio"]
+
+
+class TestCriterion07CanFail:
+    """An exact sphere factor off by 1e-14, inside every float tolerance."""
+
+    def test_sphere_factor_off_by_1e_14_fails(self, sphere_factor_off):
+        sphere_factor_off(Fraction(1, 10**14))
+        result = check_concentration()
+        # the float comparisons cannot see it; the exact E(1) = n |B^n| can
+        assert result.details["worst_abs_err"] < 1e-12
+        assert not result.details["exact_energy_and_power_ratio"]
+        assert not result.passed
 
 
 class TestCriteria05To07CanFail:

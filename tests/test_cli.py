@@ -141,6 +141,15 @@ class TestDecay:
         assert proc.returncode == code, proc.stderr
         assert json.loads(proc.stdout)["holds"] is (code == 0)
 
+    def test_constant_map_prints_one_error_line(self):
+        # every energy of a constant map is 0, so the fit has no sample; stderr
+        # once carried a Python warning and its source line before the error
+        proc = run_cli("decay", "--map", "zonal:0", "--out", "-")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+        assert "got 0 of 5" in proc.stderr
+
     def test_zero_denominator_in_axis_is_usage_error(self, tmp_path):
         proc = run_cli(
             "decay", "--map", "zonal:1", "--axis", "1,0/0,0", "--out", str(tmp_path / "d.csv")

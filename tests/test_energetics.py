@@ -132,8 +132,14 @@ class TestDecayFit:
 
     def test_needs_two_radii(self):
         u = identity_map(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got 1 of 1"):
             fit_decay_exponent(energy_profile(u, (0.5,)))
+
+    def test_counts_positive_samples_without_warning(self, recwarn):
+        profile = energy_profile(zonal_solid_harmonic(3, 0), (0.25, 0.5, 1.0))
+        with pytest.raises(ValueError, match="got 0 of 3"):
+            fit_decay_exponent(profile)
+        assert not recwarn.list
 
 
 class TestDecayBound:

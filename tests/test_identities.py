@@ -81,6 +81,15 @@ def test_identities_exact_in_high_dimension(n):
         assert got == materialised(body, Fraction(7, 10))
 
 
+def test_identities_exact_at_n_200():
+    # a term costs its degree, not n, so zonal(200, 4) and its 20 100 terms build and
+    # check within a tier-1 budget
+    u = zonal_solid_harmonic(200, 4)
+    for r in (0.3, 0.7, 1.0):
+        assert pohozaev_residual(u, r).normalized_residual == 0.0
+        assert green_residual(u, r).normalized_residual == 0.0
+
+
 def test_identity_scan_never_materialises_a_square():
     # the exact spec reads the radial profile's Fischer sums and Monte Carlo
     # evaluates partials, pairings and components at the sample points:

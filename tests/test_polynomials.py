@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ballharmonics.harmonics import identity_map
 from ballharmonics.polynomials import (
     DimensionError,
     MultiPoly,
     VectorPoly,
+    _dense,
+    _grlex_key,
+    _key_of,
     _laplacian_series,
     format_poly,
     format_vector,
@@ -231,7 +235,8 @@ def test_property_laplacian_series_holds_each_part_and_its_laplacians(p):
     for d, part in homogeneous_components(p).items():
         lap = part * den
         for laps in series[d]:
-            assert MultiPoly(DIM, laps) == lap
+            # integer numerators on the poly's own monomial keys
+            assert laps == lap._terms
             lap = lap.laplacian()
         # the series stops at the last nonzero Laplacian
         assert lap.is_zero
@@ -295,6 +300,11 @@ scalars = st.one_of(coeffs, float_coeffs)
 
 
 def _assert_canonical(r):
+    # every stored key lists only nonzero exponents, in ascending axis order
+    for key in r._terms:
+        assert all(e > 0 for _, e in key), key
+        assert [a for a, _ in key] == sorted({a for a, _ in key}), key
+        assert all(0 <= a < r.dimension for a, _ in key), key
     # what ring operations return without re-validation equals what the
     # validating constructor makes of the same terms, in the same order
     rebuilt = MultiPoly(r.dimension, r.terms())
@@ -302,6 +312,21 @@ def _assert_canonical(r):
         (e, type(c), c) for e, c in r.terms()
     ]
     assert rebuilt == r and hash(rebuilt) == hash(r)
+
+
+@given(st.lists(st.tuples(*(st.integers(0, 3) for _ in range(6))), max_size=30))
+def test_property_sparse_grlex_key_orders_like_dense_tuples(vectors):
+    # keys hold (axis, exponent) pairs; sorting them must reproduce the dense grlex order
+    dense = sorted(set(vectors), key=lambda e: (sum(e), e), reverse=True)
+    terms = [(_key_of(e, 6), None) for e in set(vectors)]
+    by_key = [_dense(k, 6) for k, _ in sorted(terms, key=_grlex_key, reverse=True)]
+    assert by_key == dense
+
+
+@pytest.mark.parametrize("n", [2, 300])
+def test_identity_map_stores_one_pair_per_key(n):
+    for axis, comp in enumerate(identity_map(n).body):
+        assert comp._terms == {((axis, 1),): 1}
 
 
 @given(mixed_polys, mixed_polys, scalars)

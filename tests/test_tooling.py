@@ -96,8 +96,14 @@ def test_every_export_and_definition_is_reached_by_the_package_or_a_script():
     # Blind spot: reads are matched by name alone, so a dead method passes while any
     # exported class has a live one of that name (a dead VectorPoly.evaluate passed
     # on MultiPoly.evaluate's callers)
+    # MultiPoly.terms is exempt: it is the dense public view of a poly, which
+    # test_dense_exponent_tuples_stay_in_polynomials forbids the package to read
     attributes = set().union(*(_reads_outside_own_definition(t, attributes_only=True) for t in trees))
-    dead = [f"{cls}.{attr}" for cls, attr in _public_methods() if attr not in attributes]
+    dead = [
+        f"{cls}.{attr}"
+        for cls, attr in _public_methods()
+        if attr not in attributes and (cls, attr) != ("MultiPoly", "terms")
+    ]
     assert not dead, f"methods that no module or script reaches: {dead}"
 
 
@@ -151,6 +157,23 @@ def test_one_writer_of_the_laplacian_series_and_one_walk():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_laplacian_terms"
     }
     assert walkers == {"polynomials.py"}, sorted(walkers)
+
+
+def test_dense_exponent_tuples_stay_in_polynomials():
+    # terms are keyed by (axis, exponent) pairs, so a term costs its degree to
+    # read; MultiPoly.terms() and the constructor's dense n-tuples are the public
+    # view, and a module that reads them (or calls the converters) pays n per term
+    converters = {"_dense", "_key_of"}
+    readers = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES + SCRIPTS
+        if path.name != "polynomials.py"
+        for node in ast.walk(_parse(path))
+        if (isinstance(node, ast.Attribute) and node.attr in converters | {"terms"})
+        or (isinstance(node, ast.Name) and node.id in converters)
+        or (isinstance(node, ast.alias) and node.name in converters)
+    )
+    assert not readers, readers
 
 
 def test_radial_integrals_stay_in_integration_and_energetics():
