@@ -71,9 +71,6 @@ _EXPORTS = {
     "pohozaev_residual": "identities",
     "green_residual": "identities",
     "minimiser_bound_check": "identities",
-    "VolumeDecayRow": "identities",
-    "VolumeDecayTable": "identities",
-    "volume_decay_chain": "identities",
     # mollifier lab
     "MollifierSpec": "mollifier",
     "MeanValueReport": "mollifier",
@@ -84,7 +81,6 @@ _EXPORTS = {
     "mollifier_gradient_scaling": "mollifier",
     # verification suite
     "run_suite": "suite",
-    "SuiteReport": "suite",
     "CheckResult": "suite",
 }
 

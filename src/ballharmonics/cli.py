@@ -544,22 +544,23 @@ def _cmd_mollify(options: dict[str, Any]) -> int:
 def _cmd_suite(options: dict[str, Any]) -> int:
     from .suite import run_suite
 
-    report = run_suite(seed=options["seed"], workers=options["workers"])
+    checks = run_suite(seed=options["seed"], workers=options["workers"])
+    passed = all(c.passed for c in checks)
     payload = {
         "config": run_config("suite", _report_options(options)),
-        "passed": report.passed,
-        "checks": report.checks,
+        "passed": passed,
+        "checks": checks,
     }
     _emit(render_json(payload) + "\n", options["out"], options["output-dir"])
     lines = []
-    for check in report.checks:
+    for check in checks:
         tag = "PASS" if check.passed else "FAIL"
         lines.append(f"{tag} {check.name}")
-    done = sum(1 for c in report.checks if c.passed)
-    lines.append(f"passed {done}/{len(report.checks)}")
+    done = sum(1 for c in checks if c.passed)
+    lines.append(f"passed {done}/{len(checks)}")
     sys.stdout.write("\n".join(lines) + "\n")
-    if not report.passed:
-        failed = ", ".join(c.name for c in report.checks if not c.passed)
+    if not passed:
+        failed = ", ".join(c.name for c in checks if not c.passed)
         print(f"failed checks: {failed}", file=sys.stderr)
         return 1
     return 0

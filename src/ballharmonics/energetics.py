@@ -286,12 +286,9 @@ class DecayFit:
 class DecayBoundReport:
     """Outcome of checking E(r) <= C (r/R)^beta E(R) on all radius pairs."""
 
-    beta: float
-    constant: float
     holds: bool
     worst_margin: float
     worst_pair: tuple[float, float]
-    pairs_checked: int
 
 
 def _check_radii(radii) -> tuple[float, ...]:
@@ -382,22 +379,17 @@ def verify_decay_bound(
     energies = [dirichlet_energy_result(u, r, spec) for r in rs]
     worst_margin = 0.0
     worst_pair = (rs[0], rs[-1])
-    pairs = 0
     for i in range(len(rs)):
         for j in range(i + 1, len(rs)):
-            pairs += 1
             r_small, r_big = rs[i], rs[j]
             margin = _decay_margin(energies[i], energies[j], r_small, r_big, beta, constant)
             if margin > worst_margin:
                 worst_margin = margin
                 worst_pair = (r_small, r_big)
     return DecayBoundReport(
-        beta=beta,
-        constant=constant,
         holds=worst_margin <= 1.0 + 1e-12,
         worst_margin=worst_margin,
         worst_pair=worst_pair,
-        pairs_checked=pairs,
     )
 
 

@@ -30,7 +30,8 @@ asserts what it has verified.
 
 :func:`identity_scan` runs all three checks over the standard map family,
 and it is the only such loop: the suite's criteria 03, 04 and 08 and the
-``identities`` command read its reports.
+``identities`` command read its reports.  The module holds nothing else;
+criterion 09 reads the identity map's n (n - 1) |B^n| from ``unit_ball_volume``.
 """
 
 from __future__ import annotations
@@ -47,8 +48,7 @@ from .energetics import (
     surface_dirichlet_result,
     surface_energy_total_result,
 )
-from .exactmath import PiRational, _safe_exp, as_fraction
-from .geometry import unit_ball_volume
+from .exactmath import PiRational, as_fraction
 from .harmonics import HarmonicMap, standard_maps
 from .integration import EXACT, IntegralResult, QuadratureSpec
 
@@ -202,73 +202,4 @@ def identity_scan(
                 yield green_residual(u, r)
             if n >= 3 and u.degree != 0:
                 yield minimiser_bound_check(u)
-
-
-# -- dimension scan of the identity-map quantities ------------------------------
-
-
-@dataclass(frozen=True)
-class VolumeDecayRow:
-    """Identity-map energies and the volume bound in one dimension."""
-
-    dimension: int
-    log_volume: float
-    volume: float
-    ball_energy: float  # E(1) = n V_n
-    surface_energy: float  # H(1) = n (n - 1) V_n
-    log_surface_energy: float
-    volume_bound: float  # 2 H(1) / (n (n - 2)) >= V_n
-    bound_margin: float  # volume_bound / V_n = 2 (n - 1) / (n - 2)
-    running_sup_surface_energy: float
-
-
-@dataclass(frozen=True)
-class VolumeDecayTable:
-    rows: tuple[VolumeDecayRow, ...]
-    argmax_dimension: int
-    max_surface_energy: float
-    argmax_is_interior: bool
-
-
-def volume_decay_chain(n_min: int = 3, n_max: int = 50) -> VolumeDecayTable:
-    """Scan n in [n_min, n_max]: identity-map energies, volume bound, running sup.
-
-    Everything is derived from log V_n, so the scan stays meaningful long
-    after the plain volumes underflow.  The argmax of the surface energy
-    n (n - 1) V_n over the scanned range is reported; it is interior (not at
-    either end) whenever the range brackets the peak.
-    """
-    if not (isinstance(n_min, int) and isinstance(n_max, int)):
-        raise ValueError("dimensions must be integers")
-    if n_min < 3:
-        raise ValueError(f"the volume bound needs n >= 3, got n_min = {n_min}")
-    if n_max < n_min:
-        raise ValueError(f"empty range [{n_min}, {n_max}]")
-    rows = []
-    argmax_n, sup_log = n_min, -math.inf
-    for n in range(n_min, n_max + 1):
-        bv = unit_ball_volume(n)
-        log_surface = math.log(n) + math.log(n - 1) + bv.log_volume
-        if log_surface > sup_log:
-            argmax_n, sup_log = n, log_surface
-        log_bound = math.log(2.0) + log_surface - math.log(n) - math.log(n - 2)
-        rows.append(
-            VolumeDecayRow(
-                dimension=n,
-                log_volume=bv.log_volume,
-                volume=bv.volume,
-                ball_energy=_safe_exp(math.log(n) + bv.log_volume),
-                surface_energy=_safe_exp(log_surface),
-                log_surface_energy=log_surface,
-                volume_bound=_safe_exp(log_bound),
-                bound_margin=2.0 * (n - 1) / (n - 2),
-                running_sup_surface_energy=_safe_exp(sup_log),
-            )
-        )
-    return VolumeDecayTable(
-        rows=tuple(rows),
-        argmax_dimension=argmax_n,
-        max_surface_energy=_safe_exp(sup_log),
-        argmax_is_interior=(n_min < argmax_n < n_max),
-    )
 

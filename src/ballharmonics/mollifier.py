@@ -38,6 +38,7 @@ from .harmonics import HarmonicMap, make_harmonic_map
 from .polynomials import MultiPoly
 
 GRID_DIMENSION_CAP = 3
+KERNEL_NODE_CAP = 1 << 22  # the kernel's (2K+1)^n box, about 32 MiB per float array
 
 def _bump_radial(t: np.ndarray) -> np.ndarray:
     """exp(-1/(1-t^2)) on t < 1, zero outside; vectorised and overflow-safe."""
@@ -174,6 +175,10 @@ def kernel_field(spec: MollifierSpec, spacing: float) -> np.ndarray:
     if half < 1:
         raise ValueError(
             f"spacing {spacing!r} cannot resolve a kernel of radius {spec.delta!r}"
+        )
+    if (nodes := (2 * half + 1) ** spec.dimension) > KERNEL_NODE_CAP:
+        raise ValueError(
+            f"the kernel box of {nodes} nodes exceeds {KERNEL_NODE_CAP}; refusing to allocate it"
         )
     axis = (np.arange(2 * half + 1) - half) * spacing
     radius_sq = sum(v * v for v in _axis_views([axis] * spec.dimension))

@@ -9,7 +9,8 @@ nothing but runtime budgets, so a passing suite means a passing gate.
 
 Criteria 03, 04 and 08 read one identity scan (:func:`identity_reports`,
 ``identities.identity_scan`` over :data:`IDENTITY_DIMS`), which
-:func:`run_suite` runs once and hands to each of the three checks.
+:func:`run_suite` runs once and hands to each of the three checks.  It returns the
+thirteen results in criterion order; the ``suite`` command forms the verdict.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._version import VERSION
 from .energetics import (
     concentration_fraction,
     dirichlet_energy,
@@ -53,7 +53,6 @@ from .identities import (
     ResidualReport,
     identity_scan,
     minimiser_bound_check,
-    volume_decay_chain,
 )
 from .integration import QuadratureSpec, integrate_poly_sphere
 from .mollifier import (
@@ -71,15 +70,6 @@ class CheckResult:
     name: str
     passed: bool
     details: dict
-
-
-@dataclass(frozen=True)
-class SuiteReport:
-    version: str
-    seed: int
-    workers: int
-    checks: tuple[CheckResult, ...]
-    passed: bool
 
 
 def _result(name: str, passed: bool, **details) -> CheckResult:
@@ -337,17 +327,23 @@ def check_c1_rate() -> CheckResult:
         abs(Fraction(2 * n, n - 2) - 2) < Fraction(1, 5) for n in range(23, 201)
     )
     boundary_gap = float(abs(Fraction(2 * 22, 20) - 2))
-    chain = volume_decay_chain(3, 200)
+    # the identity map's n (n - 1) V_n = H(1) peaks inside the scan: the first strict
+    # maximum of its log, which stays finite where V_n underflows
+    argmax, log_max = 3, -math.inf
+    for n in range(3, 201):
+        log_surface = math.log(n) + math.log(n - 1) + unit_ball_volume(n).log_volume
+        if log_surface > log_max:
+            argmax, log_max = n, log_surface
     return _result(
         "c1-rate",
-        monotone and tail_ok and spot_ok and float_worst < 1e-12 and chain.argmax_is_interior,
+        monotone and tail_ok and spot_ok and float_worst < 1e-12 and 3 < argmax < 200,
         monotone_decreasing=monotone,
         pipeline_spot_check=spot_ok,
         float_worst_err=float_worst,
         gap_at_n22=boundary_gap,
         tail_below_one_fifth=tail_ok,
-        surface_energy_argmax=chain.argmax_dimension,
-        surface_energy_max=chain.max_surface_energy,
+        surface_energy_argmax=argmax,
+        surface_energy_max=math.exp(log_max),
     )
 
 
@@ -492,9 +488,9 @@ def check_scope_notes() -> CheckResult:
 # -- driver -----------------------------------------------------------------------
 
 
-def run_suite(seed: int = 7, workers: int = 1) -> SuiteReport:
+def run_suite(seed: int = 7, workers: int = 1) -> tuple[CheckResult, ...]:
     scan = identity_reports(seed)
-    checks = (
+    return (
         check_volume_peak(),
         check_identity_energy(),
         check_pohozaev(scan),
@@ -508,11 +504,4 @@ def run_suite(seed: int = 7, workers: int = 1) -> SuiteReport:
         check_mc_oracle(seed, workers),
         check_mollifier_scaling(),
         check_scope_notes(),
-    )
-    return SuiteReport(
-        version=VERSION,
-        seed=seed,
-        workers=workers,
-        checks=checks,
-        passed=all(c.passed for c in checks),
     )

@@ -8,6 +8,7 @@ Planted-defect tests monkeypatch a mutant into the package and assert that
 the check it feeds fails.
 """
 
+import math
 import pathlib
 import subprocess
 import sys
@@ -286,10 +287,13 @@ def test_criterion_09_c1_rate():
     assert result.details["float_worst_err"] < 1e-12
     # |c1 n - 2| = 4/(n - 2) reaches the 0.2 threshold exactly at n = 22
     assert result.details["gap_at_n22"] == 0.2
+    # n (n - 1) V_n has ratio 2 pi (n - 1) / ((n - 2)(n - 3)) between
+    # consecutive even steps; it crosses 1 between n = 9 and n = 10
+    assert result.details["surface_energy_argmax"] == 9
 
 
 class TestCriterion09CanFail:
-    """The report's constant taken as 2/(n - 1) in place of c1 = 2/(n - 2)."""
+    """The report's constant taken as 2/(n - 1), or the surface-energy peak at an end."""
 
     def test_wrong_constant_in_the_report_fails(self, monkeypatch):
         report = identities._report
@@ -304,6 +308,22 @@ class TestCriterion09CanFail:
         # the floats of the exact c1 n still fall; only the pipeline's report is off
         assert result.details["monotone_decreasing"]
         assert not result.details["pipeline_spot_check"]
+        assert not result.passed
+
+    @pytest.mark.parametrize("peak", [3, 200])
+    def test_surface_energy_peak_at_an_end_fails(self, monkeypatch, peak):
+        # log V_n = -n or +n: log n (n - 1) V_n then falls, or rises, over all of 3..200
+        def mutant(n):
+            log_volume = float(n if peak == 200 else -n)
+            return geometry.BallVolume(n, log_volume, math.exp(log_volume))
+
+        monkeypatch.setattr(suite, "unit_ball_volume", mutant)
+        result = check_c1_rate()
+        details = result.details
+        assert details["surface_energy_argmax"] == peak
+        # the constant's checks still hold; only the peak is off
+        assert details["monotone_decreasing"] and details["tail_below_one_fifth"]
+        assert details["pipeline_spot_check"] and details["float_worst_err"] < 1e-12
         assert not result.passed
 
 

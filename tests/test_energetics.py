@@ -104,6 +104,18 @@ def test_radius_validation():
         dirichlet_energy(identity_map(2), 1.5)
 
 
+def test_default_radius_is_one():
+    assert dirichlet_energy(identity_map(3)) == dirichlet_energy(identity_map(3), 1)
+
+
+def test_equal_radii_are_refused():
+    u = zonal_solid_harmonic(3, 2)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        energy_profile(u, (0.5, 0.5))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        verify_decay_bound(u, 2.5, 1.0, (0.5, 0.5))
+
+
 class TestDecayFit:
     def test_homogeneous_map_fits_exactly(self):
         # E(r) = c r^(n + 2k - 2): the log-log fit recovers the exponent

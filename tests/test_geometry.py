@@ -68,6 +68,12 @@ def test_log_volume_against_mpmath(n):
     assert unit_ball_volume(n).log_volume == pytest.approx(float(expected), rel=1e-13)
 
 
+def test_zero_dimensional_ball_has_volume_one():
+    # V_0 = pi^0 / Gamma(1) = 1, the degenerate value the docstring promises
+    v0 = unit_ball_volume(0)
+    assert (v0.log_volume, v0.volume) == (0.0, 1.0)
+
+
 @pytest.mark.parametrize("n", range(1, 40))
 def test_float_volume_matches_exact(n):
     assert unit_ball_volume(n).volume == pytest.approx(

@@ -27,7 +27,6 @@ from ballharmonics.identities import (
     green_residual,
     minimiser_bound_check,
     pohozaev_residual,
-    volume_decay_chain,
 )
 from ballharmonics.integration import EXACT, QuadratureSpec
 from ballharmonics.polynomials import MultiPoly, VectorPoly
@@ -236,30 +235,6 @@ class TestC1Report:
         # |c1 n - 2| = 4 / (n - 2) exactly; at n = 22 that is 1/5
         assert gaps[0] == pytest.approx(4 / 3, rel=1e-12)
         assert abs(Fraction(2, 20) * 22 - 2) == Fraction(1, 5)
-
-
-class TestVolumeDecayChain:
-    def test_rows_match_closed_forms(self):
-        table = volume_decay_chain(3, 50)
-        rows = {row.dimension: row for row in table.rows}
-        from ballharmonics.geometry import unit_ball_volume
-
-        for n in (3, 10, 50):
-            v = unit_ball_volume(n).volume
-            assert rows[n].ball_energy == pytest.approx(n * v, rel=1e-12)
-            assert rows[n].surface_energy == pytest.approx(n * (n - 1) * v, rel=1e-12)
-            assert rows[n].bound_margin == pytest.approx(2 * (n - 1) / (n - 2), rel=1e-12)
-
-    def test_surface_energy_peaks_at_nine(self):
-        # n (n - 1) V_n has ratio 2 pi (n - 1) / ((n - 2)(n - 3)) between
-        # consecutive even steps; it crosses 1 between n = 9 and n = 10
-        table = volume_decay_chain(3, 200)
-        assert table.argmax_dimension == 9
-        assert table.argmax_is_interior
-
-    def test_short_range_not_interior(self):
-        table = volume_decay_chain(3, 9)
-        assert not table.argmax_is_interior
 
 
 class TestMonteCarloRoute:

@@ -267,6 +267,10 @@ class TestMinus:
         diff = huge.minus(dataclasses.replace(huge, log_abs_value=799.0))
         assert diff.value == math.inf
         assert diff.log_abs_value == pytest.approx(800.0 + math.log1p(-math.exp(-1.0)), abs=1e-12)
+        # minus a negative side adds the magnitudes: the same-sign branch of the log sum
+        total = huge.minus(dataclasses.replace(huge, value=-math.inf, log_abs_value=799.0))
+        assert total.value == math.inf
+        assert total.log_abs_value == pytest.approx(800.0 + math.log1p(math.exp(-1.0)), abs=1e-12)
 
     def test_a_monte_carlo_side_labels_the_difference(self):
         # exact minus a Monte Carlo estimate once read method "exact", samples 0,

@@ -106,6 +106,39 @@ class TestKernel:
         with pytest.raises(ValueError):
             MollifierSpec(dimension=GRID_DIMENSION_CAP + 1, delta=0.25)
 
+    @pytest.mark.parametrize(
+        "dimension, spacing, nodes", [(2, "1 / 1048576", 524289**2), (3, "1 / 4096", 2049**3)]
+    )
+    def test_kernel_box_over_the_node_cap_is_refused_before_allocating(
+        self, dimension, spacing, nodes
+    ):
+        # the box needs 2 TiB in 2D and 64 GiB in 3D; the child's address space is
+        # capped at 4 GiB, so an attempt to allocate it ends in numpy's MemoryError
+        resource = pytest.importorskip("resource")
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        script = (
+            "from ballharmonics.mollifier import MollifierSpec, kernel_field\n"
+            "try:\n"
+            f"    kernel_field(MollifierSpec({dimension}, 0.25), {spacing})\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=cap_address_space,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert f" {nodes} nodes" in proc.stdout and "allocate" in proc.stdout, proc.stdout
+
 
 class TestConvolution:
     POINTS = ((0.0, 0.0), (0.25, -0.25), (0.5, 0.125), (-0.625, 0.5))

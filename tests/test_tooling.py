@@ -107,6 +107,55 @@ def test_every_export_and_definition_is_reached_by_the_package_or_a_script():
     assert not dead, f"methods that no module or script reaches: {dead}"
 
 
+# render_json writes these dataclasses whole, so every field reaches a report
+RENDERED_WHOLE = {
+    "ResidualReport": "the identities command renders each report",
+    "CheckResult": "the suite command renders each check",
+    "MeanValueReport": "the benchmark's numeric-crosschecks report renders each check",
+    "GradientScalingFit": "the benchmark's numeric-crosschecks report renders each fit",
+}
+UNREAD_FIELDS = {
+    ("SphereArea", "log_area"): "the authoritative log, as BallVolume.log_volume is",
+    ("DecayFit", "points_used"): "the count of samples the fit kept on their finite log",
+}
+
+
+def _dataclass_fields(tree: ast.AST) -> list[tuple[str, str]]:
+    """(class, field) for each annotated field of a class decorated with @dataclass."""
+    return [
+        (node.name, statement.target.id)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(
+            getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+            for d in node.decorator_list
+        )
+        for statement in node.body
+        if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)
+    ]
+
+
+def test_every_dataclass_field_is_read_by_the_package_or_a_script():
+    # a field that nothing reads restates what its caller already holds. An
+    # attribute load counts as a read, and so does a string constant, since
+    # energetics._energy reads a profile's density by getattr with its name.
+    # Blind spot, as for methods: reads are matched by name alone, so a dead
+    # field passes while any class has a live attribute of that name
+    nodes = [node for p in SOURCES + SCRIPTS for node in ast.walk(_parse(p))]
+    reads = {n.attr for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    reads |= {n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    fields = [field for path in SOURCES for field in _dataclass_fields(_parse(path))]
+    assert set(RENDERED_WHOLE) | {cls for cls, _ in UNREAD_FIELDS} <= {cls for cls, _ in fields}
+    dead = [
+        f"{cls}.{name}"
+        for cls, name in fields
+        if name not in reads and cls not in RENDERED_WHOLE and (cls, name) not in UNREAD_FIELDS
+    ]
+    assert not dead, f"dataclass fields that no module or script reads: {dead}"
+    kept = [f"{cls}.{name}" for cls, name in UNREAD_FIELDS if name in reads]
+    assert not kept, f"allow-listed fields that are now read: {kept}"
+
+
 def test_unvalidated_constructor_stays_in_polynomials():
     # MultiPoly._canonical skips the exponent and coefficient checks, so only
     # the ring operations on already-valid operands may reach it
