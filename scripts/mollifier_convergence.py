@@ -39,7 +39,7 @@ def main() -> None:
     )
     rows = list(
         zip(
-            harmonic_run.spacings,
+            SPACINGS,
             harmonic_run.sup_errors,
             (None, *harmonic_run.orders),
             control_run.sup_errors,

@@ -34,7 +34,6 @@ _EXPORTS = {
     # geometry
     "BallVolume": "geometry",
     "SphereArea": "geometry",
-    "ShellSpec": "geometry",
     "unit_ball_volume": "geometry",
     "sphere_area": "geometry",
     "volume_argmax": "geometry",
@@ -57,7 +56,6 @@ _EXPORTS = {
     "random_harmonic_polynomial": "harmonics",
     "standard_maps": "harmonics",
     # energies
-    "EnergyProfile": "energetics",
     "DecayFit": "energetics",
     "DecayBoundReport": "energetics",
     "dirichlet_energy": "energetics",

@@ -275,7 +275,6 @@ def _build_map(spec_text: str, n: int, seed: int, axis_text: str | None):
 
 def _cmd_volumes(options: dict[str, Any]) -> int:
     from .geometry import (
-        ShellSpec,
         shell_volume_fraction,
         shell_width_for_mass,
         sphere_area,
@@ -296,7 +295,7 @@ def _cmd_volumes(options: dict[str, Any]) -> int:
                 bv.volume,
                 bv.log_volume,
                 sphere_area(n).area,
-                shell_volume_fraction(ShellSpec(n, radius)),
+                shell_volume_fraction(n, radius),
                 shell_width_for_mass(n, mass),
             )
         )
@@ -317,7 +316,7 @@ def _cmd_volumes(options: dict[str, Any]) -> int:
 
 def _cmd_concentration(options: dict[str, Any]) -> int:
     from .energetics import concentration_fraction
-    from .geometry import ShellSpec, shell_volume_fraction, shell_width_for_mass
+    from .geometry import shell_volume_fraction, shell_width_for_mass
     from .harmonics import identity_map
 
     n_max = options["n-max"]
@@ -329,7 +328,7 @@ def _cmd_concentration(options: dict[str, Any]) -> int:
     rows = []
     for n in range(1, n_max + 1):
         energy_frac = concentration_fraction(identity_map(n), radius)
-        shell_frac = shell_volume_fraction(ShellSpec(n, radius))
+        shell_frac = shell_volume_fraction(n, radius)
         rows.append(
             (
                 n,
@@ -372,7 +371,7 @@ def _cmd_decay(options: dict[str, Any]) -> int:
     theta = half_radius_theta(u, max(radii))
     csv_text = render_csv(
         ("r", "energy", "log_energy"),
-        profile.samples,
+        profile,
         [
             config_line("decay", _report_options(options)),
             f"map: {u.label}",

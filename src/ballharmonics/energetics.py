@@ -221,9 +221,9 @@ def dirichlet_energy_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralRes
     return _energy(u, r, spec, "grad", ball=True)
 
 
-def dirichlet_energy(u, r=1, spec: QuadratureSpec = EXACT) -> float:
+def dirichlet_energy(u, r=1) -> float:
     """E(r): the Dirichlet energy of u over the ball of radius r <= 1."""
-    return dirichlet_energy_result(u, r, spec).value
+    return dirichlet_energy_result(u, r).value
 
 
 def surface_energy_total_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralResult:
@@ -263,16 +263,6 @@ def surface_dirichlet_result(u, r=1, spec: QuadratureSpec = EXACT) -> IntegralRe
 
 
 @dataclass(frozen=True)
-class EnergyProfile:
-    """E(r) sampled on a strictly increasing radius grid in (0, 1]."""
-
-    map_label: str
-    dimension: int
-    samples: tuple[tuple[float, float, float], ...]  # (r, E, log E)
-    method: QuadratureSpec
-
-
-@dataclass(frozen=True)
 class DecayFit:
     """Least-squares fit of log E = log_amplitude + exponent * log r."""
 
@@ -302,20 +292,13 @@ def _check_radii(radii) -> tuple[float, ...]:
     return rs
 
 
-def energy_profile(u, radii, spec: QuadratureSpec = EXACT) -> EnergyProfile:
-    """Sample the Dirichlet energy of u on the given radius grid."""
-    rs = _check_radii(radii)
-    label = u.label if isinstance(u, HarmonicMap) else ""
+def energy_profile(u, radii) -> tuple[tuple[float, float, float], ...]:
+    """The (r, E, log E) samples of u's Dirichlet energy on a strictly increasing radius grid."""
     samples = []
-    for r in rs:
-        res = dirichlet_energy_result(u, r, spec)
+    for r in _check_radii(radii):
+        res = dirichlet_energy_result(u, r)
         samples.append((r, res.value, res.log_abs_value))
-    return EnergyProfile(
-        map_label=label,
-        dimension=map_body(u).dimension,
-        samples=tuple(samples),
-        method=spec,
-    )
+    return tuple(samples)
 
 
 def _least_squares_line(xs, ys, what: str) -> tuple[float, float, float]:
@@ -334,18 +317,18 @@ def _least_squares_line(xs, ys, what: str) -> tuple[float, float, float]:
     return slope, intercept, max(abs(y - (intercept + slope * x)) for x, y in zip(xs, ys))
 
 
-def fit_decay_exponent(profile: EnergyProfile) -> DecayFit:
-    """Fit the decay exponent from the profile's positive-energy samples.
+def fit_decay_exponent(profile: tuple[tuple[float, float, float], ...]) -> DecayFit:
+    """Fit the decay exponent from the positive-energy samples of an (r, E, log E) profile.
 
     Samples are kept on their log E, which comes from the exact value and
     stays finite where the float E underflows to 0; ``points_used`` says how
     many there were.
     """
-    pts = [(math.log(r), log_e) for r, _, log_e in profile.samples if log_e > -math.inf]
+    pts = [(math.log(r), log_e) for r, _, log_e in profile if log_e > -math.inf]
     if len(pts) < 2:
         raise ValueError(
             f"decay fit needs at least two positive energy samples, "
-            f"got {len(pts)} of {len(profile.samples)}"
+            f"got {len(pts)} of {len(profile)}"
         )
     slope, intercept, max_resid = _least_squares_line(
         [p[0] for p in pts], [p[1] for p in pts], "radii"
@@ -358,9 +341,7 @@ def fit_decay_exponent(profile: EnergyProfile) -> DecayFit:
     )
 
 
-def verify_decay_bound(
-    u, beta: float, constant: float, radii, spec: QuadratureSpec = EXACT
-) -> DecayBoundReport:
+def verify_decay_bound(u, beta: float, constant: float, radii) -> DecayBoundReport:
     """Check E(r) <= constant * (r/R)^beta * E(R) over all pairs r < R.
 
     The margin of a pair is E(r) / (constant (r/R)^beta E(R)); the bound
@@ -376,7 +357,7 @@ def verify_decay_bound(
     rs = _check_radii(radii)
     if len(rs) < 2:
         raise ValueError("need at least two radii to compare")
-    energies = [dirichlet_energy_result(u, r, spec) for r in rs]
+    energies = [dirichlet_energy_result(u, r) for r in rs]
     worst_margin = 0.0
     worst_pair = (rs[0], rs[-1])
     for i in range(len(rs)):
@@ -421,13 +402,13 @@ def _decay_margin(
 # -- scalar summaries -----------------------------------------------------------
 
 
-def concentration_fraction(u, r, spec: QuadratureSpec = EXACT) -> float:
+def concentration_fraction(u, r) -> float:
     """Fraction of u's unit-ball Dirichlet energy outside the ball of radius r."""
     rf = float(r)
     if not 0.0 < rf < 1.0:
         raise ValueError(f"inner radius must lie strictly in (0, 1), got {r!r}")
-    inner = dirichlet_energy_result(u, r, spec)
-    outer = dirichlet_energy_result(u, 1, spec)
+    inner = dirichlet_energy_result(u, r)
+    outer = dirichlet_energy_result(u, 1)
     try:
         inside = inner.ratio(outer)
     except ZeroDivisionError:
@@ -435,11 +416,11 @@ def concentration_fraction(u, r, spec: QuadratureSpec = EXACT) -> float:
     return float(1 - inside)
 
 
-def half_radius_theta(u, big_radius=1, spec: QuadratureSpec = EXACT) -> float:
+def half_radius_theta(u, big_radius=1) -> float:
     """The contraction factor E(R/2) / E(R) at R = big_radius."""
     _check_radius(big_radius)
-    half = dirichlet_energy_result(u, as_fraction(big_radius) / 2, spec)
-    full = dirichlet_energy_result(u, big_radius, spec)
+    half = dirichlet_energy_result(u, as_fraction(big_radius) / 2)
+    full = dirichlet_energy_result(u, big_radius)
     try:
         return float(half.ratio(full))
     except ZeroDivisionError:

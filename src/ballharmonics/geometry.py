@@ -17,35 +17,16 @@ from .exactmath import _LOG_PI, _safe_exp
 class BallVolume:
     """Volume of the unit ball B^n; ``log_volume`` is authoritative."""
 
-    dimension: int
     log_volume: float
     volume: float
 
 
 @dataclass(frozen=True)
 class SphereArea:
-    """Surface measure of the sphere of radius ``radius`` in R^n."""
+    """Surface measure of the unit sphere in R^n."""
 
-    dimension: int
-    radius: float
     log_area: float
     area: float
-
-
-@dataclass(frozen=True)
-class ShellSpec:
-    """The shell {inner_radius <= |x| <= 1} inside the unit ball."""
-
-    dimension: int
-    inner_radius: float
-
-    def __post_init__(self):
-        if not isinstance(self.dimension, int) or self.dimension < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.dimension!r}")
-        if not 0.0 <= self.inner_radius <= 1.0:
-            raise ValueError(
-                f"inner_radius must lie in [0, 1], got {self.inner_radius!r}"
-            )
 
 
 def unit_ball_volume(n: int) -> BallVolume:
@@ -53,18 +34,15 @@ def unit_ball_volume(n: int) -> BallVolume:
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"dimension must be a non-negative integer, got {n!r}")
     log_v = 0.5 * n * _LOG_PI - math.lgamma(0.5 * n + 1.0)
-    return BallVolume(dimension=n, log_volume=log_v, volume=_safe_exp(log_v))
+    return BallVolume(log_volume=log_v, volume=_safe_exp(log_v))
 
 
-def sphere_area(n: int, radius: float = 1.0) -> SphereArea:
-    """Surface measure of {|x| = radius} in R^n; n = 1 gives 2 (two points)."""
+def sphere_area(n: int) -> SphereArea:
+    """Surface measure of the unit sphere {|x| = 1} in R^n, n V_n; n = 1 gives 2 (two points)."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius!r}")
-    # area = n * V_n * radius^(n-1)
-    log_a = math.log(n) + unit_ball_volume(n).log_volume + (n - 1) * math.log(radius)
-    return SphereArea(dimension=n, radius=radius, log_area=log_a, area=_safe_exp(log_a))
+    log_a = math.log(n) + unit_ball_volume(n).log_volume
+    return SphereArea(log_area=log_a, area=_safe_exp(log_a))
 
 
 def volume_argmax(n_max: int) -> int:
@@ -79,18 +57,21 @@ def volume_argmax(n_max: int) -> int:
     return best_n
 
 
-def shell_volume_fraction(spec: ShellSpec) -> float:
-    """Fraction of the unit ball's volume in the shell {r <= |x| <= 1}.
+def shell_volume_fraction(n: int, inner_radius: float) -> float:
+    """Fraction of the unit ball's volume in the shell {inner_radius <= |x| <= 1} of R^n.
 
     Equals 1 - r^n, computed as -expm1(n log r) so that values
     exponentially close to 1 keep full relative accuracy.
     """
-    r = spec.inner_radius
-    if r == 0.0:
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"dimension must be a positive integer, got {n!r}")
+    if not 0.0 <= inner_radius <= 1.0:
+        raise ValueError(f"inner_radius must lie in [0, 1], got {inner_radius!r}")
+    if inner_radius == 0.0:
         return 1.0
-    if r == 1.0:
+    if inner_radius == 1.0:
         return 0.0
-    return -math.expm1(spec.dimension * math.log(r))
+    return -math.expm1(n * math.log(inner_radius))
 
 
 def shell_width_for_mass(n: int, mass: float) -> float:

@@ -64,20 +64,13 @@ def identity_map(n: int) -> HarmonicMap:
     return make_harmonic_map(body, label=f"identity(n={n})")
 
 
-def harmonic_sum(
-    maps: Sequence[HarmonicMap],
-    coefficients: Sequence | None = None,
-    label: str = "",
-) -> HarmonicMap:
-    """Linear combination of maps with equal dimension and arity."""
+def harmonic_sum(maps: Sequence[HarmonicMap], label: str = "") -> HarmonicMap:
+    """The sum of maps with equal dimension and component count."""
     if not maps:
         raise ValueError("need at least one map")
-    coeffs = [Fraction(1)] * len(maps) if coefficients is None else list(coefficients)
-    if len(coeffs) != len(maps):
-        raise ValueError("one coefficient per map required")
-    total = maps[0].body * (coeffs[0] if isinstance(coeffs[0], float) else as_fraction(coeffs[0]))
-    for u, c in zip(maps[1:], coeffs[1:]):
-        total = total + u.body * (c if isinstance(c, float) else as_fraction(c))
+    total = maps[0].body
+    for u in maps[1:]:
+        total = total + u.body
     return make_harmonic_map(total, label=label or "sum")
 
 

@@ -90,13 +90,13 @@ def _radial_bump_integral(power: int) -> float:
 @lru_cache(maxsize=8)
 def _bump_normalization(n: int) -> float:
     """c_n with integral of c_n exp(-1/(1-|x|^2)) over R^n equal to 1."""
-    return 1.0 / (sphere_area(n, 1.0).area * _radial_bump_integral(n - 1))
+    return 1.0 / (sphere_area(n).area * _radial_bump_integral(n - 1))
 
 
 @lru_cache(maxsize=8)
 def _bump_second_moment(n: int) -> float:
     """Integral of |y|^2 J(y) dy over the unit profile (scale by delta^2)."""
-    return _bump_normalization(n) * sphere_area(n, 1.0).area * _radial_bump_integral(n + 1)
+    return _bump_normalization(n) * sphere_area(n).area * _radial_bump_integral(n + 1)
 
 
 @dataclass(frozen=True)
@@ -153,18 +153,16 @@ def poly_on_grid(p: MultiPoly, axes: list[np.ndarray]) -> np.ndarray:
     return np.broadcast_to(total, shape).copy() if total.shape != shape else total
 
 
-def _grid_axis(spacing: float, extent: float) -> np.ndarray:
-    """Node coordinates (i - half) * spacing, i = 0..2 half, spanning [-extent, extent]."""
+def _grid_half(spacing: float) -> int:
+    """half with half * spacing = 1: the grid's nodes are (i - half) * spacing, i = 0..2 half."""
     if not 0 < spacing < math.inf:
         raise ValueError(f"spacing must be positive and finite, got {spacing!r}")
-    if not extent / spacing < math.inf:
+    if not 1.0 / spacing < math.inf:
         raise ValueError(f"spacing {spacing!r} is too fine to count the nodes of the grid")
-    half = round(extent / spacing)
-    if not abs(half * spacing - extent) <= 1e-12:
-        raise ValueError(
-            f"extent {extent!r} must be an integer multiple of spacing {spacing!r}"
-        )
-    return (np.arange(2 * half + 1) - half) * spacing
+    half = round(1.0 / spacing)
+    if not abs(half * spacing - 1.0) <= 1e-12:
+        raise ValueError(f"extent 1.0 must be an integer multiple of spacing {spacing!r}")
+    return half
 
 
 def kernel_field(spec: MollifierSpec, spacing: float) -> np.ndarray:
@@ -241,10 +239,10 @@ def mean_value_check(
                 f"point {tuple(pt)} leaves the ball of radius 1 - delta = "
                 f"{1.0 - spec.delta:g} where the convolution identity applies"
             )
-    axis = _grid_axis(spacing, 1.0)
+    half = _grid_half(spacing)
     kern = kernel_field(spec, spacing)
-    half = (kern.shape[0] - 1) // 2
-    lowest = float(axis[0])
+    reach = (kern.shape[0] - 1) // 2
+    lowest = -half * spacing
     snapped: list[tuple[float, ...]] = []
     values: list[tuple[float, ...]] = []
     mollified: list[tuple[float, ...]] = []
@@ -253,12 +251,13 @@ def mean_value_check(
         if len(pt) != n:
             raise ValueError(f"point has {len(pt)} coordinates, expected {n}")
         idx = [round((float(x) - lowest) / spacing) for x in pt]
-        if not all(half <= i < len(axis) - half for i in idx):
+        if not all(reach <= i <= 2 * half - reach for i in idx):
             raise ValueError(
                 f"point {tuple(pt)} is inside the masked margin at spacing {spacing!r}"
             )
-        node = tuple(float(axis[i]) for i in idx)
-        box = [axis[i - half : i + half + 1] for i in idx]
+        # the nodes and boxes of the whole grid axis, without forming it
+        node = tuple(float((i - half) * spacing) for i in idx)
+        box = [(np.arange(i - reach, i + reach + 1) - half) * spacing for i in idx]
         exact = tuple(float(comp.evaluate(node)) for comp in comps)
         # symmetric kernel: correlation equals convolution
         approx = tuple(
@@ -282,9 +281,8 @@ def mean_value_check(
 
 @dataclass(frozen=True)
 class MeanValueConvergence:
-    """Defect sup-errors across spacings and the measured orders between them."""
+    """Defect sup-errors at the caller's spacings, in order, and the orders between them."""
 
-    spacings: tuple[float, ...]
     sup_errors: tuple[float, ...]
     orders: tuple[float, ...]
 
@@ -311,7 +309,7 @@ def mean_value_convergence(
             orders.append(math.inf)
         else:
             orders.append(math.log(e1 / e2) / math.log(h1 / h2))
-    return MeanValueConvergence(spacings=hs, sup_errors=sups, orders=tuple(orders))
+    return MeanValueConvergence(sup_errors=sups, orders=tuple(orders))
 
 
 # -- kernel gradient scaling ----------------------------------------------------

@@ -456,10 +456,6 @@ class VectorPoly:
     def dimension(self) -> int:
         return self._components[0].dimension
 
-    @property
-    def arity(self) -> int:
-        return len(self._components)
-
     def __iter__(self):
         return iter(self._components)
 
@@ -480,8 +476,8 @@ class VectorPoly:
     def __add__(self, other: "VectorPoly") -> "VectorPoly":
         if not isinstance(other, VectorPoly):
             return NotImplemented
-        if self.arity != other.arity:
-            raise DimensionError(f"mixed arities {self.arity} and {other.arity}")
+        if len(self) != len(other):
+            raise DimensionError(f"mixed arities {len(self)} and {len(other)}")
         return VectorPoly(p + q for p, q in zip(self, other))
 
     def __mul__(self, scalar) -> "VectorPoly":

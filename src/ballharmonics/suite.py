@@ -33,7 +33,6 @@ from .energetics import (
 )
 from .exactmath import PiRational, gamma_half
 from .geometry import (
-    ShellSpec,
     shell_volume_fraction,
     shell_width_for_mass,
     unit_ball_volume,
@@ -252,9 +251,7 @@ def check_concentration() -> CheckResult:
             and full.exact == PiRational(n / rational, (n - pi_halves) // 2)
             and dirichlet_energy_result(u, 0.9).ratio(full) == Fraction(0.9) ** n
         )
-    worst = max(
-        abs(f - shell_volume_fraction(ShellSpec(n, 0.9))) for n, f in outside.items()
-    )
+    worst = max(abs(f - shell_volume_fraction(n, 0.9)) for n, f in outside.items())
     worst_power = max(abs(f - (1 - 0.9**n)) for n, f in outside.items())
     values = list(outside.values())
     increasing = all(a < b for a, b in zip(values, values[1:]))

@@ -315,7 +315,7 @@ class TestCriterion09CanFail:
         # log V_n = -n or +n: log n (n - 1) V_n then falls, or rises, over all of 3..200
         def mutant(n):
             log_volume = float(n if peak == 200 else -n)
-            return geometry.BallVolume(n, log_volume, math.exp(log_volume))
+            return geometry.BallVolume(log_volume, math.exp(log_volume))
 
         monkeypatch.setattr(suite, "unit_ball_volume", mutant)
         result = check_c1_rate()

@@ -8,7 +8,6 @@ import pytest
 
 from ballharmonics.exactmath import PiRational
 from ballharmonics.geometry import (
-    ShellSpec,
     shell_volume_fraction,
     shell_width_for_mass,
     sphere_area,
@@ -81,11 +80,12 @@ def test_float_volume_matches_exact(n):
     )
 
 
-@pytest.mark.parametrize("n,r", [(1, 1.0), (2, 1.0), (3, 0.5), (7, 0.9), (30, 1.0)])
-def test_sphere_area_is_volume_derivative(n, r):
-    # area(r) = n V_n r^(n-1)
-    expected = n * unit_ball_volume(n).volume * r ** (n - 1)
-    assert sphere_area(n, r).area == pytest.approx(expected, rel=1e-12)
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 30])
+def test_sphere_area_is_volume_derivative(n):
+    # |S^(n-1)| = d/dr (V_n r^n) at r = 1 = n V_n, its log formed as log n + log V_n
+    log_volume = unit_ball_volume(n).log_volume
+    assert sphere_area(n).log_area == math.log(n) + log_volume
+    assert sphere_area(n).area == pytest.approx(n * unit_ball_volume(n).volume, rel=1e-12)
 
 
 def test_sphere_area_exact_small():
@@ -104,8 +104,8 @@ def test_volume_argmax_is_five():
 class TestShell:
     def test_fraction_formula(self):
         # 1 - r^n, computed stably
-        assert shell_volume_fraction(ShellSpec(2, 0.5)) == pytest.approx(0.75)
-        assert shell_volume_fraction(ShellSpec(10, 0.9)) == pytest.approx(
+        assert shell_volume_fraction(2, 0.5) == pytest.approx(0.75)
+        assert shell_volume_fraction(10, 0.9) == pytest.approx(
             1 - 0.9**10, rel=1e-15
         )
 
@@ -113,19 +113,17 @@ class TestShell:
         # mpmath oracle where 0.9^n underflows toward 0
         n = 500
         expected = float(1 - mpmath.mp.mpf("0.9") ** n)
-        got = shell_volume_fraction(ShellSpec(n, 0.9))
+        got = shell_volume_fraction(n, 0.9)
         assert got == pytest.approx(expected, rel=1e-14)
 
     def test_fraction_monotone_in_dimension(self):
-        fracs = [shell_volume_fraction(ShellSpec(n, 0.9)) for n in range(1, 201)]
+        fracs = [shell_volume_fraction(n, 0.9) for n in range(1, 201)]
         assert all(a < b for a, b in zip(fracs, fracs[1:]))
 
     def test_width_inverts_fraction(self):
         for n in (2, 10, 100):
             width = shell_width_for_mass(n, 0.5)
-            assert shell_volume_fraction(ShellSpec(n, 1 - width)) == pytest.approx(
-                0.5, rel=1e-12
-            )
+            assert shell_volume_fraction(n, 1 - width) == pytest.approx(0.5, rel=1e-12)
 
     def test_width_shrinks_with_dimension(self):
         widths = [shell_width_for_mass(n, 0.5) for n in range(1, 101)]
@@ -133,10 +131,10 @@ class TestShell:
         assert widths[99] == pytest.approx(-math.expm1(math.log(0.5) / 100), rel=1e-13)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ShellSpec(3, 1.5)
-        with pytest.raises(ValueError):
-            ShellSpec(0, 0.5)
+        with pytest.raises(ValueError, match=r"inner_radius must lie in \[0, 1\], got 1.5"):
+            shell_volume_fraction(3, 1.5)
+        with pytest.raises(ValueError, match="dimension must be a positive integer, got 0"):
+            shell_volume_fraction(0, 0.5)
         with pytest.raises(ValueError):
             shell_width_for_mass(3, 0.0)
         with pytest.raises(ValueError):

@@ -41,12 +41,12 @@ def P(n, terms):
 class TestIdentity:
     def test_components(self):
         u = identity_map(3)
-        assert u.dimension == 3 and u.body.arity == 3
+        assert u.dimension == 3 and len(u.body) == 3
         assert u.degree == 1 and u.certified
         assert u.body[1] == MultiPoly.variable(3, 1)
 
     def test_scale(self):
-        u = harmonic_sum([identity_map(2)], [Fraction(1, 2)])
+        u = make_harmonic_map(identity_map(2).body * Fraction(1, 2))
         assert u.body[0] == P(2, {(1, 0): Fraction(1, 2)})
         assert u.certified
 
@@ -363,6 +363,6 @@ class TestMakeMap:
     def test_harmonic_sum(self):
         z1 = zonal_solid_harmonic(3, 1)
         z3 = zonal_solid_harmonic(3, 3)
-        u = harmonic_sum([z1, z3], [Fraction(2), Fraction(-1)])
-        assert u.certified
-        assert u.body[0] == z1.body[0] * 2 - z3.body[0]
+        u = harmonic_sum([z1, z3])
+        assert u.certified and u.degree is None and u.label == "sum"
+        assert u.body[0] == z1.body[0] + z3.body[0]

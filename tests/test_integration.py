@@ -313,6 +313,15 @@ class TestMonteCarlo:
         assert result.value == float(integrate(one, 1).exact)
         assert result.standard_error == 0.0
 
+    @pytest.mark.parametrize("integrate", [integrate_poly_sphere, integrate_poly_ball])
+    def test_constant_one_counts_a_last_block_of_one_sample(self, integrate):
+        # 3 * 2^15 + 1 samples leave one sample for the fourth block; a block
+        # count that drops it read 12.566242... for the 4 pi of S^2
+        one = MultiPoly.constant(3, 1)
+        result = integrate(one, 1, self.spec(samples=3 * BLOCK_SIZE + 1, seed=5))
+        assert result.value == float(integrate(one, 1).exact)
+        assert result.standard_error == 0.0
+
     def test_constant_energy_is_its_exact_value(self):
         # rounding the measure before multiplying by the mean put this energy
         # one ulp off (18.47256480310798), a miss against standard error 0

@@ -43,15 +43,29 @@ from oracles import (
 SPEC2 = MollifierSpec(dimension=2, delta=0.25)
 
 
-def _run_fresh(*args):
-    """Run an interpreter on args with this checkout's src first on the path; its stdout."""
+def _run_fresh(*args, address_space_cap: int | None = None):
+    """Run an interpreter on args with this checkout's src first on the path; its stdout.
+
+    ``address_space_cap`` caps the child's address space in bytes, with BLAS
+    held to one thread so that thread stacks do not eat into the cap.
+    """
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    cap = None
+    if address_space_cap is not None:
+        resource = pytest.importorskip("resource")
+        env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (address_space_cap, address_space_cap))
+
     proc = subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=env,
+        preexec_fn=cap,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -114,11 +128,6 @@ class TestKernel:
     ):
         # the box needs 2 TiB in 2D and 64 GiB in 3D; the child's address space is
         # capped at 4 GiB, so an attempt to allocate it ends in numpy's MemoryError
-        resource = pytest.importorskip("resource")
-
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
-
         script = (
             "from ballharmonics.mollifier import MollifierSpec, kernel_field\n"
             "try:\n"
@@ -126,18 +135,8 @@ class TestKernel:
             "except ValueError as exc:\n"
             "    print(exc)\n"
         )
-        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1"),
-            preexec_fn=cap_address_space,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert f" {nodes} nodes" in proc.stdout and "allocate" in proc.stdout, proc.stdout
+        out = _run_fresh("-c", script, address_space_cap=4 << 30)
+        assert f" {nodes} nodes" in out and "allocate" in out, out
 
 
 class TestConvolution:
@@ -393,6 +392,32 @@ class TestMeanValueRoute:
             tracemalloc.stop()
         assert report.sup_error < 1e-6
         assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    @pytest.mark.parametrize(
+        "delta, expected",
+        [
+            ("2**-30", "((0.0, 0.0), (0.25, -0.5)) ((0.0,), (-0.1875,)) True"),
+            ("0.25", f"the kernel box of {(2**32 + 1) ** 2} nodes exceeds"),
+        ],
+        ids=["2**-30", "0.25"],
+    )
+    def test_fine_spacing_costs_the_kernel_box_not_the_grid_axis(self, delta, expected):
+        # at h = 2^-33 the grid axis alone holds 2^34 + 1 floats, 128 GiB, over the
+        # child's 4 GiB cap; each node and box is formed from its index, so a
+        # small kernel runs and a large one meets the node cap
+        script = (
+            "from ballharmonics.harmonics import zonal_solid_harmonic\n"
+            "from ballharmonics.mollifier import MollifierSpec, mean_value_check\n"
+            "try:\n"
+            f"    spec = MollifierSpec(2, {delta})\n"
+            "    points = [(0.0, 0.0), (0.25, -0.5)]\n"
+            "    r = mean_value_check(zonal_solid_harmonic(2, 2), spec, points, spacing=2**-33)\n"
+            "    print(r.points, r.values, r.sup_error < 1e-3)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        out = _run_fresh("-c", script, address_space_cap=4 << 30)
+        assert expected in out, out
 
     def test_mean_value_check_does_not_import_scipy_signal(self):
         script = (

@@ -1,6 +1,7 @@
 """Source-level rules that hold for the whole package."""
 
 import ast
+import math
 import os
 import pathlib
 import subprocess
@@ -15,6 +16,7 @@ from ballharmonics import _EXPORTS
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "ballharmonics").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -154,6 +156,77 @@ def test_every_dataclass_field_is_read_by_the_package_or_a_script():
     assert not dead, f"dataclass fields that no module or script reads: {dead}"
     kept = [f"{cls}.{name}" for cls, name in UNREAD_FIELDS if name in reads]
     assert not kept, f"allow-listed fields that are now read: {kept}"
+
+
+# defaulted parameters that no caller passes, kept on purpose
+UNPASSED_PARAMETERS = {
+    ("pohozaev_residual", "spec"): "the Monte Carlo route of the identities (ROADMAP item 1)",
+    ("green_residual", "spec"): "the Monte Carlo route of the identities (ROADMAP item 1)",
+    ("minimiser_bound_check", "spec"): "the Monte Carlo route of the identities (ROADMAP item 1)",
+    ("mollifier_gradient_scaling", "deltas"): "the whole-grid oracle tests pass other delta grids",
+}
+
+
+def _defaulted_parameters(tree: ast.AST) -> list[tuple[str, str, int | None]]:
+    """(function, parameter, position or None if keyword-only) per defaulted parameter.
+
+    Public module-level functions and public methods of public classes count;
+    a method's position leaves out ``self``.
+    """
+    found = []
+
+    def visit(body, in_class: bool) -> None:
+        for node in body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                visit(node.body, True)
+            elif isinstance(node, _FUNCTIONS) and not node.name.startswith("_"):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                if in_class and not static:
+                    positional = positional[1:]
+                first = len(positional) - len(args.defaults)
+                found.extend(
+                    (node.name, arg.arg, i) for i, arg in enumerate(positional) if i >= first
+                )
+                found.extend(
+                    (node.name, arg.arg, None)
+                    for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None
+                )
+
+    visit(tree.body, False)
+    return found
+
+
+def test_every_defaulted_parameter_is_passed_by_some_caller():
+    # a default that no call overrides is a constant dressed as an option. A
+    # call passes a parameter by keyword, by position, or through *args (every
+    # positional one) or **kwargs (every one); functools.partial(f, ...) counts
+    # as a call of f. Blind spot: calls are matched by the called name alone
+    keywords: set[tuple[str, str | None]] = set()
+    positions: dict[str, float] = {}
+    for path in SOURCES + SCRIPTS + PERFBENCH:
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            name, args = _called_name(node), node.args
+            if name == "partial" and args:
+                name, args = getattr(args[0], "id", getattr(args[0], "attr", None)), args[1:]
+            keywords.update((name, k.arg) for k in node.keywords)
+            reach = math.inf if any(isinstance(a, ast.Starred) for a in args) else len(args)
+            positions[name] = max(positions.get(name, 0), reach)
+    unpassed = {
+        (function, parameter)
+        for path in SOURCES
+        for function, parameter, position in _defaulted_parameters(_parse(path))
+        if not {(function, parameter), (function, None)} & keywords
+        and (position is None or positions.get(function, 0) <= position)
+    }
+    dead = sorted(f"{f}.{p}" for f, p in unpassed - set(UNPASSED_PARAMETERS))
+    assert not dead, f"defaulted parameters that no caller passes: {dead}"
+    passed = sorted(f"{f}.{p}" for f, p in set(UNPASSED_PARAMETERS) - unpassed)
+    assert not passed, f"allow-listed parameters that a caller now passes: {passed}"
 
 
 def test_unvalidated_constructor_stays_in_polynomials():
