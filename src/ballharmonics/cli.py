@@ -56,10 +56,6 @@ def _parse_float(text: str) -> float:
         raise UsageError(f"expected a number, got {text!r}") from exc
 
 
-def _parse_str(text: str) -> str:
-    return text
-
-
 def _parse_float_list(text: str) -> tuple[float, ...]:
     items = [t for t in text.split(",") if t.strip()]
     if not items:
@@ -90,8 +86,8 @@ class Opt:
 
 
 _COMMON = [
-    Opt("config", _parse_str, None, "config file of key = value lines (flags override)"),
-    Opt("output-dir", _parse_str, None, f"directory for report files (default ${OUTPUT_DIR_ENV} or '.')"),
+    Opt("config", str, None, "config file of key = value lines (flags override)"),
+    Opt("output-dir", str, None, f"directory for report files (default ${OUTPUT_DIR_ENV} or '.')"),
 ]
 
 COMMANDS: dict[str, list[Opt]] = {
@@ -99,65 +95,65 @@ COMMANDS: dict[str, list[Opt]] = {
         Opt("n-max", _parse_int, 25, "largest dimension to tabulate"),
         Opt("radius", _parse_float, 0.9, "inner radius for the shell-fraction column"),
         Opt("mass", _parse_float, 0.5, "target mass for the shell-width column"),
-        Opt("out", _parse_str, "-", "CSV destination ('-' for stdout)"),
+        Opt("out", str, "-", "CSV destination ('-' for stdout)"),
     ],
     "concentration": _COMMON + [
         Opt("n-max", _parse_int, 200, "largest dimension to scan"),
         Opt("radius", _parse_float, 0.9, "inner radius of the boundary shell"),
         Opt("mass", _parse_float, 0.5, "target mass for the shell-width column"),
-        Opt("out", _parse_str, "-", "CSV destination ('-' for stdout)"),
+        Opt("out", str, "-", "CSV destination ('-' for stdout)"),
     ],
     "decay": _COMMON + [
         Opt("dimension", _parse_int, 3, "ambient dimension n"),
-        Opt("map", _parse_str, "identity", "map spec (see module docstring)"),
-        Opt("axis", _parse_str, None, "zonal axis as comma-separated rationals"),
+        Opt("map", str, "identity", "map spec (see module docstring)"),
+        Opt("axis", str, None, "zonal axis as comma-separated rationals"),
         Opt("seed", _parse_int, 11, "seed for random map specs"),
         Opt("radii", _parse_float_list, (0.0625, 0.125, 0.25, 0.5, 1.0), "increasing radius grid"),
         Opt("beta", _parse_float, None, "decay exponent to certify (default n - 0.5)"),
         Opt("constant", _parse_float, 1.0, "decay-bound constant C"),
-        Opt("out", _parse_str, "decay.csv", "CSV destination for (r, E, log E) rows"),
+        Opt("out", str, "decay.csv", "CSV destination for (r, E, log E) rows"),
     ],
     "identities": _COMMON + [
-        Opt("suite", _parse_str, "default", "map family: 'default' or 'quick'"),
+        Opt("suite", str, "default", "map family: 'default' or 'quick'"),
         Opt("dims", _parse_range, (2, 10), "dimension range LO:HI"),
         Opt("radii", _parse_float_list, (0.3, 0.7, 1.0), "radii to check at"),
         Opt("tolerance", _parse_float, 1e-10, "normalized-residual tolerance"),
         Opt("seed", _parse_int, 11, "seed for the random family members"),
-        Opt("out", _parse_str, "-", "JSON destination ('-' for stdout)"),
+        Opt("out", str, "-", "JSON destination ('-' for stdout)"),
     ],
     "integrate": _COMMON + [
-        Opt("poly", _parse_str, None, "polynomial in the textual format (required)"),
+        Opt("poly", str, None, "polynomial in the textual format (required)"),
         Opt("dimension", _parse_int, None, "ambient dimension (default: inferred)"),
-        Opt("domain", _parse_str, "ball", "'ball' or 'sphere'"),
+        Opt("domain", str, "ball", "'ball' or 'sphere'"),
         Opt("radius", _parse_float, 1.0, "domain radius"),
-        Opt("method", _parse_str, "exact", "'exact' or 'monte-carlo'"),
+        Opt("method", str, "exact", "'exact' or 'monte-carlo'"),
         Opt("samples", _parse_int, 100000, "Monte Carlo sample count"),
         Opt("seed", _parse_int, 0, "Monte Carlo seed"),
         Opt("workers", _parse_int, 1, "worker threads (wall time only)"),
-        Opt("out", _parse_str, "-", "JSON destination ('-' for stdout)"),
+        Opt("out", str, "-", "JSON destination ('-' for stdout)"),
     ],
     "make-harmonic": _COMMON + [
-        Opt("kind", _parse_str, "zonal", "'identity', 'zonal' or 'random'"),
+        Opt("kind", str, "zonal", "'identity', 'zonal' or 'random'"),
         Opt("dimension", _parse_int, 3, "ambient dimension n"),
         Opt("degree", _parse_int, 2, "homogeneity degree k"),
-        Opt("axis", _parse_str, None, "zonal axis as comma-separated rationals"),
+        Opt("axis", str, None, "zonal axis as comma-separated rationals"),
         Opt("seed", _parse_int, 0, "seed for 'random'"),
-        Opt("out", _parse_str, "-", "text destination ('-' for stdout)"),
+        Opt("out", str, "-", "text destination ('-' for stdout)"),
     ],
     "mollify": _COMMON + [
         Opt("dimension", _parse_int, 2, "ambient dimension n (grid cap 3)"),
         Opt("delta", _parse_float, 0.25, "kernel radius in (0, 1/2]"),
         Opt("spacing", _parse_float, 1 / 256, "grid spacing (accepts '1/256')"),
-        Opt("map", _parse_str, "zonal:3", "map spec to smooth"),
-        Opt("axis", _parse_str, None, "zonal axis as comma-separated rationals"),
+        Opt("map", str, "zonal:3", "map spec to smooth"),
+        Opt("axis", str, None, "zonal axis as comma-separated rationals"),
         Opt("seed", _parse_int, 11, "seed for random map specs"),
-        Opt("points", _parse_str, None, "CSV file of evaluation points (default: built-in set)"),
-        Opt("out", _parse_str, "-", "CSV destination ('-' for stdout)"),
+        Opt("points", str, None, "CSV file of evaluation points (default: built-in set)"),
+        Opt("out", str, "-", "CSV destination ('-' for stdout)"),
     ],
     "suite": _COMMON + [
         Opt("seed", _parse_int, 7, "seed for random maps and Monte Carlo"),
         Opt("workers", _parse_int, 1, "worker threads (wall time only)"),
-        Opt("out", _parse_str, "suite_report.json", "JSON report destination"),
+        Opt("out", str, "suite_report.json", "JSON report destination"),
     ],
 }
 

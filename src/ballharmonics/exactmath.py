@@ -20,7 +20,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -32,9 +31,10 @@ _LOG_FLOAT_TINY = -745.0
 
 
 def as_fraction(x) -> Fraction:
-    """Exact Fraction from int, Fraction, float or numeric string.
+    """Exact Fraction from an int, a Fraction, a float or another number (a numpy scalar).
 
-    Floats convert via their exact binary value (no decimal rounding).
+    Floats, and other numbers through float(), convert via their exact binary
+    value (no decimal rounding).
     """
     if isinstance(x, Fraction):
         return x
@@ -44,13 +44,10 @@ def as_fraction(x) -> Fraction:
         if not math.isfinite(x):
             raise ValueError(f"cannot convert non-finite float {x!r} to Fraction")
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     # numpy scalars and anything else that knows how to be a float
     return Fraction(float(x))
 
 
-@lru_cache(maxsize=4096)
 def gamma_half(twice: int) -> tuple[Fraction, int]:
     """Gamma(twice / 2) as (rational, k) meaning rational * pi**(k/2).
 
@@ -165,6 +162,3 @@ class PiRational:
             return direct
         # coeff alone over/underflowed while the product is representable
         return self.sign() * math.exp(log)
-
-    def __abs__(self) -> "PiRational":
-        return PiRational(abs(self.coeff), self.power)

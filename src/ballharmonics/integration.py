@@ -208,7 +208,6 @@ def _degree_profile(n: int, weights: Iterable[tuple[Key, Fraction]]) -> _Profile
     )
 
 
-@lru_cache(maxsize=256)
 def _odd_double_factorial(a: int) -> int:
     """(a - 1)!! for even a >= 0, with (-1)!! = 1."""
     return math.prod(range(a - 1, 0, -2))
@@ -394,7 +393,7 @@ def _mc_integral(
     r = float(radius)
 
     def terms_of(row: MultiPoly) -> list[tuple[float, Key]]:
-        return [(float(c), key) for key, c in row._terms.items()]
+        return [(c, key) for key, c in row._float_terms()]
 
     # (terms of p, terms of q): the same list when q is p, None when q is None
     plans = []

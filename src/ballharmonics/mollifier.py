@@ -93,12 +93,6 @@ def _bump_normalization(n: int) -> float:
     return 1.0 / (sphere_area(n).area * _radial_bump_integral(n - 1))
 
 
-@lru_cache(maxsize=8)
-def _bump_second_moment(n: int) -> float:
-    """Integral of |y|^2 J(y) dy over the unit profile (scale by delta^2)."""
-    return _bump_normalization(n) * sphere_area(n).area * _radial_bump_integral(n + 1)
-
-
 @dataclass(frozen=True)
 class MollifierSpec:
     """The kernel J_delta in a given dimension."""
@@ -129,7 +123,10 @@ class MollifierSpec:
 
     def second_moment(self) -> float:
         """Integral of |x|^2 J_delta(x) dx = delta^2 * (unit-profile moment)."""
-        return self.delta**2 * _bump_second_moment(self.dimension)
+        n = self.dimension
+        return self.delta**2 * (
+            _bump_normalization(n) * sphere_area(n).area * _radial_bump_integral(n + 1)
+        )
 
 
 def _axis_views(axes: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -145,8 +142,8 @@ def poly_on_grid(p: MultiPoly, axes: list[np.ndarray]) -> np.ndarray:
     views = _axis_views(axes)
     shape = tuple(len(a) for a in axes)
     total = np.zeros((1,) * len(axes))
-    for key, c in p._terms.items():
-        contrib = np.asarray(float(c))
+    for key, c in p._float_terms():
+        contrib = np.asarray(c)
         for a, e in key:
             contrib = contrib * views[a] ** e
         total = total + contrib
@@ -234,7 +231,7 @@ def mean_value_check(
         raise ValueError("need at least one evaluation point")
     budget = 1.0 - spec.delta + 1e-9
     for pt in points:
-        if math.hypot(*[float(x) for x in pt]) > budget:
+        if not math.hypot(*[float(x) for x in pt]) <= budget:  # a NaN fails it too
             raise ValueError(
                 f"point {tuple(pt)} leaves the ball of radius 1 - delta = "
                 f"{1.0 - spec.delta:g} where the convolution identity applies"

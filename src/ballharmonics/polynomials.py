@@ -11,13 +11,12 @@ decimals in ``parse_poly`` text, and float scalars in ring operations, which
 make the result's coefficients floats.  Instances are immutable, hashable
 and safe to share across threads.
 
-Canonical form: zero coefficients are never stored, and for float polys any
-coefficient below 1e-14 relative to the largest float coefficient is pruned
-so that round-trips through arithmetic stay stable.  Terms iterate in graded
-lexicographic order of their dense tuples, largest first; evaluation and
-printing follow that order deterministically.  The constructor validates its
-input once; ring operations and calculus on valid operands canonicalise
-their results but do not re-validate them.
+Canonical form: zero coefficients are never stored, every other one is kept
+however small beside the rest, and float coefficients are finite.  Terms
+iterate in graded lexicographic order of their dense tuples, largest first;
+evaluation and printing follow that order deterministically.  The
+constructor validates its input once; ring operations and calculus on valid
+operands canonicalise their results but do not re-validate them.
 
 Exact algebra that runs many steps on one poly works on its Laplacian
 series (:func:`_laplacian_series`): the integer numerators of each
@@ -50,7 +49,6 @@ Coeff = Union[Fraction, float]
 Exponents = tuple  # tuple[int, ...], one entry per variable: the public view
 Key = tuple  # tuple[tuple[int, int], ...]: (axis, exponent > 0) pairs, ascending axes
 
-FLOAT_PRUNE_REL = 1e-14
 _ONE = Fraction(1)
 _exponent = itemgetter(1)
 
@@ -136,17 +134,13 @@ class MultiPoly:
         """The poly of already-merged terms whose keys and coefficients are valid.
 
         For results of ring operations on valid operands of one dimension: it
-        skips the per-term checks of the constructor, and only drops zeros,
-        rejects non-finite floats, prunes small floats and sorts grlex.
+        skips the per-term checks of the constructor, and only drops exact
+        zeros, rejects non-finite floats and sorts grlex.
         """
         acc = {e: c for e, c in merged.items() if c}
-        floats = [abs(c) for c in acc.values() if isinstance(c, float)]
-        if floats:
-            for key, c in acc.items():
-                if isinstance(c, float) and not math.isfinite(c):
-                    raise ValueError(f"coefficient of {_dense(key, dimension)} is not finite: {c}")
-            cutoff = FLOAT_PRUNE_REL * max(floats)
-            acc = {e: c for e, c in acc.items() if not (isinstance(c, float) and abs(c) <= cutoff)}
+        for key, c in acc.items():
+            if isinstance(c, float) and not math.isfinite(c):
+                raise ValueError(f"coefficient of {_dense(key, dimension)} is not finite: {c}")
         if len(acc) > 1:
             acc = dict(sorted(acc.items(), key=_grlex_key, reverse=True))
         poly = object.__new__(cls)
@@ -245,8 +239,6 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, float, Fraction)):
-            if other == 0:
-                return MultiPoly._canonical(self._dimension, {})
             scalar = other if isinstance(other, float) else Fraction(other)
             return MultiPoly._canonical(
                 self._dimension, {e: c * scalar for e, c in self._terms.items()}
@@ -309,11 +301,19 @@ class MultiPoly:
 
         Exact-coefficient polys are checked exactly: every part of the kept
         :func:`_laplacian_series` stops at the part itself.  Float polys hold
-        every Laplacian coefficient to 1e-12 in absolute value.
+        each Laplacian coefficient of degree d to 1e-12 times the largest
+        absolute coefficient of the degree-(d + 2) part it comes from,
+        compared exactly whatever the coefficients' sizes.
         """
         if self.is_exact:
             return all(len(laps) == 1 for laps in _laplacian_series(self)[1].values())
-        return all(abs(_as_float(c)) <= 1e-12 for c in self.laplacian()._terms.values())
+        scale: dict[int, Coeff] = {}
+        for key, c in self._terms.items():
+            scale[_degree(key)] = max(scale.get(_degree(key), 0), abs(c))
+        return all(
+            Fraction(abs(c)) * 10**12 <= scale[_degree(key) + 2]
+            for key, c in self.laplacian()._terms.items()
+        )
 
     # -- evaluation -------------------------------------------------------
 
@@ -327,11 +327,12 @@ class MultiPoly:
         if len(point) != self._dimension:
             raise DimensionError(f"point has {len(point)} coordinates, expected {self._dimension}")
         exact = all(isinstance(x, (int, Fraction)) for x in point) and self.is_exact
-        kind = Fraction if exact else float
-        coords = [kind(x) for x in point]
+        if exact:
+            coords, terms = [Fraction(x) for x in point], self._terms.items()
+        else:
+            coords, terms = [float(x) for x in point], self._float_terms()
         parts = []
-        for key, c in self._terms.items():
-            term = kind(c)
+        for key, term in terms:
             for a, e in key:
                 term *= coords[a] ** e
             parts.append(term)
@@ -339,6 +340,18 @@ class MultiPoly:
 
     def __call__(self, point: Sequence) -> Fraction | float:
         return self.evaluate(point)
+
+    def _float_terms(self) -> list[tuple[Key, float]]:
+        """(key, float coefficient) per term; one beyond the float range is refused, not inf."""
+        out = []
+        for key, c in self._terms.items():
+            try:
+                out.append((key, float(c)))
+            except OverflowError:
+                raise ValueError(
+                    f"coefficient of {_dense(key, self._dimension)} is beyond the float range"
+                ) from None
+        return out
 
     # -- printing ---------------------------------------------------------
 
@@ -480,11 +493,6 @@ class VectorPoly:
             raise DimensionError(f"mixed arities {len(self)} and {len(other)}")
         return VectorPoly(p + q for p, q in zip(self, other))
 
-    def __mul__(self, scalar) -> "VectorPoly":
-        return VectorPoly(p * scalar for p in self._components)
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         return f"VectorPoly([{', '.join(str(p) for p in self._components)}])"
 
@@ -608,6 +616,8 @@ def parse_poly(text: str, dimension: int | None = None) -> MultiPoly:
                 continue
             if not expect_factor:
                 raise ValueError(f"missing operator before {tok!r}")
+            if tok in "+-":
+                raise ValueError(f"sign {tok!r} where a factor is expected")
             if tok.startswith("x"):
                 index = int(tok[1:])
                 if index < 1:

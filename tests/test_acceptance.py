@@ -340,12 +340,6 @@ def test_criterion_10_mean_value():
 class TestCriterion10CanFail:
     """A kernel that integrates to 2 doubles every mollified value."""
 
-    @pytest.fixture(autouse=True)
-    def fresh_kernel_constants(self):
-        mollifier._bump_second_moment.cache_clear()
-        yield
-        mollifier._bump_second_moment.cache_clear()
-
     def test_doubled_normalization_fails(self, monkeypatch):
         normalization = mollifier._bump_normalization
         monkeypatch.setattr(mollifier, "_bump_normalization", lambda n: 2.0 * normalization(n))

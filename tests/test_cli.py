@@ -310,6 +310,16 @@ class TestIntegrate:
         assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
 
+    def test_monte_carlo_of_a_coefficient_beyond_the_float_range(self):
+        # the exact route prints inf for it; sampling ended in an OverflowError traceback, exit 1
+        proc = run_cli(
+            "integrate", "--poly", f"{10**400}*x1^2", "--dimension", "2",
+            "--method", "monte-carlo", "--samples", "1000",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: coefficient of (2, 0) is beyond the float range\n"
+        assert proc.stdout == ""
+
     def test_zero_denominator_is_usage_error(self):
         proc = run_cli("integrate", "--poly", "1/0*x1")
         assert proc.returncode == 2
@@ -362,6 +372,15 @@ class TestMollify:
         assert proc.returncode == 0
         assert "abs_error" in proc.stdout
         assert "NOT-A-COUNTEREXAMPLE" not in proc.stdout
+
+    def test_coefficient_beyond_the_float_range(self):
+        # certified exactly, then an OverflowError traceback at the first node value, exit 1
+        proc = run_cli(
+            "mollify", "--dimension", "2", "--map", f"poly:{10**400}*x1*x2", "--spacing", "1/16"
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: coefficient of (1, 1) is beyond the float range\n"
+        assert proc.stdout == ""
 
     def test_non_harmonic_is_flagged_not_failed(self):
         proc = run_cli(

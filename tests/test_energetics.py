@@ -84,7 +84,7 @@ def test_energy_scales_quadratically():
     u = zonal_solid_harmonic(4, 2)
     base = dirichlet_energy(u, 0.8)
     for lam in (Fraction(1, 3), Fraction(7)):
-        scaled = make_harmonic_map(u.body * lam)
+        scaled = make_harmonic_map(VectorPoly([c * lam for c in u.body]))
         assert dirichlet_energy(scaled, 0.8) == pytest.approx(
             float(lam) ** 2 * base, rel=1e-13
         )

@@ -46,7 +46,7 @@ class TestIdentity:
         assert u.body[1] == MultiPoly.variable(3, 1)
 
     def test_scale(self):
-        u = make_harmonic_map(identity_map(2).body * Fraction(1, 2))
+        u = make_harmonic_map(VectorPoly([c * Fraction(1, 2) for c in identity_map(2).body]))
         assert u.body[0] == P(2, {(1, 0): Fraction(1, 2)})
         assert u.certified
 

@@ -30,7 +30,7 @@ from ballharmonics.integration import (
     _mc_blocks,
     integrate_poly_sphere,
 )
-from ballharmonics.polynomials import MultiPoly, VectorPoly, gradient
+from ballharmonics.polynomials import MultiPoly, VectorPoly, gradient, parse_poly
 
 
 def monomial(n, alpha):
@@ -102,6 +102,14 @@ def test_exact_poly_integral_sums_terms():
     assert result.exact == PiRational(Fraction(1, 2), 1)
     assert result.standard_error == 0.0
     assert result.method == "exact"
+
+
+def test_tiny_float_coefficients_are_kept():
+    # floats at most 1e-14 times the largest float coefficient were pruned, so
+    # this integral read 0 while its exact twin read the value below
+    value = integrate_poly_sphere(parse_poly("1.0*x1 + 1e-15*x1^2", 2)).value
+    assert value == 3.1415926535897933e-15
+    assert value == integrate_poly_sphere(parse_poly("1*x1 + 1e-15*x1^2", 2)).value
 
 
 def test_exact_route_takes_floats_at_their_binary_value():

@@ -212,6 +212,11 @@ class TestMeanValue:
                 zonal_solid_harmonic(2, 1), SPEC2, [(0.9, 0.0)], spacing=1 / 64
             )
 
+    def test_nan_point_rejected_as_leaving_the_ball(self):
+        # hypot(...) > budget is False for NaN, so the point reached round()
+        with pytest.raises(ValueError, match="leaves the ball"):
+            mean_value_check(zonal_solid_harmonic(2, 1), SPEC2, [(math.nan, 0.1)], spacing=1 / 64)
+
     def test_point_in_masked_margin_rejected(self, monkeypatch):
         # the radius budget keeps every snapped point of a valid spec clear of
         # the margin, so a kernel array wider than its delta stands in for the

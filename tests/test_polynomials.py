@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballharmonics.harmonics import identity_map
+from ballharmonics.harmonics import identity_map, make_harmonic_map
 from ballharmonics.polynomials import (
     DimensionError,
     MultiPoly,
@@ -52,8 +52,8 @@ class TestConstruction:
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_float_rejected(self, bad):
-        # an infinite coefficient would make the relative prune cutoff
-        # infinite and silently drop every float term
+        # an infinite or NaN coefficient has no place in a poly: every
+        # integral, Laplacian and value of it would be non-finite too
         with pytest.raises(ValueError, match="not finite"):
             P(2, {(2, 0): bad, (0, 2): 1.0})
         with pytest.raises(ValueError, match="not finite"):
@@ -145,6 +145,16 @@ class TestCalculus:
         ident = VectorPoly(MultiPoly.variable(n, i) for i in range(n))
         assert grad_norm_sq(ident) == MultiPoly.constant(n, n)
 
+    @pytest.mark.parametrize("text", ["1e-13*x1^2", "1.0*x1 + 1e-13*x1^2*x2"])
+    def test_float_harmonicity_is_relative_to_each_part(self, text):
+        # an absolute 1e-12 on the Laplacian certified both, and the first map's
+        # Pohozaev residual then read 2.0 on a certified map
+        p = parse_poly(text, 3)
+        assert not p.is_harmonic()
+        assert not make_harmonic_map(p).certified
+        # the float twin of an exact harmonic keeps its certificate at any scale
+        assert parse_poly("1e-13*x1^2 - 1e-13*x2^2", 3).is_harmonic()
+
     def test_gradient_length(self):
         p = P(3, {(1, 1, 0): 1})
         g = gradient(p)
@@ -153,6 +163,13 @@ class TestCalculus:
 
 
 class TestEvaluation:
+    def test_coefficient_beyond_the_float_range_refused(self):
+        # it raised OverflowError, which the command line reports as a failed check
+        p = P(2, {(2, 0): 10**400, (0, 1): 1})
+        assert p.evaluate((2, 3)) == 4 * 10**400 + 3
+        with pytest.raises(ValueError, match=r"coefficient of \(2, 0\) is beyond the float range"):
+            p.evaluate((0.5, 0.25))
+
     def test_exact_path(self):
         p = P(2, {(2, 0): Fraction(1), (0, 1): Fraction(-1, 2)})
         val = p.evaluate((Fraction(1, 3), Fraction(2)))
@@ -207,6 +224,11 @@ class TestTextFormat:
             parse_poly("y1", 1)
         with pytest.raises(ValueError):
             parse_poly("x3", 2)  # index beyond the stated dimension
+
+    def test_sign_where_a_factor_is_expected(self):
+        # the sign reached int() as a coefficient and raised Python's own message
+        with pytest.raises(ValueError, match="sign '-' where a factor is expected"):
+            parse_poly("3 * -x1", 1)
 
 
 # -- property tests ---------------------------------------------------------

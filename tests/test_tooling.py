@@ -28,12 +28,15 @@ def _parse(path: pathlib.Path) -> ast.AST:
 
 
 def _reads_outside_own_definition(tree: ast.AST, attributes_only: bool = False) -> set[str]:
-    """Names read as a bare name or an attribute, except inside the def or class of that name."""
+    """Names read as a bare name or an attribute, except inside the def or class of that
+    name or an assignment that binds it."""
     reads: set[str] = set()
 
     def visit(node: ast.AST, enclosing: frozenset) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             enclosing = enclosing | {node.name}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            enclosing = enclosing | _bound_names(node)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and not attributes_only:
             if node.id not in enclosing:
                 reads.add(node.id)
@@ -68,6 +71,27 @@ def _module_level_definitions(path: pathlib.Path) -> list[str]:
     ]
 
 
+def _bound_names(node: ast.Assign | ast.AnnAssign) -> set[str]:
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return {
+        leaf.id
+        for target in targets
+        for leaf in ast.walk(target)
+        if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Store)
+    }
+
+
+def _module_level_constants(path: pathlib.Path) -> list[str]:
+    """Names a module binds by assignment at top level, dunders aside."""
+    return [
+        name
+        for node in _parse(path).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for name in sorted(_bound_names(node))
+        if not (name.startswith("__") and name.endswith("__"))
+    ]
+
+
 def _public_methods() -> list[tuple[str, str]]:
     """(class, attribute) for each method and property of an exported class, dunders aside."""
     kinds = (FunctionType, property, staticmethod, classmethod)
@@ -81,8 +105,8 @@ def _public_methods() -> list[tuple[str, str]]:
 
 
 def test_every_export_and_definition_is_reached_by_the_package_or_a_script():
-    # a public name, a module-level def or class, or a public method of an
-    # exported class that only tests call is dead weight
+    # a public name, a module-level def, class or constant, or a public method
+    # of an exported class that only tests reach is dead weight
     trees = [_parse(p) for p in SOURCES if p.name != "__init__.py"] + [_parse(p) for p in SCRIPTS]
     reached: set[str] = set().union(*map(_reads_outside_own_definition, trees))
     dead = sorted(set(_EXPORTS) - reached)
@@ -94,6 +118,16 @@ def test_every_export_and_definition_is_reached_by_the_package_or_a_script():
         if name not in reached
     ]
     assert not dead, f"definitions that no module or script reaches: {dead}"
+    # a module-level constant may be read where it is bound, __init__.py included
+    init = ROOT / "src" / "ballharmonics" / "__init__.py"
+    read = reached | _reads_outside_own_definition(_parse(init))
+    dead = [
+        f"{path.name}:{name}"
+        for path in SOURCES
+        for name in _module_level_constants(path)
+        if name not in read
+    ]
+    assert not dead, f"module-level constants that no module or script reads: {dead}"
     # a method is reached through an attribute, so a local of the same name does not count.
     # Blind spot: reads are matched by name alone, so a dead method passes while any
     # exported class has a live one of that name (a dead VectorPoly.evaluate passed
