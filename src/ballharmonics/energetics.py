@@ -75,13 +75,6 @@ from .polynomials import (
 )
 
 
-def map_body(u) -> VectorPoly:
-    """Accept a HarmonicMap, VectorPoly or scalar MultiPoly."""
-    if isinstance(u, HarmonicMap):
-        return u.body
-    return as_vector(u)
-
-
 @dataclass(frozen=True)
 class _RadialProfile:
     """Exact unit-sphere integrals of a map's energy densities, per integrand degree.
@@ -205,12 +198,12 @@ def _check_radius(r) -> None:
 def _energy(u, r, spec: QuadratureSpec, density: str, ball=False, lift=0) -> IntegralResult:
     """A ``_RadialProfile`` field of u over the sphere or ball of radius r, times r^lift.
 
-    The exact spec reads u's radial profile at r, Monte Carlo sums the
-    density's products of rows; on both routes :mod:`integration` alone
-    decides how r enters.
+    u is a HarmonicMap, VectorPoly or scalar MultiPoly.  The exact spec
+    reads u's radial profile at r, Monte Carlo sums the density's products
+    of rows; on both routes :mod:`integration` alone decides how r enters.
     """
     _check_radius(r)
-    body = map_body(u)
+    body = u.body if isinstance(u, HarmonicMap) else as_vector(u)
     n = body.dimension
     if spec.method == EXACT_METHOD:
         return _radial_integral(n, getattr(_radial_profile(body), density), r, ball, lift)

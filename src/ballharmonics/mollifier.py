@@ -202,12 +202,6 @@ class MeanValueReport:
     not_a_counterexample: bool
 
 
-def _scalar_components(u) -> tuple[list[MultiPoly], bool, int]:
-    """Components, harmonic-certainty, dimension for a map-like input."""
-    h = u if isinstance(u, HarmonicMap) else make_harmonic_map(u)
-    return list(h.body), h.certified, h.dimension
-
-
 def mean_value_check(
     u, spec: MollifierSpec, points: Sequence[Sequence[float]], spacing: float = 1 / 256
 ) -> MeanValueReport:
@@ -222,9 +216,11 @@ def mean_value_check(
     sampled square, without the square being formed.  A non-harmonic input is
     *not* an error: the defect is computed and the report is flagged
     ``not_a_counterexample`` because a nonzero defect for a non-harmonic
-    function contradicts nothing.
+    function contradicts nothing.  A node value, mollified sum or defect
+    beyond the float range is refused with a ValueError naming the point.
     """
-    comps, certified, n = _scalar_components(u)
+    h = u if isinstance(u, HarmonicMap) else make_harmonic_map(u)
+    n = h.dimension
     if spec.dimension != n:
         raise ValueError(f"kernel dimension {spec.dimension} != map dimension {n}")
     if not points:
@@ -255,15 +251,22 @@ def mean_value_check(
         # the nodes and boxes of the whole grid axis, without forming it
         node = tuple(float((i - half) * spacing) for i in idx)
         box = [(np.arange(i - reach, i + reach + 1) - half) * spacing for i in idx]
-        exact = tuple(float(comp.evaluate(node)) for comp in comps)
-        # symmetric kernel: correlation equals convolution
-        approx = tuple(
-            float(np.sum(poly_on_grid(comp, box) * kern)) * spacing**n for comp in comps
-        )
+        try:
+            exact = tuple(float(comp.evaluate(node)) for comp in h.body)
+        except OverflowError:  # fsum of finite terms beyond the float range
+            exact = (math.inf,)
+        # symmetric kernel: correlation equals convolution; an overflow is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            approx = tuple(
+                float(np.sum(poly_on_grid(comp, box) * kern)) * spacing**n for comp in h.body
+            )
+        error = max([0.0] + [abs(a - e) for a, e in zip(approx, exact)])
+        if not all(map(math.isfinite, (*exact, *approx, error))):
+            raise ValueError(f"u, J_delta * u or their gap is not finite at the point {tuple(pt)}")
         snapped.append(node)
         values.append(exact)
         mollified.append(approx)
-        errors.append(max([0.0] + [abs(a - e) for a, e in zip(approx, exact)]))
+        errors.append(error)
     return MeanValueReport(
         delta=spec.delta,
         spacing=spacing,
@@ -272,7 +275,7 @@ def mean_value_check(
         mollified=tuple(mollified),
         errors=tuple(errors),
         sup_error=max(errors),
-        not_a_counterexample=not certified,
+        not_a_counterexample=not h.certified,
     )
 
 

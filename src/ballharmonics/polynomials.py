@@ -5,11 +5,11 @@ lists the monomial's (axis, exponent) pairs in ascending axis order, zero
 exponents left out, so a term costs its degree, not n, to walk, bump or hash;
 dense exponent n-tuples are only the public view, taken by the constructor
 and returned by :meth:`MultiPoly.terms`.  Coefficients are ``Fraction`` so
-that differentiation, Laplacians and harmonicity checks are exact.  Floats
-enter a poly only as given: float coefficients passed to the constructor,
-decimals in ``parse_poly`` text, and float scalars in ring operations, which
-make the result's coefficients floats.  Instances are immutable, hashable
-and safe to share across threads.
+that differentiation and Laplacians are exact.  Floats enter a poly only as
+given: float coefficients passed to the constructor, decimals in
+``parse_poly`` text, and float scalars in ring operations, which make the
+result's coefficients floats.  Instances are immutable, hashable and safe
+to share across threads.
 
 Canonical form: zero coefficients are never stored, every other one is kept
 however small beside the rest, and float coefficients are finite.  Terms
@@ -23,12 +23,13 @@ series (:func:`_laplacian_series`): the integer numerators of each
 homogeneous part over the poly's least common denominator, followed by their
 Laplacians up to the last nonzero one.  A Fraction is formed only for a
 result coefficient.  The series is computed on first use and kept with the
-poly, so the exact test of :meth:`MultiPoly.is_harmonic`,
-:func:`harmonic_projection` and the energy profile of ``energetics`` walk
-each poly's Laplacian once between them.  Two threads racing on a first use
-compute equal values, so keeping either is safe.  Floats enter the series
-at their exact binary values, so :func:`harmonic_projection` of a poly with a
-float coefficient returns the exact projection of those values with each
+poly, so :meth:`MultiPoly.is_harmonic`, :func:`harmonic_projection` and the
+energy profile of ``energetics`` walk each poly's Laplacian once between
+them; it is the one place a Laplacian is computed.  Two threads racing on a
+first use compute equal values, so keeping either is safe.  Floats enter the
+series at their exact binary values: the float harmonicity test compares
+those exact integers, and :func:`harmonic_projection` of a poly with a float
+coefficient returns the exact projection of those values with each
 coefficient rounded to float once.
 
 The textual format is ``coeff * x1^a1 * x2^a2`` terms joined by `` + `` and
@@ -293,27 +294,22 @@ class MultiPoly:
                     break
         return MultiPoly._canonical(self._dimension, out)
 
-    def laplacian(self) -> "MultiPoly":
-        return MultiPoly._canonical(self._dimension, _laplacian_terms(self._terms))
-
     def is_harmonic(self) -> bool:
-        """True iff the Laplacian vanishes.
+        """True iff the Laplacian vanishes, read from the kept :func:`_laplacian_series`.
 
-        Exact-coefficient polys are checked exactly: every part of the kept
-        :func:`_laplacian_series` stops at the part itself.  Float polys hold
-        each Laplacian coefficient of degree d to 1e-12 times the largest
-        absolute coefficient of the degree-(d + 2) part it comes from,
-        compared exactly whatever the coefficients' sizes.
+        Exact-coefficient polys are checked exactly: every part of the series
+        stops at the part itself.  Float polys hold every first-Laplacian
+        numerator of each homogeneous part to 1e-12 times the part's largest
+        absolute numerator.  The numerators are the floats' exact binary
+        values, so no size of coefficient overflows the test.
         """
-        if self.is_exact:
-            return all(len(laps) == 1 for laps in _laplacian_series(self)[1].values())
-        scale: dict[int, Coeff] = {}
-        for key, c in self._terms.items():
-            scale[_degree(key)] = max(scale.get(_degree(key), 0), abs(c))
-        return all(
-            Fraction(abs(c)) * 10**12 <= scale[_degree(key) + 2]
-            for key, c in self.laplacian()._terms.items()
-        )
+        exact = self.is_exact
+        for part, *laps in _laplacian_series(self)[1].values():
+            if not laps:
+                continue
+            if exact or max(map(abs, laps[0].values())) * 10**12 > max(map(abs, part.values())):
+                return False
+        return True
 
     # -- evaluation -------------------------------------------------------
 

@@ -6,7 +6,9 @@ route, and no package code calls any of them:
 * :func:`square` and :func:`grad_norm_sq` form p^2 and |grad u|^2 as
   polynomials, which the energy quadrature never does, :func:`euler_pairing`
   forms <x, grad p> as sum_k x_k d_k p, where ``polynomials.radial_pairing``
-  multiplies each term by its degree, and :func:`materialised` integrates
+  multiplies each term by its degree, :func:`laplacian` forms Delta p as
+  sum_k d_k (d_k p), where the package reads the Laplacian series that
+  ``polynomials._laplacian_series`` keeps, and :func:`materialised` integrates
   |grad u|^2 and the other squared energy densities monomial by monomial;
 * :func:`lowered` makes the float-coefficient twin of an exact poly;
 * :func:`fischer_profile` gives the sphere norms of a harmonic map's parts
@@ -81,6 +83,14 @@ def euler_pairing(p: MultiPoly) -> MultiPoly:
     n = p.dimension
     return sum(
         (MultiPoly.variable(n, k) * p.partial_derivative(k) for k in range(n)), MultiPoly(n)
+    )
+
+
+def laplacian(p: MultiPoly) -> MultiPoly:
+    """Delta p by its definition, sum_k d_k (d_k p)."""
+    n = p.dimension
+    return sum(
+        (p.partial_derivative(k).partial_derivative(k) for k in range(n)), MultiPoly(n)
     )
 
 
@@ -189,7 +199,7 @@ def almansi_decomposition(p: MultiPoly) -> list[MultiPoly]:
         return [p]
     n = p.dimension
     k = total_degree(p)
-    lap = p.laplacian()
+    lap = laplacian(p)
     if lap.is_zero:
         return [p]
     lower = almansi_decomposition(lap)

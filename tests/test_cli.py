@@ -150,6 +150,15 @@ class TestDecay:
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
         assert "got 0 of 5" in proc.stderr
 
+    def test_float_map_whose_float_laplacian_overflows(self):
+        # certifying it once formed the Laplacian in floats, 2e308 - 2e308 = nan: exit 2
+        proc = run_cli(
+            "decay", "--dimension", "2", "--map", "poly:1e308*x1^2 - 1e308*x2^2", "--out", "-"
+        )
+        assert proc.returncode == 0, proc.stderr
+        verdict = json.loads(proc.stdout[proc.stdout.index("\n{") :])
+        assert verdict["beta_hat"] == pytest.approx(4.0, abs=1e-9)
+
     def test_zero_denominator_in_axis_is_usage_error(self, tmp_path):
         proc = run_cli(
             "decay", "--map", "zonal:1", "--axis", "1,0/0,0", "--out", str(tmp_path / "d.csv")
@@ -380,6 +389,20 @@ class TestMollify:
         )
         assert proc.returncode == 2
         assert proc.stderr == "error: coefficient of (1, 1) is beyond the float range\n"
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("coefficient", [str(10**308), "1e308"], ids=["exact", "float"])
+    def test_mollified_sum_beyond_the_float_range(self, coefficient):
+        # the sum over the kernel box overflows; it printed nan and inf with error 0, exit 0
+        c = coefficient
+        proc = run_cli(
+            "mollify", "--dimension", "2", "--map", f"poly:{c}*x1^2 - {c}*x2^2",
+            "--spacing", "1/64",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: u, J_delta * u or their gap is not finite at the point (0.0, 0.0)\n"
+        )
         assert proc.stdout == ""
 
     def test_non_harmonic_is_flagged_not_failed(self):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballharmonics import harmonics, polynomials
+from ballharmonics import energetics, harmonics, polynomials
+from ballharmonics.energetics import dirichlet_energy_result
 from ballharmonics.harmonics import (
     HarmonicMap,
     _zonal_lead,
@@ -28,6 +29,7 @@ from oracles import (
     almansi_decomposition,
     homogeneous_components,
     is_homogeneous,
+    laplacian,
     lowered,
     radius_sq,
     total_degree,
@@ -167,20 +169,25 @@ def test_zonal_and_random_maps_go_through_harmonic_projection(monkeypatch):
     assert len(calls) >= 2 and all(total_degree(p) == 2 for p in calls[1:])
 
 
-def test_float_map_builds_no_laplacian_series(monkeypatch):
-    # floats are certified on their own route; the exact series would be built for nothing
+def test_certifying_a_float_map_fills_the_series_its_energy_reads(monkeypatch):
+    # float certification reads the kept Laplacian series, as exact certification
+    # does, so an exact energy of the certified map walks no further Laplacian
     body = lowered(random_harmonic_polynomial(8, 4, 5).body[0])
     calls = []
-    original = polynomials._laplacian_series
+    walk = polynomials._laplacian_terms
 
-    def spy(p):
-        calls.append(p)
-        return original(p)
+    def spy(terms):
+        calls.append(len(terms))
+        return walk(terms)
 
-    monkeypatch.setattr(polynomials, "_laplacian_series", spy)
+    monkeypatch.setattr(polynomials, "_laplacian_terms", spy)
     u = make_harmonic_map(body)
-    assert calls == [] and body._series is None
     assert u.certified and u.degree == 4
+    assert calls and body._series is not None
+    calls.clear()
+    energetics._radial_profile.cache_clear()
+    dirichlet_energy_result(u, 1)
+    assert calls == []
     assert make_harmonic_map(body + MultiPoly.constant(8, 1.0)).degree is None
 
 
@@ -270,7 +277,7 @@ def test_property_projection_kernel_matches_almansi_oracle(p):
     assert projected.terms() == expected.terms()
     # the exact harmonicity test on integer numerators against the Fraction Laplacian
     for q in (p, projected, *homogeneous_components(p).values()):
-        assert q.is_harmonic() == q.laplacian().is_zero
+        assert q.is_harmonic() == laplacian(q).is_zero
     assert projected.is_harmonic()
 
 

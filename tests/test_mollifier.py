@@ -3,6 +3,7 @@
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -29,7 +30,7 @@ from ballharmonics.mollifier import (
     mean_value_convergence,
     mollifier_gradient_scaling,
 )
-from ballharmonics.polynomials import MultiPoly, VectorPoly, as_vector
+from ballharmonics.polynomials import MultiPoly, VectorPoly, as_vector, parse_poly
 
 from oracles import (
     coordinate_of,
@@ -235,6 +236,20 @@ class TestMeanValue:
     def test_point_of_the_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="3 coordinates, expected 2"):
             mean_value_check(zonal_solid_harmonic(2, 2), SPEC2, [(0.0, 0.0, 0.0)], spacing=1 / 64)
+
+    @pytest.mark.parametrize(
+        "text,point",
+        [
+            (f"{10**308}*x1^2 - {10**308}*x2^2", (0.25, 0.0)),  # the sum overflows to inf
+            (f"{10**308}*x1^2 - {10**308}*x2^2", (0.125, 0.125)),  # inf - inf in it: nan
+            ("1.7e308*x1 + 1.7e308*x2", (0.53, 0.53)),  # finite terms, the node value is not
+        ],
+        ids=["inf", "nan", "node"],
+    )
+    def test_values_beyond_the_float_range_are_refused(self, text, point):
+        # max([0.0, nan]) is 0.0, so a nan mollified sum once reported no error
+        with pytest.raises(ValueError, match=re.escape(f"not finite at the point {point}")):
+            mean_value_check(parse_poly(text, 2), SPEC2, [point], spacing=1 / 64)
 
     def test_map_past_the_grid_cap_is_refused_by_the_kernel_dimension(self):
         # a spec is capped at 3 dimensions, so comparing it with the map's

@@ -297,8 +297,9 @@ def _writes_series(node: ast.AST) -> bool:
 
 def test_one_writer_of_the_laplacian_series_and_one_walk():
     # the kept series is the one place a poly's Laplacians are computed:
-    # _store resets it, _laplacian_series fills it, and no other module walks
-    # a Laplacian to learn what the series already holds
+    # _store resets it, _laplacian_series fills it, and no other def, in
+    # polynomials.py or out of it, walks a Laplacian to learn what the series
+    # already holds
     found = [
         (path.name, *pair)
         for path in SOURCES + SCRIPTS + TESTS
@@ -307,12 +308,12 @@ def test_one_writer_of_the_laplacian_series_and_one_walk():
     writers = {(module, name) for module, name, node in found if _writes_series(node)}
     assert writers == {("polynomials.py", "_store"), ("polynomials.py", "_laplacian_series")}
     walkers = {
-        module
-        for module, _, node in found
+        (module, name)
+        for module, name, node in found
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_laplacian_terms"
     }
-    assert walkers == {"polynomials.py"}, sorted(walkers)
+    assert walkers == {("polynomials.py", "_laplacian_series")}, sorted(walkers)
 
 
 def test_dense_exponent_tuples_stay_in_polynomials():
