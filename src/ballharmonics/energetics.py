@@ -34,7 +34,11 @@ integrands and does not assume that u is harmonic.  On a harmonic part it is
 short: w_j = u_j, and two harmonic parts of different degree share no
 monomial, so a harmonic map costs the Fischer norm of each part, the closed
 form of Axler, Bourdon and Ramey (Harmonic Function Theory, ch. 5).  The
-profile is kept per integrand degree, so each radius costs O(#degrees).
+profile is kept per integrand degree, so each radius costs O(#degrees), and
+it is kept on the body, in the ``_profile`` slot of the ``VectorPoly``, so
+the energies of one body after the first read it back.  A bare ``MultiPoly``
+is wrapped anew on each call; its profile is then rebuilt from the kept
+Laplacian series, without walking a Laplacian.
 
 Every energy, and the flux of :mod:`identities`, is one (density, domain,
 lift) read through ``_energy``; Monte Carlo specs hand ``_mc_integral`` the
@@ -51,7 +55,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactmath import _safe_exp, as_fraction
 from .harmonics import HarmonicMap
@@ -90,17 +93,16 @@ class _RadialProfile:
     flux: _Profile
 
 
-# Every caller reads one map's profile back to back (energies at a few radii),
-# so four entries keep every hit; a longer cache only keeps old maps alive
-# (zonal_solid_harmonic(200, 4) holds 20 100 terms).
-@lru_cache(maxsize=4)
 def _radial_profile(body: VectorPoly) -> _RadialProfile:
     """The radial profile of any body, by the Fischer sums of the module docstring.
 
-    Each component's parts and their Laplacians are read from its kept
-    series (:func:`polynomials._laplacian_series`; certification filled it
-    for a constructed map), whose integer numerators over den_i are brought
-    to den = lcm(den_i) by weighting that component's sums with (den / den_i)^2.
+    Built on first use and kept in the body's ``_profile`` slot, so later
+    energies of the same body read it back without hashing the body; equal
+    bodies keep a profile each.  Each component's parts and their Laplacians
+    are read from its kept series (:func:`polynomials._laplacian_series`;
+    certification filled it for a constructed map), whose integer numerators
+    over den_i are brought to den = lcm(den_i) by weighting that component's
+    sums with (den / den_i)^2.
     A part whose first Laplacian vanishes (always so at degree <= 1) has
     w_j = u_j, and it shares no monomial with the other such parts of its
     component, so it adds its Fischer norm straight into a per-degree sum.
@@ -109,6 +111,8 @@ def _radial_profile(body: VectorPoly) -> _RadialProfile:
     paired with the parts of its parity.  Each degree D meets
     :func:`_sphere_monomial_rational` once.
     """
+    if body._profile is not None:
+        return body._profile
     n = body.dimension
     comps = [_laplacian_series(comp) for comp in body]
     den = math.lcm(*(den_i for den_i, _ in comps))
@@ -148,7 +152,9 @@ def _radial_profile(body: VectorPoly) -> _RadialProfile:
             (d, unit * c * _sphere_monomial_rational(n, d)) for d, c in sorted(sums.items()) if c
         )
 
-    return _RadialProfile(by_degree(grad), by_degree(pairing), by_degree(flux))
+    profile = _RadialProfile(by_degree(grad), by_degree(pairing), by_degree(flux))
+    object.__setattr__(body, "_profile", profile)
+    return profile
 
 
 def _heat(series: list[dict], scale: int) -> dict:

@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .exactmath import as_fraction
-from .polynomials import MultiPoly, VectorPoly, _degree, as_vector, harmonic_projection
+from .polynomials import MultiPoly, VectorPoly, _laplacian_series, as_vector, harmonic_projection
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,8 @@ def make_harmonic_map(body: VectorPoly | MultiPoly, label: str = "") -> Harmonic
     """Wrap a polynomial (vector) after checking harmonicity of each component."""
     vec = as_vector(body)
     certified = all(comp.is_harmonic() for comp in vec)
-    degrees = {_degree(key) for comp in vec for key in comp._terms}
+    # the degrees of the stored terms are the keys of each component's kept series
+    degrees = {d for comp in vec for d in _laplacian_series(comp)[1]}
     degree = None if len(degrees) > 1 else max(degrees, default=0)
     return HarmonicMap(body=vec, degree=degree, certified=certified, label=label)
 

@@ -25,12 +25,15 @@ Laplacians up to the last nonzero one.  A Fraction is formed only for a
 result coefficient.  The series is computed on first use and kept with the
 poly, so :meth:`MultiPoly.is_harmonic`, :func:`harmonic_projection` and the
 energy profile of ``energetics`` walk each poly's Laplacian once between
-them; it is the one place a Laplacian is computed.  Two threads racing on a
-first use compute equal values, so keeping either is safe.  Floats enter the
-series at their exact binary values: the float harmonicity test compares
-those exact integers, and :func:`harmonic_projection` of a poly with a float
-coefficient returns the exact projection of those values with each
-coefficient rounded to float once.
+them; it is the one place a Laplacian is computed.  The energy profile is
+kept the same way, on the :class:`VectorPoly` it was built for (its
+``_profile`` slot), so a body's later energies read neither its hash nor its
+series.  Two threads racing on a first use compute equal values, so keeping
+either is safe.  Floats enter the series at their exact binary values: the
+float harmonicity test compares those exact integers, and
+:func:`harmonic_projection` of a poly with a float coefficient returns the
+exact projection of those values with each coefficient rounded to float
+once.
 
 The textual format is ``coeff * x1^a1 * x2^a2`` terms joined by `` + `` and
 `` - ``, rationals written ``p/q``.  ``parse_poly`` round-trips
@@ -303,11 +306,12 @@ class MultiPoly:
         absolute numerator.  The numerators are the floats' exact binary
         values, so no size of coefficient overflows the test.
         """
-        exact = self.is_exact
         for part, *laps in _laplacian_series(self)[1].values():
             if not laps:
                 continue
-            if exact or max(map(abs, laps[0].values())) * 10**12 > max(map(abs, part.values())):
+            if self.is_exact:  # read only here: an exact harmonic poly never scans its types
+                return False
+            if max(map(abs, laps[0].values())) * 10**12 > max(map(abs, part.values())):
                 return False
         return True
 
@@ -318,7 +322,9 @@ class MultiPoly:
 
         Exact (Fraction) when both the coefficients and the point entries are
         exact; float otherwise.  Float accumulation uses ``math.fsum`` over
-        terms in graded lexicographic order, so results are deterministic.
+        terms in graded lexicographic order, so results are deterministic.  A
+        float power or sum that overflows is refused with ValueError, as a
+        coefficient beyond the float range is.
         """
         if len(point) != self._dimension:
             raise DimensionError(f"point has {len(point)} coordinates, expected {self._dimension}")
@@ -328,11 +334,15 @@ class MultiPoly:
         else:
             coords, terms = [float(x) for x in point], self._float_terms()
         parts = []
-        for key, term in terms:
-            for a, e in key:
-                term *= coords[a] ** e
-            parts.append(term)
-        return sum(parts, Fraction(0)) if exact else math.fsum(parts)
+        try:
+            for key, term in terms:
+                for a, e in key:
+                    term *= coords[a] ** e
+                parts.append(term)
+            return sum(parts, Fraction(0)) if exact else math.fsum(parts)
+        except OverflowError:  # only floats overflow
+            point = tuple(coords)
+            raise ValueError(f"value at the point {point} overflows the float range") from None
 
     def __call__(self, point: Sequence) -> Fraction | float:
         return self.evaluate(point)
@@ -447,7 +457,7 @@ def harmonic_projection(p: MultiPoly) -> MultiPoly:
 class VectorPoly:
     """Immutable tuple of MultiPoly components sharing one ambient dimension."""
 
-    __slots__ = ("_components",)
+    __slots__ = ("_components", "_profile")
 
     def __init__(self, components: Iterable[MultiPoly]):
         comps = tuple(components)
@@ -457,6 +467,8 @@ class VectorPoly:
         if len(dims) != 1:
             raise DimensionError(f"components disagree on dimension: {sorted(dims)}")
         object.__setattr__(self, "_components", comps)
+        # the energy profile of ``energetics``, filled on first use like MultiPoly._series
+        object.__setattr__(self, "_profile", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("VectorPoly is immutable")

@@ -71,7 +71,11 @@ def scanned(check, seed):
 
 @pytest.fixture
 def sphere_factor_off(monkeypatch):
-    """Plant a relative error in every exact sphere factor, past the profile cache."""
+    """Plant a relative error in every exact sphere factor.
+
+    Each map keeps the profile it was built with, so the checks that read the
+    mutant build their maps after it is planted.
+    """
 
     def plant(rel: Fraction) -> None:
         factor = integration._sphere_monomial_rational
@@ -82,9 +86,7 @@ def sphere_factor_off(monkeypatch):
         for module in (integration, energetics):
             monkeypatch.setattr(module, "_sphere_monomial_rational", mutant)
 
-    energetics._radial_profile.cache_clear()
-    yield plant
-    energetics._radial_profile.cache_clear()
+    return plant
 
 
 @verdict(1, "volume peak")

@@ -351,14 +351,46 @@ def test_fischer_profile_of_a_mixed_map():
     assert dirichlet_energy_result(u, 1).exact.coeff == 3
 
 
-def test_profile_is_built_once_per_body():
+def _count_profile_builds(monkeypatch) -> list:
+    """Spy on the profile's constructor; each build of a profile appends its fields."""
+    built = []
+    make = energetics._RadialProfile
+
+    def spy(*fields):
+        built.append(fields)
+        return make(*fields)
+
+    monkeypatch.setattr(energetics, "_RadialProfile", spy)
+    return built
+
+
+def test_profile_is_built_once_per_body(monkeypatch):
     # concentration_fraction asks for two energies of one map, and the total
-    # surface energy a third: all three read one cached profile
-    energetics._radial_profile.cache_clear()
+    # surface energy a third: all three read the profile kept on the body
+    built = _count_profile_builds(monkeypatch)
     u = identity_map(6)
     concentration_fraction(u, Fraction(9, 10))
     surface_energy_total_result(u, 1)
-    assert energetics._radial_profile.cache_info().misses == 1
+    assert len(built) == 1
+    assert u.body._profile.grad == built[0][0]
+
+
+def test_energies_of_a_certified_map_hash_no_body(monkeypatch):
+    # the profile is kept on the body, so neither certifying a map nor reading
+    # its energies hashes a poly: a cache keyed on the body hashed every term
+    hashed = []
+    for cls in (MultiPoly, VectorPoly):
+
+        def counted(self, plain=cls.__hash__):
+            hashed.append(type(self).__name__)
+            return plain(self)
+
+        monkeypatch.setattr(cls, "__hash__", counted)
+    built = _count_profile_builds(monkeypatch)
+    u = identity_map(50)
+    assert concentration_fraction(u, Fraction(9, 10)) == pytest.approx(1 - 0.9**50, rel=1e-12)
+    assert hashed == []
+    assert len(built) == 1
 
 
 def test_energy_of_a_certified_map_walks_no_laplacian(monkeypatch):
@@ -374,7 +406,6 @@ def test_energy_of_a_certified_map_walks_no_laplacian(monkeypatch):
     u = zonal_solid_harmonic(5, 3)
     assert calls, "building the map walks its Laplacian"
     calls.clear()
-    energetics._radial_profile.cache_clear()
     dirichlet_energy_result(u, 1)
     assert calls == []
 
@@ -387,14 +418,14 @@ def test_projection_and_profile_leave_the_kept_series_as_they_found_it():
     assert max(len(laps) for laps in kept[1].values()) == 3
     harmonic_projection(p)
     assert _laplacian_series(p) == kept
-    energetics._radial_profile.cache_clear()
     energetics._radial_profile(VectorPoly([p]))
     assert _laplacian_series(p) == kept
 
 
 def test_profile_cache_does_not_keep_a_scan_of_maps_alive():
-    # the cache keys on the body, so every cached profile keeps its map alive;
-    # the identity maps of n = 2..80 take about 2.5 MB together
+    # each profile is kept on its body and goes with it: a cache keyed on the
+    # body kept its maps alive, and the identity maps of n = 2..80 take about
+    # 2.5 MB together
     concentration_fraction(identity_map(2), Fraction(9, 10))
     tracemalloc.start()
     try:
@@ -467,7 +498,6 @@ def test_profile_brings_each_component_to_the_common_denominator():
     )
     assert [_laplacian_series(c)[0] for c in body] == [3, 5]
     assert [c.is_harmonic() for c in body] == [True, False]
-    energetics._radial_profile.cache_clear()
     for r in (1, Fraction(1, 2), 0.7):
         assert profiled(body, r) == materialised(body, r)
 
@@ -489,9 +519,9 @@ def test_float_bodies_take_the_profile_of_their_binary_values(body):
     exact_body = VectorPoly(
         [MultiPoly(c.dimension, {e: as_fraction(x) for e, x in c.terms()}) for c in body]
     )
-    # the two bodies compare equal, so the cache would hand one the other's profile
-    build = energetics._radial_profile.__wrapped__
-    assert build(body) == build(exact_body)
+    # the two bodies compare equal, and each keeps a profile of its own
+    assert energetics._radial_profile(body) == energetics._radial_profile(exact_body)
+    assert body._profile is not exact_body._profile
     assert profiled(body, 0.7) == profiled(exact_body, 0.7)
     # squaring the float polynomials, as these bodies were once integrated,
     # agrees to rounding

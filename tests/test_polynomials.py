@@ -1,6 +1,7 @@
 """Sparse polynomial arithmetic, calculus, parsing and evaluation."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,19 @@ class TestEvaluation:
         assert p.evaluate((2, 3)) == 4 * 10**400 + 3
         with pytest.raises(ValueError, match=r"coefficient of \(2, 0\) is beyond the float range"):
             p.evaluate((0.5, 0.25))
+
+    @pytest.mark.parametrize(
+        "text,point",
+        [("1.7e308*x1 + 1.7e308*x2", (0.53125, 0.53125)), ("x1^2", (1e200,))],
+        ids=["sum", "power"],
+    )
+    def test_value_beyond_the_float_range_refused(self, text, point):
+        # finite terms summing past the float range, or a power past it,
+        # raised a bare OverflowError
+        p = parse_poly(text, len(point))
+        message = f"value at the point {point} overflows the float range"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            p.evaluate(point)
 
     def test_exact_path(self):
         p = P(2, {(2, 0): Fraction(1), (0, 1): Fraction(-1, 2)})

@@ -4,6 +4,7 @@ import ast
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from types import FunctionType
@@ -283,16 +284,26 @@ def _nodes_with_their_def(node: ast.AST, name: str = "<module>"):
         yield from _nodes_with_their_def(child, name)
 
 
-def _writes_series(node: ast.AST) -> bool:
-    """An assignment to ._series, or a (object.__)setattr call naming "_series"."""
+def _writes_slot(node: ast.AST, slot: str) -> bool:
+    """An assignment to .<slot>, or a (object.__)setattr call naming the slot."""
     if isinstance(node, ast.Attribute):
-        return node.attr == "_series" and not isinstance(node.ctx, ast.Load)
+        return node.attr == slot and not isinstance(node.ctx, ast.Load)
     if not isinstance(node, ast.Call):
         return False
     called = getattr(node.func, "id", getattr(node.func, "attr", None))
     return called in {"setattr", "__setattr__"} and any(
-        isinstance(arg, ast.Constant) and arg.value == "_series" for arg in node.args
+        isinstance(arg, ast.Constant) and arg.value == slot for arg in node.args
     )
+
+
+def _slot_writers(slot: str) -> set[tuple[str, str]]:
+    """(file, innermost def) of every write to the slot in src/, scripts/ and tests/."""
+    return {
+        (path.name, name)
+        for path in SOURCES + SCRIPTS + TESTS
+        for name, node in _nodes_with_their_def(_parse(path))
+        if _writes_slot(node, slot)
+    }
 
 
 def test_one_writer_of_the_laplacian_series_and_one_walk():
@@ -305,8 +316,10 @@ def test_one_writer_of_the_laplacian_series_and_one_walk():
         for path in SOURCES + SCRIPTS + TESTS
         for pair in _nodes_with_their_def(_parse(path))
     ]
-    writers = {(module, name) for module, name, node in found if _writes_series(node)}
-    assert writers == {("polynomials.py", "_store"), ("polynomials.py", "_laplacian_series")}
+    assert _slot_writers("_series") == {
+        ("polynomials.py", "_store"),
+        ("polynomials.py", "_laplacian_series"),
+    }
     walkers = {
         (module, name)
         for module, name, node in found
@@ -314,6 +327,33 @@ def test_one_writer_of_the_laplacian_series_and_one_walk():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_laplacian_terms"
     }
     assert walkers == {("polynomials.py", "_laplacian_series")}, sorted(walkers)
+
+
+def _is_lru_cache(decorator: ast.expr) -> bool:
+    called = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(called, "id", getattr(called, "attr", None)) == "lru_cache"
+
+
+def test_profiles_are_kept_on_the_body_not_in_a_cache():
+    # a cache keyed on a poly hashes every term of it on each lookup and keeps
+    # old maps alive; what is computed from a body is kept on it instead: the
+    # energy profile in VectorPoly._profile, which __init__ resets and
+    # energetics._radial_profile fills
+    bodies = {"MultiPoly", "VectorPoly", "HarmonicMap"}
+    keyed = sorted(
+        f"{path.name}:{node.name}({ast.unparse(arg)})"
+        for path in SOURCES
+        for node in ast.walk(_parse(path))
+        if isinstance(node, _FUNCTIONS) and any(map(_is_lru_cache, node.decorator_list))
+        for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        # an unannotated parameter could take a body too
+        if arg.annotation is None or bodies & set(re.findall(r"\w+", ast.unparse(arg.annotation)))
+    )
+    assert not keyed, keyed
+    assert _slot_writers("_profile") == {
+        ("polynomials.py", "__init__"),
+        ("energetics.py", "_radial_profile"),
+    }
 
 
 def test_dense_exponent_tuples_stay_in_polynomials():
