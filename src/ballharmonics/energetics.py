@@ -120,11 +120,14 @@ def _radial_profile(body: VectorPoly) -> _RadialProfile:
     # (weight, degree j -> [u_j, Delta u_j, ...]) per component with a non-harmonic part
     mixed = []
     for den_i, series in comps:
-        weight = (den // den_i) ** 2
+        weight = 1 if den_i == den else (den // den_i) ** 2
+        heats = False
         for j, s in series.items():
             if len(s) == 1:
                 norms[j] = norms.get(j, 0) + weight * _fischer_norm(s[0], j)
-        if any(len(s) > 1 for s in series.values()):
+            else:
+                heats = True
+        if heats:
             mixed.append((weight, series))
     steps = max((len(s) - 1 for _, series in mixed for s in series.values()), default=0)
     scale = 2**steps * math.factorial(steps)
@@ -170,7 +173,7 @@ def _heat(series: list[dict], scale: int) -> dict:
 def _fischer_norm(u: dict, degree: int) -> int:
     """sum alpha! u_alpha^2 over a degree-d part; alpha! = 1 at degree <= 1."""
     if degree <= 1:
-        return sum(c * c for c in u.values())
+        return sum([c * c for c in u.values()])
     return sum(math.prod([math.factorial(e) for _, e in alpha]) * c * c for alpha, c in u.items())
 
 

@@ -50,9 +50,11 @@ class HarmonicMap:
 def make_harmonic_map(body: VectorPoly | MultiPoly, label: str = "") -> HarmonicMap:
     """Wrap a polynomial (vector) after checking harmonicity of each component."""
     vec = as_vector(body)
-    certified = all(comp.is_harmonic() for comp in vec)
-    # the degrees of the stored terms are the keys of each component's kept series
-    degrees = {d for comp in vec for d in _laplacian_series(comp)[1]}
+    certified, degrees = True, set()
+    for comp in vec:
+        # the degrees of the stored terms are the keys of the component's kept series
+        degrees.update(_laplacian_series(comp)[1])
+        certified = certified and comp.is_harmonic()
     degree = None if len(degrees) > 1 else max(degrees, default=0)
     return HarmonicMap(body=vec, degree=degree, certified=certified, label=label)
 

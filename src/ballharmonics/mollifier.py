@@ -66,7 +66,7 @@ _TANH_SINH_STEP = 1.0 / 64
 
 
 def _radial_bump_integral(power: int) -> float:
-    """Integral of t^power exp(-1/(1-t^2)) over [0, 1], to within 1e-10 by |S_h - S_2h|.
+    """Integral of t^power exp(-1/(1-t^2)) over [0, 1], to 1e-10 relative by |S_h - S_2h|.
 
     1 - t is taken as e^-a / (2 cosh a), so 1 - t^2 does not cancel near t = 1.
     """
@@ -82,8 +82,8 @@ def _radial_bump_integral(power: int) -> float:
         terms.append(weight * t**power * math.exp(-1.0 / (one_minus_t * (2.0 - one_minus_t))))
     radial = math.fsum(terms)
     err = abs(radial - 2.0 * math.fsum(terms[half % 2 :: 2]))  # S_2h: the even k
-    if not err < 1e-10:
-        raise ArithmeticError(f"radial quadrature error {err!r} exceeds 1e-10")
+    if not err < 1e-10 * radial:  # relative, so a tiny integral at a high power is held too
+        raise ArithmeticError(f"radial quadrature error {err!r} exceeds 1e-10 of {radial!r}")
     return radial
 
 

@@ -22,7 +22,9 @@ Exact algebra that runs many steps on one poly works on its Laplacian
 series (:func:`_laplacian_series`): the integer numerators of each
 homogeneous part over the poly's least common denominator, followed by their
 Laplacians up to the last nonzero one.  A Fraction is formed only for a
-result coefficient.  The series is computed on first use and kept with the
+result coefficient.  A coordinate function (:meth:`MultiPoly.variable`) is
+born with its series, which has no Laplacian to walk; any other poly
+computes its series on first use.  Either way the series is kept with the
 poly, so :meth:`MultiPoly.is_harmonic`, :func:`harmonic_projection` and the
 energy profile of ``energetics`` walk each poly's Laplacian once between
 them; it is the one place a Laplacian is computed.  The energy profile is
@@ -151,14 +153,20 @@ class MultiPoly:
         poly._store(dimension, acc)
         return poly
 
-    def _store(self, dimension: int, terms: dict[Key, Coeff]) -> None:
+    def _store(self, dimension: int, terms: dict[Key, Coeff], series=None) -> None:
+        """Fill the slots; a coordinate function is born with its ``series``, others compute it."""
         object.__setattr__(self, "_dimension", dimension)
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_series", None)
+        object.__setattr__(self, "_series", series)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    def __reduce__(self):
+        # __new__ needs the dimension and the slots refuse setattr, so pickling and
+        # copying rebuild through the checked constructor; the kept series is rebuilt on use
+        return MultiPoly._of_keys, (self._dimension, list(self._terms.items()))
 
     # -- basic views ------------------------------------------------------
 
@@ -189,9 +197,11 @@ class MultiPoly:
         """The coordinate function x_{axis+1}."""
         if not 0 <= axis < dimension:
             raise DimensionError(f"axis {axis} out of range for dimension {dimension}")
-        # one exact nonzero term is canonical as it stands
+        # one exact nonzero term is canonical as it stands, and its Laplacian series is
+        # the numerator 1 over den 1 at degree 1, which has no Laplacian to walk
+        key = ((axis, 1),)
         poly = object.__new__(MultiPoly)
-        poly._store(dimension, {((axis, 1),): _ONE})
+        poly._store(dimension, {key: _ONE}, (1, {1: [{key: 1}]}))
         return poly
 
     # -- equality ---------------------------------------------------------
@@ -306,12 +316,12 @@ class MultiPoly:
         absolute numerator.  The numerators are the floats' exact binary
         values, so no size of coefficient overflows the test.
         """
-        for part, *laps in _laplacian_series(self)[1].values():
-            if not laps:
+        for laps in _laplacian_series(self)[1].values():
+            if len(laps) == 1:  # the part is harmonic
                 continue
             if self.is_exact:  # read only here: an exact harmonic poly never scans its types
                 return False
-            if max(map(abs, laps[0].values())) * 10**12 > max(map(abs, part.values())):
+            if max(map(abs, laps[1].values())) * 10**12 > max(map(abs, laps[0].values())):
                 return False
         return True
 
@@ -323,8 +333,8 @@ class MultiPoly:
         Exact (Fraction) when both the coefficients and the point entries are
         exact; float otherwise.  Float accumulation uses ``math.fsum`` over
         terms in graded lexicographic order, so results are deterministic.  A
-        float power or sum that overflows is refused with ValueError, as a
-        coefficient beyond the float range is.
+        float term, power or sum that overflows is refused with ValueError, as
+        a coefficient beyond the float range is.
         """
         if len(point) != self._dimension:
             raise DimensionError(f"point has {len(point)} coordinates, expected {self._dimension}")
@@ -339,10 +349,14 @@ class MultiPoly:
                 for a, e in key:
                     term *= coords[a] ** e
                 parts.append(term)
-            return sum(parts, Fraction(0)) if exact else math.fsum(parts)
+            if exact:
+                return sum(parts, Fraction(0))
+            # a float product past the range is inf, where a power or fsum raises
+            if all(map(math.isfinite, parts)):
+                return math.fsum(parts)
         except OverflowError:  # only floats overflow
-            point = tuple(coords)
-            raise ValueError(f"value at the point {point} overflows the float range") from None
+            pass
+        raise ValueError(f"value at the point {tuple(coords)} overflows the float range")
 
     def __call__(self, point: Sequence) -> Fraction | float:
         return self.evaluate(point)
@@ -384,15 +398,23 @@ def _laplacian_series(p: MultiPoly) -> tuple[int, dict[int, list[dict[Key, int]]
 
     The u_d are p's homogeneous parts as integer numerators over the least
     common denominator den of p's coefficients; floats enter at their exact
-    binary values.  Parts of degree <= 1 are [u_d] with no walk.  Computed on
-    first use and kept in p's ``_series`` slot; readers must not mutate it.
+    binary values.  Parts of degree <= 1 are [u_d] with no walk.  Kept in p's
+    ``_series`` slot: a coordinate function is born with it
+    (:meth:`MultiPoly.variable`), any other poly computes it here on first
+    use.  Readers must not mutate it.
     """
     if p._series is None:
-        ratios = {key: c.as_integer_ratio() for key, c in p._terms.items()}
-        den = math.lcm(*(q for _, q in ratios.values()))
+        ratios = [c.as_integer_ratio() for c in p._terms.values()]
+        den = math.lcm(*[q for _, q in ratios])
         series: dict[int, list[dict[Key, int]]] = {}
-        for key, (a, q) in ratios.items():
-            series.setdefault(_degree(key), [{}])[0][key] = a * (den // q)
+        for key, (a, q) in zip(p._terms, ratios):
+            if q != den:
+                a *= den // q
+            d = _degree(key)
+            if d in series:
+                series[d][0][key] = a
+            else:
+                series[d] = [{key: a}]
         for d, laps in series.items():
             while d > 1 and (lap := {e: c for e, c in _laplacian_terms(laps[-1]).items() if c}):
                 laps.append(lap)
@@ -463,7 +485,7 @@ class VectorPoly:
         comps = tuple(components)
         if not comps:
             raise ValueError("VectorPoly needs at least one component")
-        dims = {p.dimension for p in comps}
+        dims = {p._dimension for p in comps}
         if len(dims) != 1:
             raise DimensionError(f"components disagree on dimension: {sorted(dims)}")
         object.__setattr__(self, "_components", comps)
@@ -472,6 +494,9 @@ class VectorPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("VectorPoly is immutable")
+
+    def __reduce__(self):
+        return VectorPoly, (self._components,)
 
     @property
     def dimension(self) -> int:

@@ -502,6 +502,15 @@ def test_profile_brings_each_component_to_the_common_denominator():
         assert profiled(body, r) == materialised(body, r)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 200])
+def test_identity_profile_equals_the_profile_of_its_constructed_twins(n):
+    # the identity's components are born with their series, their twins compute theirs
+    twins = VectorPoly(
+        MultiPoly(n, {tuple(int(a == axis) for a in range(n)): 1}) for axis in range(n)
+    )
+    assert energetics._radial_profile(identity_map(n).body) == energetics._radial_profile(twins)
+
+
 FLOAT_BODIES = {
     "harmonic": VectorPoly([lowered(c) for c in random_harmonic_polynomial(4, 3, 5).body]),
     "non-harmonic": VectorPoly(

@@ -366,6 +366,14 @@ class TestMakeMap:
         u = make_harmonic_map(P(2, {(2, 0): 1, (0, 2): 1}))
         assert not u.certified
 
+    def test_reads_every_component_after_a_harmonic_one(self):
+        # the flag and the degree set are read in one loop over the components
+        harmonic, rsq = P(2, {(1, 1): 1}), P(2, {(2, 0): 1, (0, 2): 1})
+        u = make_harmonic_map(VectorPoly([harmonic, rsq]))
+        assert (u.certified, u.degree) == (False, 2)
+        u = make_harmonic_map(VectorPoly([harmonic, rsq, P(2, {(1, 0): 1})]))
+        assert (u.certified, u.degree) == (False, None)
+
     def test_harmonic_sum(self):
         z1 = zonal_solid_harmonic(3, 1)
         z3 = zonal_solid_harmonic(3, 3)

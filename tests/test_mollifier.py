@@ -113,6 +113,21 @@ class TestKernel:
         with pytest.raises(ArithmeticError, match="exceeds 1e-10"):
             mollifier._radial_bump_integral(2)
 
+    def test_radial_integral_guard_is_relative_to_a_tiny_integral(self, monkeypatch):
+        # at power 399 the integral is 5.3e-15 and the coarse rule reads 2.8e-15,
+        # an error far below 1e-10 that an absolute check let through
+        monkeypatch.setattr(mollifier, "_TANH_SINH_STEP", 1 / 2)
+        with pytest.raises(ArithmeticError, match="exceeds 1e-10 of 2.8"):
+            mollifier._radial_bump_integral(399)
+
+    @pytest.mark.parametrize("power", [100, 399])
+    def test_radial_integral_at_a_high_power_passes_its_relative_check(self, power):
+        # the kept step meets the relative check, and is good to 1e-14 against mpmath
+        with mpmath.workdps(40):
+            exact = mpmath.quad(lambda t: t**power * mpmath.exp(-1 / (1 - t * t)), [0, 1])
+            error = abs(mpmath.mpf(mollifier._radial_bump_integral(power)) - exact)
+        assert error <= 1e-14 * exact
+
     def test_delta_validation(self):
         with pytest.raises(ValueError):
             MollifierSpec(dimension=2, delta=0.75)

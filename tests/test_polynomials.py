@@ -1,6 +1,8 @@
 """Sparse polynomial arithmetic, calculus, parsing and evaluation."""
 
+import copy
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -190,12 +192,18 @@ class TestEvaluation:
 
     @pytest.mark.parametrize(
         "text,point",
-        [("1.7e308*x1 + 1.7e308*x2", (0.53125, 0.53125)), ("x1^2", (1e200,))],
-        ids=["sum", "power"],
+        [
+            ("1.7e308*x1 + 1.7e308*x2", (0.53125, 0.53125)),
+            ("x1^2", (1e200,)),
+            ("1e300*x1^2", (1e10,)),
+            ("1e300*x1^2 - 1e300*x2^2", (1e10, 1e10)),
+        ],
+        ids=["sum", "power", "product", "inf-minus-inf"],
     )
     def test_value_beyond_the_float_range_refused(self, text, point):
         # finite terms summing past the float range, or a power past it,
-        # raised a bare OverflowError
+        # raised a bare OverflowError; a product past it is inf, which was
+        # returned, or summed with -inf into fsum's own ValueError
         p = parse_poly(text, len(point))
         message = f"value at the point {point} overflows the float range"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -374,6 +382,31 @@ def test_property_sparse_grlex_key_orders_like_dense_tuples(vectors):
     terms = [(_key_of(e, 6), None) for e in set(vectors)]
     by_key = [_dense(k, 6) for k, _ in sorted(terms, key=_grlex_key, reverse=True)]
     assert by_key == dense
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 200])
+def test_coordinate_functions_are_born_with_the_series_of_their_twins(n):
+    # the series MultiPoly.variable stores is the one the constructor's twin computes
+    for axis in range(n):
+        twin = MultiPoly(n, {tuple(int(a == axis) for a in range(n)): 1})
+        assert twin._series is None
+        assert MultiPoly.variable(n, axis)._series == _laplacian_series(twin)
+
+
+@pytest.mark.parametrize(
+    "copy_of", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))], ids=["deepcopy", "pickle"]
+)
+def test_copies_keep_equality_hash_and_coefficient_types(copy_of):
+    # __new__ needs the dimension, so both once raised TypeError
+    p = parse_poly("1/3*x1^2 + 0.5*x2 - 7", 2)
+    q = copy_of(p)
+    assert q == p and hash(q) == hash(p) and q is not p
+    assert [type(c) for _, c in q.terms()] == [Fraction, float, Fraction]
+    u = identity_map(2)
+    body = copy_of(u.body)
+    assert body == u.body and hash(body) == hash(u.body)
+    assert make_harmonic_map(body).certified
+    assert copy_of(u).body == u.body
 
 
 @pytest.mark.parametrize("n", [2, 300])

@@ -308,9 +308,10 @@ def _slot_writers(slot: str) -> set[tuple[str, str]]:
 
 def test_one_writer_of_the_laplacian_series_and_one_walk():
     # the kept series is the one place a poly's Laplacians are computed:
-    # _store resets it, _laplacian_series fills it, and no other def, in
+    # _store sets it, _laplacian_series fills it, and no other def, in
     # polynomials.py or out of it, walks a Laplacian to learn what the series
-    # already holds
+    # already holds; only MultiPoly.variable hands _store a series, the one
+    # a coordinate function is born with
     found = [
         (path.name, *pair)
         for path in SOURCES + SCRIPTS + TESTS
@@ -327,6 +328,14 @@ def test_one_writer_of_the_laplacian_series_and_one_walk():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_laplacian_terms"
     }
     assert walkers == {("polynomials.py", "_laplacian_series")}, sorted(walkers)
+    seeders = {
+        (module, name)
+        for module, name, node in found
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "_store"
+        and (len(node.args) > 2 or node.keywords)
+    }
+    assert seeders == {("polynomials.py", "variable")}, sorted(seeders)
 
 
 def _is_lru_cache(decorator: ast.expr) -> bool:
