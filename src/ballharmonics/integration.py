@@ -25,12 +25,14 @@ twice a Gamma((n - k)/2) variate (Muller 1959; Marsaglia 1972), then, on
 the ball, the uniform radii.  When n - k = 1 the unread axis is one more
 normal row, since a chi^2(1) variate costs more than a normal.  A monomial
 is formed by squaring the whole monomial bit by bit, never by ``pow``.
-Each thread evaluates its blocks in one set of buffers, allocated per call
-in the calling thread, and a call starts no more threads than it has blocks
-or than the process has CPUs.  Every Monte Carlo integral, polynomial or
-energy density, meets r in ``_mc_integral``: homogeneous rows are sampled
-on the unit domain, their power of r exact in the measure, and a
-mixed-degree integrand whose top power of r leaves the float range is
+Each lane evaluates its blocks in one set of buffers, allocated per call
+in the calling thread.  The calling thread works one lane and starts at
+most min(workers, blocks, CPUs) - 1 helper threads; every lane claims the
+next block in ascending order, the blocks are merged in block order, and
+the first error in any lane stops the rest.  Every Monte Carlo integral,
+polynomial or energy density, meets r in ``_mc_integral``: homogeneous rows
+are sampled on the unit domain, their power of r exact in the measure, and
+a mixed-degree integrand whose top power of r leaves the float range is
 refused.  Results are a pure function of (seed, samples); the worker count
 changes wall time only.
 """
@@ -40,6 +42,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -238,7 +241,10 @@ def _substream(seed: int, block: int) -> np.random.Generator:
 
 
 def _lanes(workers: int, nblocks: int) -> int:
-    """Threads for one call: each holds its own buffers, so no more than the blocks or the CPUs."""
+    """Lanes for one call, the calling thread's among them: no more than the blocks or the CPUs.
+
+    Each lane holds its own buffers, so a call starts lanes - 1 helper threads.
+    """
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without affinity masks
@@ -262,7 +268,13 @@ def _mc_blocks(
     ``new_block()`` returns one thread's ``block_values(gen, count)``, which
     gives the values of ``count`` samples drawn from gen as a float64 array
     that the reduction then overwrites, so one set of buffers serves every
-    block a thread takes.  Block b always draws from ``_substream(seed, b)``.
+    block a lane takes.  The calling thread works lane 0 next to
+    ``_lanes(workers, nblocks) - 1`` helper threads; each lane claims the
+    lowest unclaimed block from one shared counter, and block b always draws
+    from ``_substream(seed, b)``, so which lane took a block changes no bit.
+    The first error in any lane, an interrupt of the calling thread's lane
+    included, stops every lane at its next claim and is raised once every
+    helper has returned, so no thread outlives the call.
     Each block returns its sum and its sum of squares about its own mean;
     the centred sums are merged in block order (Chan, Golub and LeVeque), so
     the variance never comes from the cancelling difference s2 - N mean^2.
@@ -287,27 +299,41 @@ def _mc_blocks(
     # thread come from that thread's malloc arena, which keeps their pages
     evaluators = [new_block() for _ in range(lanes)]
     partials: list = [None] * nblocks
+    unclaimed = iter(range(nblocks))
+    claim_lock = threading.Lock()
+    errors: list[BaseException] = []  # a lane's error stops every lane at its next claim
 
-    def lane(i: int) -> None:
-        block_values = evaluators[i]
-        for block in range(i, nblocks, lanes):
-            count = min(BLOCK_SIZE, samples - block * BLOCK_SIZE)
-            v = block_values(_substream(seed, block), count)
-            scale = math.frexp(_peak(v))[1]
-            np.ldexp(v, -scale, out=v)
-            total = float(np.sum(v))
-            v -= total / count
-            peak = _peak(v)
-            np.ldexp(v, -math.frexp(peak)[1], out=v)
-            v *= v
-            # np.sum, not a BLAS dot, whose summation order follows the BLAS thread count
-            partials[block] = count, scale, total, peak, float(np.sum(v))
+    def claim() -> int | None:
+        with claim_lock:
+            return None if errors else next(unclaimed, None)
+
+    def lane(block_values: Callable[[np.random.Generator, int], np.ndarray]) -> None:
+        try:
+            while (block := claim()) is not None:
+                count = min(BLOCK_SIZE, samples - block * BLOCK_SIZE)
+                v = block_values(_substream(seed, block), count)
+                scale = math.frexp(_peak(v))[1]
+                np.ldexp(v, -scale, out=v)
+                total = float(np.sum(v))
+                v -= total / count
+                peak = _peak(v)
+                np.ldexp(v, -math.frexp(peak)[1], out=v)
+                v *= v
+                # np.sum, not a BLAS dot, whose summation order follows the BLAS thread count
+                partials[block] = count, scale, total, peak, float(np.sum(v))
+        except BaseException as error:  # an interrupt of the calling thread's lane too
+            errors.append(error)
 
     if lanes > 1:
-        with ThreadPoolExecutor(max_workers=lanes) as pool:
-            list(pool.map(lane, range(lanes)))  # reading each result raises a lane's error
+        # the calling thread works lane 0; leaving the pool joins its helpers
+        with ThreadPoolExecutor(max_workers=lanes - 1) as pool:
+            for block_values in evaluators[1:]:
+                pool.submit(lane, block_values)
+            lane(evaluators[0])
     else:
-        lane(0)
+        lane(evaluators[0])
+    if errors:
+        raise errors[0]
     # block totals and peaks in units of 2^top, the largest block scale
     top = max(p[1] for p in partials)
     partials = [

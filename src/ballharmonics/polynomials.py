@@ -334,7 +334,7 @@ class MultiPoly:
         exact; float otherwise.  Float accumulation uses ``math.fsum`` over
         terms in graded lexicographic order, so results are deterministic.  A
         float term, power or sum that overflows is refused with ValueError, as
-        a coefficient beyond the float range is.
+        a coefficient beyond the float range is; so is a non-finite point.
         """
         if len(point) != self._dimension:
             raise DimensionError(f"point has {len(point)} coordinates, expected {self._dimension}")
@@ -343,6 +343,8 @@ class MultiPoly:
             coords, terms = [Fraction(x) for x in point], self._terms.items()
         else:
             coords, terms = [float(x) for x in point], self._float_terms()
+            if not all(map(math.isfinite, coords)):
+                raise ValueError(f"point {tuple(coords)} is not finite")
         parts = []
         try:
             for key, term in terms:

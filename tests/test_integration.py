@@ -1,5 +1,6 @@
 """Exact and Monte Carlo quadrature over spheres and balls."""
 
+import concurrent.futures
 import dataclasses
 import gc
 import itertools
@@ -8,6 +9,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -642,7 +645,8 @@ class TestEvaluator:
     @pytest.mark.parametrize("cpus, blocks, threads", [(64, 3, 3), (2, 5, 2), (1, 5, None)])
     def test_threads_capped_by_blocks_and_cpus(self, monkeypatch, cpus, blocks, threads):
         # each thread holds its own buffers: 10**6 workers used to ask the
-        # pool for one thread per block
+        # pool for one thread per block; the calling thread is one of the
+        # lanes, so the pool is asked for the others
         started = []
 
         class SerialPool:
@@ -655,7 +659,10 @@ class TestEvaluator:
             def __exit__(self, *exc):
                 return False
 
-            map = staticmethod(map)
+            def submit(self, fn, *args):
+                done = concurrent.futures.Future()
+                done.set_result(fn(*args))
+                return done
 
         monkeypatch.setattr(integration, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
@@ -663,7 +670,7 @@ class TestEvaluator:
         p = MultiPoly(3, {(2, 1, 0): 1, (0, 0, 4): -1})
         spec = QuadratureSpec("monte_carlo", (blocks - 1) * BLOCK_SIZE + 9, 5, 10**6)
         many = integrate_poly_ball(p, 0.9, spec)
-        assert started == ([threads] if threads else [])
+        assert started == ([threads - 1] if threads else [])
         one = integrate_poly_ball(p, 0.9, dataclasses.replace(spec, workers=1))
         assert (many.value, many.standard_error) == (one.value, one.standard_error)
 
@@ -699,6 +706,122 @@ class TestEvaluator:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+class TestLanes:
+    """The calling thread works one lane, lanes claim blocks in order, and a lane's error stops them all."""
+
+    @staticmethod
+    def block_calls(monkeypatch, fail_at=None, pause=0.002):
+        """new_block() whose blocks return ones, log their index, and raise at block fail_at."""
+        monkeypatch.setattr(integration, "_substream", lambda seed, block: block)
+        evaluated = []
+
+        def new_block():
+            def block_values(block, count):
+                if block == fail_at:
+                    raise RuntimeError(f"block {block}")
+                time.sleep(pause)  # lets the other lane reach its next claim
+                evaluated.append(block)
+                return np.ones(count)
+
+            return block_values
+
+        return new_block, evaluated
+
+    def test_first_lane_error_stops_the_rest(self, monkeypatch):
+        _three_cpus(monkeypatch)
+        nblocks = 32
+        new_block, evaluated = self.block_calls(monkeypatch, fail_at=3)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^block 3$"):
+            _mc_blocks(nblocks * BLOCK_SIZE, 0, 2, new_block)
+        # the other lane ends the block it holds; a striped lane ran all 16 of its own
+        assert len(evaluated) < nblocks // 4
+        assert threading.active_count() == before
+
+    def test_an_interrupt_of_the_calling_lane_stops_the_helpers(self, monkeypatch):
+        _three_cpus(monkeypatch)
+        nblocks = 32
+        new_block, evaluated = self.block_calls(monkeypatch)
+        caller = threading.current_thread()
+
+        def interrupting_block():
+            block_values = new_block()
+
+            def values(block, count):
+                if threading.current_thread() is caller and block >= 2:
+                    raise KeyboardInterrupt
+                return block_values(block, count)
+
+            return values
+
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            _mc_blocks(nblocks * BLOCK_SIZE, 0, 2, interrupting_block)
+        assert len(evaluated) < nblocks // 4
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_successful_call_evaluates_each_block_once_and_joins_its_threads(self, monkeypatch, workers):
+        # a lost claim would skip a block or evaluate one twice; a short
+        # switch interval makes the lanes trade the interpreter often
+        _three_cpus(monkeypatch)
+        nblocks = 2000
+        new_block, evaluated = self.block_calls(monkeypatch, pause=0)
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert _mc_blocks(nblocks * BLOCK_SIZE, 0, workers, new_block) == (1.0, 0.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(evaluated) == list(range(nblocks))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("samples", [2 * BLOCK_SIZE + 5, 7 * BLOCK_SIZE + 3])
+    def test_claim_order_does_not_change_the_bits(self, monkeypatch, samples):
+        # the helper lane holds its first block until the calling lane has
+        # claimed every other one, so it takes one block, not a stride
+        _three_cpus(monkeypatch)
+        nblocks = (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
+        caller = threading.current_thread()
+        substream = integration._substream
+        caller_blocks, helper_blocks = [], []
+        helper_holds, rest_claimed = threading.Event(), threading.Event()
+
+        def held(seed, block):
+            if threading.current_thread() is caller:
+                assert helper_holds.wait(timeout=30)
+                caller_blocks.append(block)
+                if len(caller_blocks) == nblocks - 1:
+                    rest_claimed.set()
+            else:
+                helper_blocks.append(block)
+                helper_holds.set()
+                assert rest_claimed.wait(timeout=30)
+            return substream(seed, block)
+
+        p = MultiPoly(4, {(6, 0, 2, 0): 1, (0, 0, 0, 0): Fraction(-1, 7)})
+        u = VectorPoly([MultiPoly(3, {(3, 0, 0): 1, (1, 2, 0): -3}), MultiPoly(3, {(1, 1, 1): 2})])
+        calls = [
+            lambda spec: integrate_poly_sphere(monomial(3, (4, 2, 0)), 1.0, spec),
+            lambda spec: integrate_poly_ball(p, 0.9, spec),
+            lambda spec: dirichlet_energy_result(u, 0.9, spec),
+        ]
+        for call in calls:
+            spec = QuadratureSpec("monte_carlo", samples, 11)
+            one = call(spec)
+            for log in (caller_blocks, helper_blocks, helper_holds, rest_claimed):
+                log.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(integration, "_substream", held)
+                two = call(dataclasses.replace(spec, workers=2))
+            assert len(helper_blocks) == 1
+            assert sorted(caller_blocks + helper_blocks) == list(range(nblocks))
+            assert (two.value.hex(), two.standard_error.hex()) == (
+                one.value.hex(),
+                one.standard_error.hex(),
+            )
 
 
 _EVERY_AXIS = MultiPoly(3, {(2, 0, 0): 1, (0, 1, 1): -2, (1, 1, 2): Fraction(1, 3)})

@@ -209,6 +209,15 @@ class TestEvaluation:
         with pytest.raises(ValueError, match=re.escape(message)):
             p.evaluate(point)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_refused_as_such(self, bad):
+        # a nan or infinite coordinate was refused as an overflow, though
+        # nothing overflowed
+        for text, point in [("x1 + 1", (bad,)), ("0.5*x1*x2 - x2^3", (0.25, bad))]:
+            message = f"point {point} is not finite"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                parse_poly(text, len(point)).evaluate(point)
+
     def test_exact_path(self):
         p = P(2, {(2, 0): Fraction(1), (0, 1): Fraction(-1, 2)})
         val = p.evaluate((Fraction(1, 3), Fraction(2)))
